@@ -194,19 +194,15 @@ def cmd_fig2(args: argparse.Namespace) -> None:
 
 
 def _network_kind(args: argparse.Namespace) -> str:
-    """Validated network spec from ``--network`` (default: the paper's
-    shared bus)."""
-    from .network.ethernet import known_network_spec
+    """Validated network spec from ``--network``."""
+    from .network.ethernet import parse_network_spec
+    from .sim.errors import InvalidOperationError
 
-    spec = getattr(args, "network", None) or "bus"
-    if not known_network_spec(spec):
-        raise SystemExit(
-            f"error: unknown network spec {spec!r} (flat kinds: bus, "
-            "switch, zero; hierarchical: fat-tree[:nodes_per_edge"
-            "[:oversubscription[:edges_per_pod]]], torus[:width[:height]], "
-            "tiered[:nodes_per_rack[:racks_per_zone[:oversubscription]]])"
-        )
-    return spec
+    try:
+        parse_network_spec(args.network)
+    except InvalidOperationError as err:
+        raise SystemExit(f"error: {err}") from None
+    return args.network
 
 
 def _cluster_for(app: str, nodes: int, network_kind: str = "bus"):
@@ -219,9 +215,7 @@ def _cluster_for(app: str, nodes: int, network_kind: str = "bus"):
 
 
 def _app_cluster(args: argparse.Namespace, nodes: int):
-    from .experiments.runner import resolve_app
-
-    return _cluster_for(resolve_app(args.app), nodes, _network_kind(args))
+    return _cluster_for(args.app, nodes, _network_kind(args))
 
 
 def cmd_predict(args: argparse.Namespace) -> None:
@@ -441,32 +435,86 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     return 0
 
 
-# -- sweep executor plumbing (--jobs / --no-cache) ----------------------------
+# -- shared options (executor and workload flags) ----------------------------
 
-def _build_executor(args: argparse.Namespace):
-    """The sweep executor for a command's --jobs/--no-cache flags."""
+#: Application names and aliases accepted by ``--app``.
+APP_CHOICES = ("ge", "gaussian", "mm", "matmul", "stencil", "jacobi", "fft")
+
+
+def _executor_options() -> argparse.ArgumentParser:
+    """Parent parser of every command that runs a sweep executor.
+
+    Read back by :func:`_build_executor`.  Each command gets a fresh
+    parent, so one command's ``set_defaults`` (``sweep profile``'s
+    ``jobs=2``) never leaks into another's.
+    """
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(
+        "--jobs", type=int, default=1, metavar="J",
+        help="fan independent simulation points over J worker processes "
+             "(default %(default)s; 1 runs them serially in-process)",
+    )
+    parent.add_argument(
+        "--no-cache", action="store_true",
+        help="bypass the persistent run cache ($REPRO_CACHE_DIR or "
+             ".repro/cache) and re-simulate every point",
+    )
+    parent.add_argument(
+        "--progress", action="store_true",
+        help="live sweep heartbeat on stderr: points done/total, ETA, "
+             "cache hit-rate and worker utilization",
+    )
+    return parent
+
+
+def _workload_options(app_help: str) -> argparse.ArgumentParser:
+    """Parent parser of the ``--app``/``--network`` pair."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(
+        "--app", choices=APP_CHOICES, default="ge",
+        help=f"{app_help} (default: ge)",
+    )
+    parent.add_argument(
+        "--network", default="bus", metavar="SPEC",
+        help="interconnect model: bus (the paper's, default), switch, or "
+             "a hierarchical spec such as fat-tree:8:2, torus:16:8, "
+             "tiered:8:4:2",
+    )
+    return parent
+
+
+def _build_executor(
+    args: argparse.Namespace,
+    cache_root: str | Path | None = None,
+    telemetry: bool = False,
+):
+    """The sweep executor for the shared --jobs/--no-cache/--progress
+    options (``cache_root`` overrides the default cache directory)."""
     from .experiments.executor import RunCache, SweepExecutor
 
-    jobs = getattr(args, "jobs", 1)
-    if jobs is None:
-        jobs = 1
-    if jobs < 1:
-        raise SystemExit(f"error: --jobs must be >= 1, got {jobs}")
-    cache = None if getattr(args, "no_cache", False) else RunCache()
-    telemetry = bool(getattr(args, "profile", False))
-    keep_pool = not getattr(args, "no_keep_pool", False)
-    return SweepExecutor(jobs=jobs, cache=cache, telemetry=telemetry,
-                         progress=_build_progress(args),
-                         keep_pool=keep_pool)
+    if args.jobs < 1:
+        raise SystemExit(f"error: --jobs must be >= 1, got {args.jobs}")
+    progress = None
+    if args.progress:
+        from .obs.streaming import ProgressReporter
+
+        progress = ProgressReporter()
+    return SweepExecutor(
+        jobs=args.jobs,
+        cache=None if args.no_cache else RunCache(cache_root),
+        telemetry=telemetry,
+        progress=progress,
+    )
 
 
-def _build_progress(args: argparse.Namespace):
-    """A live heartbeat reporter when --progress was given, else None."""
-    if not getattr(args, "progress", False):
-        return None
-    from .obs.streaming import ProgressReporter
+def _write_json(path: str, payload: dict, what: str) -> None:
+    """Write a command's ``--out`` JSON document and say where."""
+    import json
 
-    return ProgressReporter()
+    out = Path(path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(json.dumps(payload, indent=2) + "\n")
+    _print(f"wrote {what} to {out}")
 
 
 def _print_cache_stats(executor) -> None:
@@ -513,10 +561,7 @@ def cmd_faults_run(args: argparse.Namespace) -> int:
     from .sim.errors import SimulationError
     from .sim.trace import Tracer
 
-    try:
-        app = resolve_app(args.app)
-    except KeyError as err:
-        raise SystemExit(f"error: {err.args[0]}") from None
+    app = resolve_app(args.app)
     cluster = _cluster_for(app, args.nodes, _network_kind(args))
 
     baseline: RunRecord | bool = not args.no_baseline
@@ -632,17 +677,14 @@ def cmd_faults_sweep(args: argparse.Namespace) -> int:
         slowdown_sweep,
     )
 
-    try:
-        app = resolve_app(args.app)
-    except KeyError as err:
-        raise SystemExit(f"error: {err.args[0]}") from None
+    app = resolve_app(args.app)
     for severity in args.severities:
         if not 0.0 <= severity < 1.0:
             raise SystemExit(
                 f"error: severities must be in [0, 1), got {severity}"
             )
     cluster = _cluster_for(app, args.nodes, _network_kind(args))
-    executor = _build_executor(args)
+    executor = _build_executor(args, telemetry=args.profile)
     with ExitStack() as stack:
         if args.ledger is not None:
             from .experiments.runner import ledger_recording
@@ -662,13 +704,12 @@ def cmd_faults_sweep(args: argparse.Namespace) -> int:
     print(f"psi monotone non-increasing with severity: {monotone}")
     print()
     _print_cache_stats(executor)
-    if getattr(args, "profile", False) and executor.timeline is not None:
+    if args.profile and executor.timeline is not None:
         _print(executor.timeline.format_report(
             title=f"Sweep overhead attribution ({app} faults sweep, "
                   f"jobs={executor.jobs})",
         ))
     if args.out:
-        import json as _json
         from dataclasses import asdict
 
         payload = {
@@ -680,13 +721,9 @@ def cmd_faults_sweep(args: argparse.Namespace) -> int:
             "cache": executor.cache_stats(),
             "jobs": executor.jobs,
         }
-        if getattr(args, "profile", False) and executor.timeline is not None:
+        if args.profile and executor.timeline is not None:
             payload["telemetry"] = executor.timeline.to_dict()
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(_json.dumps(payload, indent=2) + "\n")
-        print(f"wrote sweep data to {out}")
-        print()
+        _write_json(args.out, payload, "sweep data")
     return 0
 
 
@@ -729,10 +766,7 @@ def cmd_faults_attack(args: argparse.Namespace) -> int:
     )
     from .obs.ledger import RunLedger
 
-    try:
-        app = resolve_app(args.app)
-    except KeyError as err:
-        raise SystemExit(f"error: {err.args[0]}") from None
+    app = resolve_app(args.app)
     if args.smoke:
         # Fast fixed-seed CI shape: small problem, few iterations, the
         # curve recorded to the ledger and the optimum replayed from a
@@ -802,8 +836,6 @@ def cmd_faults_attack(args: argparse.Namespace) -> int:
         print()
     _print_cache_stats(executor)
     if args.out:
-        import json as _json
-
         payload = {
             "app": app,
             "cluster": cluster.to_payload(),
@@ -812,11 +844,7 @@ def cmd_faults_attack(args: argparse.Namespace) -> int:
             "iterations": iterations,
             "curve": [r.to_payload() for r in results],
         }
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(_json.dumps(payload, indent=2) + "\n")
-        print(f"wrote attack curve to {out}")
-        print()
+        _write_json(args.out, payload, "attack curve")
     return 0
 
 
@@ -832,19 +860,10 @@ def build_faults_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser(
         "run", help="run one application under a fault schedule",
-    )
-    run.add_argument(
-        "--app",
-        choices=["ge", "gaussian", "mm", "matmul", "stencil", "jacobi", "fft"],
-        default="ge", help="application to run (default: ge)",
+        parents=[_workload_options("application to run")],
     )
     run.add_argument("--nodes", type=int, default=2,
                      help="Sunwulf node count (default 2)")
-    run.add_argument(
-        "--network", default="bus", metavar="SPEC",
-        help="interconnect model: bus (default), switch, or a "
-             "hierarchical spec such as fat-tree:8:2, tiered:4",
-    )
     run.add_argument("--size", type=int, default=300,
                      help="problem size N (default 300)")
     run.add_argument(
@@ -886,19 +905,11 @@ def build_faults_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser(
         "sweep", help="psi-vs-fault-intensity table (uniform slowdown scan)",
-    )
-    sweep.add_argument(
-        "--app",
-        choices=["ge", "gaussian", "mm", "matmul", "stencil", "jacobi", "fft"],
-        default="ge", help="application to sweep (default: ge)",
+        parents=[_workload_options("application to sweep"),
+                 _executor_options()],
     )
     sweep.add_argument("--nodes", type=int, default=2,
                        help="Sunwulf node count (default 2)")
-    sweep.add_argument(
-        "--network", default="bus", metavar="SPEC",
-        help="interconnect model: bus (default), switch, or a "
-             "hierarchical spec such as fat-tree:8:2, tiered:4",
-    )
     sweep.add_argument("--size", type=int, default=300,
                        help="problem size N (default 300)")
     sweep.add_argument(
@@ -914,21 +925,6 @@ def build_faults_parser() -> argparse.ArgumentParser:
              "counts)",
     )
     sweep.add_argument(
-        "--jobs", type=int, default=1, metavar="J",
-        help="fan the baseline and severity points over J worker "
-             "processes (default 1: serial)",
-    )
-    sweep.add_argument(
-        "--no-keep-pool", action="store_true",
-        help="spawn a throwaway worker pool per batch instead of "
-             "reusing the process-wide warm pool (legacy behavior)",
-    )
-    sweep.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the persistent run cache ($REPRO_CACHE_DIR or "
-             ".repro/cache)",
-    )
-    sweep.add_argument(
         "--ledger", default=None, metavar="DIR",
         help="record every run of the sweep in this ledger (with a "
              "cache_hit metric per record)",
@@ -939,33 +935,19 @@ def build_faults_parser() -> argparse.ArgumentParser:
              "overhead-attribution phase table (also lands in --out "
              "as a `telemetry` block)",
     )
-    sweep.add_argument(
-        "--progress", action="store_true",
-        help="live heartbeat on stderr: points done/total, ETA, cache "
-             "hit-rate and worker utilization",
-    )
     sweep.set_defaults(func=cmd_faults_sweep)
 
     attack = sub.add_parser(
         "attack",
         help="adversarial search for worst-case resilience curves",
-    )
-    attack.add_argument(
-        "--app",
-        choices=["ge", "gaussian", "mm", "matmul", "stencil", "jacobi", "fft"],
-        default="ge", help="application to attack (default: ge)",
+        parents=[_workload_options("application to attack"),
+                 _executor_options()],
     )
     attack.add_argument(
         "--cluster", default="blade:2,v210:1", metavar="SPEC",
         help="heterogeneous cluster as GROUP:COUNT[,GROUP:COUNT...] over "
              "the fuzz node palette (blade, v210, generic, server); "
              "default: blade:2,v210:1",
-    )
-    attack.add_argument(
-        "--network", default="bus", metavar="SPEC",
-        help="network spec for the cluster: bus, switch, or a "
-             "hierarchical spec such as fat-tree:8:2, torus, tiered:4 "
-             "(default: bus)",
     )
     attack.add_argument("--size", type=int, default=None,
                         help="problem size N (default 96; 64 with --smoke)")
@@ -1000,19 +982,6 @@ def build_faults_parser() -> argparse.ArgumentParser:
     attack.add_argument(
         "--out", default=None, metavar="PATH",
         help="also write the resilience curve as JSON",
-    )
-    attack.add_argument(
-        "--jobs", type=int, default=1, metavar="J",
-        help="worker processes for scenario evaluation (default 1)",
-    )
-    attack.add_argument(
-        "--no-keep-pool", action="store_true",
-        help="spawn a throwaway worker pool per batch instead of "
-             "reusing the process-wide warm pool (legacy behavior)",
-    )
-    attack.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the persistent run cache",
     )
     attack.set_defaults(func=cmd_faults_attack)
     return parser
@@ -1105,6 +1074,7 @@ def build_fuzz_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser(
         "run", help="run a seeded fuzz campaign against the invariant oracle",
+        parents=[_executor_options()],
     )
     run.add_argument("--count", type=int, default=20,
                      help="scenarios to generate (default 20)")
@@ -1135,28 +1105,17 @@ def build_fuzz_parser() -> argparse.ArgumentParser:
         "--no-shrink", action="store_true",
         help="skip delta-debugging violating scenarios before persisting",
     )
-    run.add_argument("--jobs", type=int, default=1, metavar="J",
-                     help="worker processes (default 1)")
-    run.add_argument("--no-keep-pool", action="store_true",
-                     help="throwaway worker pool per batch (legacy)")
-    run.add_argument("--no-cache", action="store_true",
-                     help="bypass the persistent run cache")
     run.set_defaults(func=cmd_fuzz_run)
 
     replay = sub.add_parser(
         "replay", help="re-run every minimized corpus case as a regression",
+        parents=[_executor_options()],
     )
     replay.add_argument(
         "--corpus", default=None, metavar="DIR",
         help="corpus directory (default: $REPRO_FUZZ_CORPUS_DIR or "
              "tests/fuzz/corpus)",
     )
-    replay.add_argument("--jobs", type=int, default=1, metavar="J",
-                        help="worker processes (default 1)")
-    replay.add_argument("--no-keep-pool", action="store_true",
-                        help="throwaway worker pool per batch (legacy)")
-    replay.add_argument("--no-cache", action="store_true",
-                        help="bypass the persistent run cache")
     replay.set_defaults(func=cmd_fuzz_replay)
     return parser
 
@@ -1178,54 +1137,43 @@ def cmd_sweep_profile(args: argparse.Namespace) -> int:
     timed first (skip with ``--no-serial``) so the report can state the
     measured serial-vs-parallel comparison directly.
     """
-    import json as _json
     import tempfile
 
-    from .experiments.executor import RunCache, SweepExecutor
+    from .experiments.executor import SweepExecutor
     from .experiments.runner import resolve_app
     from .experiments.sweep import efficiency_curve
 
-    try:
-        app = resolve_app(args.app)
-    except KeyError as err:
-        raise SystemExit(f"error: {err.args[0]}") from None
-    if args.jobs < 1:
-        raise SystemExit(f"error: --jobs must be >= 1, got {args.jobs}")
+    app = resolve_app(args.app)
     cluster = _cluster_for(app, args.nodes, _network_kind(args))
     sizes = [int(n) for n in args.sizes]
 
-    serial_seconds = None
-    if not args.no_serial:
-        start = time.perf_counter()
-        efficiency_curve(app, cluster, sizes, executor=SweepExecutor(jobs=1))
-        serial_seconds = time.perf_counter() - start
-
     with ExitStack() as stack:
-        if args.cache is not None:
-            cache = RunCache(root=args.cache)
-        else:
+        cache_root = args.cache
+        if cache_root is None:
             # A throwaway cache keeps the profiled sweep genuinely cold
             # while still exercising the cache probe/write phases.
             tmp = stack.enter_context(
                 tempfile.TemporaryDirectory(prefix="repro-sweep-profile-")
             )
-            cache = RunCache(root=Path(tmp) / "cache")
+            cache_root = Path(tmp) / "cache"
+        executor = _build_executor(args, cache_root=cache_root,
+                                   telemetry=True)
+        serial_seconds = None
+        if not args.no_serial:
+            start = time.perf_counter()
+            efficiency_curve(app, cluster, sizes, executor=SweepExecutor())
+            serial_seconds = time.perf_counter() - start
         if args.ledger is not None:
             from .experiments.runner import ledger_recording
             from .obs.ledger import RunLedger
 
             stack.enter_context(ledger_recording(RunLedger(args.ledger)))
-        keep_pool = not args.no_keep_pool
-        if args.warm_pool and keep_pool:
+        if args.warm_pool:
             # Pay the one-off worker spawn before the profiled window,
             # so the report shows the steady-state (warm-pool) sweep.
             from .experiments.pool import shared_pool
 
             shared_pool(args.jobs).warm_up()
-        executor = SweepExecutor(
-            jobs=args.jobs, cache=cache, telemetry=True,
-            progress=_build_progress(args), keep_pool=keep_pool,
-        )
         efficiency_curve(app, cluster, sizes, executor=executor)
         timeline = executor.timeline
     _print(timeline.format_report(
@@ -1258,11 +1206,7 @@ def cmd_sweep_profile(args: argparse.Namespace) -> int:
             ),
             "telemetry": timeline.to_dict(),
         }
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(_json.dumps(payload, indent=2) + "\n")
-        print(f"wrote sweep profile to {out}")
-        print()
+        _write_json(args.out, payload, "sweep profile")
     return 0
 
 
@@ -1280,26 +1224,14 @@ def build_sweep_parser() -> argparse.ArgumentParser:
         "profile",
         help="run one cache-cold telemetered sweep and attribute its "
              "wall time to spawn/queue/cache/engine phases",
-    )
-    profile.add_argument(
-        "--app",
-        choices=["ge", "gaussian", "mm", "matmul", "stencil", "jacobi", "fft"],
-        default="ge", help="application to sweep (default: ge)",
+        parents=[_workload_options("application to sweep"),
+                 _executor_options()],
     )
     profile.add_argument("--nodes", type=int, default=2,
                          help="Sunwulf node count (default 2)")
     profile.add_argument(
-        "--network", default="bus", metavar="SPEC",
-        help="interconnect model: bus (default), switch, or a "
-             "hierarchical spec such as fat-tree:8:2, tiered:4",
-    )
-    profile.add_argument(
         "--sizes", type=int, nargs="+", default=[120, 160, 200, 240],
         help="problem sizes of the sweep (default: 120 160 200 240)",
-    )
-    profile.add_argument(
-        "--jobs", type=int, default=2, metavar="J",
-        help="worker processes to fan the sweep over (default 2)",
     )
     profile.add_argument(
         "--no-serial", action="store_true",
@@ -1311,11 +1243,6 @@ def build_sweep_parser() -> argparse.ArgumentParser:
         help="pre-spawn the shared worker pool before the profiled "
              "sweep, so the report shows the steady-state warm-pool "
              "phase table (no spawn cost in the window)",
-    )
-    profile.add_argument(
-        "--no-keep-pool", action="store_true",
-        help="profile the legacy throwaway pool-per-batch path instead "
-             "of the persistent warm pool",
     )
     profile.add_argument(
         "--cache", default=None, metavar="DIR",
@@ -1337,11 +1264,7 @@ def build_sweep_parser() -> argparse.ArgumentParser:
         help="record the profiled runs plus a sweep-level telemetry "
              "record (source=sweep) in this ledger",
     )
-    profile.add_argument(
-        "--progress", action="store_true",
-        help="live heartbeat on stderr while the profiled sweep runs",
-    )
-    profile.set_defaults(func=cmd_sweep_profile)
+    profile.set_defaults(func=cmd_sweep_profile, jobs=2)
     return parser
 
 
@@ -1566,6 +1489,8 @@ def cmd_all(args: argparse.Namespace) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-scalability",
+        parents=[_workload_options("application for the tool commands"),
+                 _executor_options()],
         description=(
             "Regenerate the evaluation tables/figures of 'Scalability of "
             "Heterogeneous Computing' (Sun, Chen, Wu; ICPP 2005) on the "
@@ -1602,20 +1527,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="restrict studies to 2-8 nodes (fast smoke run)",
     )
     parser.add_argument(
-        "--network", default="bus", metavar="SPEC",
-        help="interconnect model for every simulated cluster: bus "
-             "(paper default), switch, or a hierarchical spec such as "
-             "fat-tree:8:2, torus:16:8, tiered:8:4:2",
-    )
-    parser.add_argument(
         "--samples", type=int, default=6,
         help="samples per efficiency curve for figures (default 6)",
-    )
-    parser.add_argument(
-        "--app",
-        choices=["ge", "gaussian", "mm", "matmul", "stencil", "jacobi", "fft"],
-        default="ge",
-        help="application for the tool commands (default: ge)",
     )
     parser.add_argument(
         "--size", type=int, default=300,
@@ -1636,27 +1549,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="export a Chrome trace-event JSON of every simulated run the "
              "command executes (open in chrome://tracing or Perfetto; "
              "disables run-cache reads so every run is really simulated)",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1, metavar="J",
-        help="fan independent sweep points over J worker processes "
-             "(default 1: serial, bit-identical to the legacy path)",
-    )
-    parser.add_argument(
-        "--no-keep-pool", action="store_true",
-        help="spawn a throwaway worker pool per batch instead of "
-             "reusing the process-wide warm pool (legacy behavior; "
-             "useful to benchmark what the warm pool saves)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the persistent run cache ($REPRO_CACHE_DIR or "
-             ".repro/cache) and re-simulate every point",
-    )
-    parser.add_argument(
-        "--progress", action="store_true",
-        help="live sweep heartbeat on stderr: points done/total, ETA, "
-             "cache hit-rate and worker utilization",
     )
     parser.add_argument(
         "--ledger", default=None, metavar="DIR",

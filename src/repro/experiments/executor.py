@@ -4,15 +4,13 @@ Scalability studies (efficiency curves, required-size bisections, fault
 sweeps) sample many independent ``(app, cluster, N)`` simulation points.
 :class:`SweepExecutor` removes the two dominant costs of that regime:
 
-* **Parallelism** -- independent points fan out over a persistent warm
-  :class:`~repro.experiments.pool.WorkerPool` (``jobs=``; the default of
-  1 executes in-process, preserving the legacy serial path bit for
-  bit).  The pool is spawned once per process and reused by every
-  batch, sweep and bisection probe; tasks are dispatched in adaptive
-  chunks and reference interned cluster/fault-schedule specs by hash
-  instead of shipping them per task (see :mod:`repro.experiments.pool`).
-  ``keep_pool=False`` restores the legacy throwaway pool-per-batch
-  behavior (useful to benchmark exactly what the warm pool saves).
+* **Parallelism** -- independent points fan out over the process-wide
+  :func:`~repro.experiments.pool.shared_pool` (``jobs=``; the default of
+  1 executes in-process).  The pool is spawned once per process and
+  reused by every batch, sweep and bisection probe; tasks are
+  dispatched in adaptive chunks and reference interned
+  cluster/fault-schedule specs by hash instead of shipping them per
+  task (see :mod:`repro.experiments.pool`).
 * **Caching** -- a persistent :class:`RunCache` under ``.repro/cache/``
   stores finished runs as versioned JSON documents keyed by a
   deterministic profile hash (app, N, cluster spec hash, run kwargs such
@@ -34,7 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Iterator, Sequence
@@ -77,21 +75,8 @@ SIDE_EFFECT_KWARGS = frozenset(
 
 #: Above this rank count a serialized run drops its O(ranks) per-rank
 #: lists (``stats``/``finish_times``) and carries a streaming
-#: ``rank_summary`` block instead; overridable for tests and for sweeps
-#: that need full per-rank data at scale (at a memory/disk cost).
-RANK_SUMMARY_THRESHOLD_ENV = "REPRO_RANK_SUMMARY_THRESHOLD"
-DEFAULT_RANK_SUMMARY_THRESHOLD = 4096
-
-
-def rank_summary_threshold() -> int:
-    """Rank count above which cached runs store only a rank summary."""
-    raw = os.environ.get(RANK_SUMMARY_THRESHOLD_ENV)
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return DEFAULT_RANK_SUMMARY_THRESHOLD
+#: ``rank_summary`` block instead.
+RANK_SUMMARY_THRESHOLD = 4096
 
 
 class _Uncacheable(Exception):
@@ -208,7 +193,7 @@ def run_record_to_payload(
     (downtime/fail-stop/drops and the fault event list) so a cached
     faulted run rehydrates with its full degraded-metric surface.
 
-    Above :func:`rank_summary_threshold` ranks the payload replaces the
+    Above :data:`RANK_SUMMARY_THRESHOLD` ranks the payload replaces the
     per-rank ``stats``/``finish_times`` lists with a streaming
     ``rank_summary`` block (quantiles + top-k outliers), keeping cache
     entries O(1) in rank count; the rehydrated
@@ -217,7 +202,7 @@ def run_record_to_payload(
     """
     run = record.run
     run_block: dict[str, Any]
-    if len(run.stats) > rank_summary_threshold():
+    if len(run.stats) > RANK_SUMMARY_THRESHOLD:
         run_block = {
             "nranks": len(run.stats),
             "rank_summary": run.rank_summary
@@ -401,53 +386,40 @@ def _run_point(point: SweepPoint) -> tuple[RunRecord, Any]:
     return record, injector
 
 
-def _pool_worker(task: tuple) -> dict[str, Any]:
-    """Process-pool entry: run a point and return its JSON-ready payload.
+def _pool_worker(task: tuple[tuple, float | None]) -> tuple[dict, list]:
+    """Process-pool entry: run a point; returns ``(payload, spans)``.
 
-    ``task`` is the compact :func:`_encode_task` form (specs by intern
-    hash).  Ambient observers (ledger, trace collector) inherited
-    through fork are suspended -- the parent executor is the recording
-    authority.
+    ``task`` pairs the compact :func:`_encode_task` form (specs by
+    intern hash) with its parent-side submit timestamp, or ``None`` when
+    telemetry is off.  With a timestamp the worker records a
+    ``queue_wait`` span from it (pickle + queue + wait-for-free-worker
+    latency), an ``engine_run`` span around the simulation and a
+    ``serialize`` span around payload building, and ships its new spans
+    (including, once per worker lifetime, the ``spawn`` span the pool
+    initializer recorded) back with the payload.  Ambient observers
+    (ledger, trace collector) inherited through fork are suspended --
+    the parent executor is the recording authority.
     """
-    point = _decode_task(task)
-    prev_ledger, _runner._ACTIVE_LEDGER = _runner._ACTIVE_LEDGER, None
-    prev_coll, _runner._ACTIVE_COLLECTOR = _runner._ACTIVE_COLLECTOR, None
-    try:
-        record, injector = _run_point(point)
-        return run_record_to_payload(record, injector)
-    finally:
-        _runner._ACTIVE_LEDGER = prev_ledger
-        _runner._ACTIVE_COLLECTOR = prev_coll
-
-
-def _telemetry_pool_worker(task: tuple[tuple, float]) -> dict[str, Any]:
-    """Telemetry twin of :func:`_pool_worker`.
-
-    ``task`` pairs the compact task with its parent-side submit
-    timestamp; the worker records a ``queue_wait`` span from it (pickle
-    + queue + wait-for-free-worker latency), an ``engine_run`` span
-    around the simulation and a ``serialize`` span around payload
-    building, then ships its new spans (including, once per worker
-    lifetime, the ``spawn`` span the pool initializer recorded) back
-    alongside the payload.
-    """
-    from ..obs.telemetry import worker_telemetry
-
     compact, submitted_at = task
     point = _decode_task(compact)
-    worker = worker_telemetry()
-    worker.start_task(submitted_at)
+    recorder = None
+    if submitted_at is not None:
+        from ..obs.telemetry import worker_telemetry
+
+        worker = worker_telemetry()
+        worker.start_task(submitted_at)
+        recorder = worker.recorder
     prev_ledger, _runner._ACTIVE_LEDGER = _runner._ACTIVE_LEDGER, None
     prev_coll, _runner._ACTIVE_COLLECTOR = _runner._ACTIVE_COLLECTOR, None
     try:
-        with worker.recorder.span("engine_run", app=point.app, n=point.n):
+        with _span_on(recorder, "engine_run", app=point.app, n=point.n):
             record, injector = _run_point(point)
-        with worker.recorder.span("serialize"):
+        with _span_on(recorder, "serialize"):
             payload = run_record_to_payload(record, injector)
     finally:
         _runner._ACTIVE_LEDGER = prev_ledger
         _runner._ACTIVE_COLLECTOR = prev_coll
-    return {"payload": payload, "spans": worker.drain()}
+    return payload, (worker.drain() if recorder is not None else [])
 
 
 # -- the executor -------------------------------------------------------------
@@ -455,9 +427,11 @@ def _telemetry_pool_worker(task: tuple[tuple, float]) -> dict[str, Any]:
 class SweepExecutor:
     """Runs sweep points with optional process parallelism and caching.
 
-    The default ``SweepExecutor()`` (one job, no cache) reproduces the
-    legacy serial path exactly, including ambient ledger/trace behavior.
-    With ``jobs > 1`` or a :class:`RunCache` attached, the executor
+    Every configuration runs the same loop.  The default
+    ``SweepExecutor()`` (one job, no cache) is its degenerate case: no
+    profile hashing, no cache probe, no pool, and ``run_app`` itself
+    appends each run to the ambient ledger.  With ``jobs > 1`` or a
+    :class:`RunCache` attached (*managed* mode), the executor
     becomes the recording authority: every point is appended to the
     ambient ledger (see :func:`~repro.experiments.runner.ledger_recording`)
     with a ``cache_hit`` extra metric, and hit/miss counters are kept in
@@ -470,15 +444,10 @@ class SweepExecutor:
     is surfaced with a one-time ``sweep.trace_serial_fallback`` warning
     when ``jobs > 1`` would otherwise suggest parallel execution.)
 
-    Parallel batches run on a persistent
-    :class:`~repro.experiments.pool.WorkerPool`: with the default
-    ``keep_pool=True`` (and no pinned ``start_method``) the
-    process-global shared pool for ``jobs`` workers, spawned once and
-    reused across batches, sweeps, executors and bisection probes.
-    ``keep_pool=False`` restores the legacy spawn-per-batch behavior;
-    ``start_method="spawn"`` (etc.) pins the multiprocessing start
-    method on an executor-private persistent pool (release it with
-    :meth:`close`).
+    Parallel batches run on the process-global
+    :func:`~repro.experiments.pool.shared_pool` for ``jobs`` workers,
+    spawned once and reused across batches, sweeps, executors and
+    bisection probes.
 
     ``telemetry=True`` additionally records cross-process wall-clock
     spans for every phase of the sweep (spawn, queue-wait, cache probe,
@@ -488,8 +457,8 @@ class SweepExecutor:
     histograms into the metrics registry, and (when an ambient ledger is
     recording) appends one sweep-level ``source="sweep"`` ledger record
     carrying the full telemetry block.  With telemetry off (the
-    default) no span machinery runs and results are bit-identical to
-    the untelemetered path -- with it on too: spans only *observe*.
+    default) no span machinery runs; with it on, spans only wrap the
+    same loop, so results are bit-identical either way.
 
     ``progress=`` attaches a
     :class:`~repro.obs.streaming.ProgressReporter` (the ``--progress``
@@ -508,8 +477,6 @@ class SweepExecutor:
         log: Any = None,
         telemetry: bool = False,
         progress: Any = None,
-        keep_pool: bool = True,
-        start_method: str | None = None,
     ):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -518,12 +485,9 @@ class SweepExecutor:
         self.log = log
         self.telemetry = bool(telemetry)
         self.progress = progress
-        self.keep_pool = bool(keep_pool)
-        self.start_method = start_method
         #: The pool used by the most recent parallel batch (tests and
         #: the CLI's profile report read ``pool.spawns`` off it).
         self.pool: WorkerPool | None = None
-        self._private_pool: WorkerPool | None = None
         self._warned_trace_serial = False
         self.timeline: SweepTimeline | None = None
         self._setup_spans: list[Span] = []
@@ -532,15 +496,6 @@ class SweepExecutor:
 
             metrics = MetricsRegistry()
         self.metrics = metrics
-
-    def close(self) -> None:
-        """Shut down this executor's private pool, if any.  Shared pools
-        (the ``keep_pool=True`` default) outlive the executor and are
-        torn down at interpreter exit or via
-        :func:`~repro.experiments.pool.shutdown_worker_pools`."""
-        pool, self._private_pool = self._private_pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
 
     # -- bookkeeping -------------------------------------------------------
     @property
@@ -655,42 +610,28 @@ class SweepExecutor:
         progress = self.progress
         if progress is not None:
             progress.begin(total=len(points), workers=self.jobs)
-        if not self._managed:
-            if timeline is None:
-                # Legacy path: serial, uncached, observers untouched.
-                out = []
-                for point in points:
-                    out.append(_run_point(point))
-                    self._tick()
-                if progress is not None:
-                    progress.finish()
-                return out
-            out = []
-            with timeline.parent.span(ROOT_SPAN, points=len(points)):
-                for idx, point in enumerate(points):
-                    with timeline.parent.span(
-                        "engine_run", point=idx, app=point.app, n=point.n
-                    ):
-                        out.append(_run_point(point))
-                    self._tick()
-            timeline.observe_metrics(self.metrics)
-            if progress is not None:
-                progress.finish()
-            return out
         with _maybe_span(timeline, ROOT_SPAN, points=len(points)):
-            out = self._run_managed(points, timeline)
+            out = self._run(points, timeline)
         if timeline is not None:
             timeline.observe_metrics(self.metrics)
-            # After the root closed: the recorded document then carries
-            # the final wall/coverage numbers, not an in-flight window.
-            self._record_sweep_ledger(points, timeline)
+            if self._managed:
+                # After the root closed: the recorded document then
+                # carries the final wall/coverage numbers.
+                self._record_sweep_ledger(points, timeline)
         if progress is not None:
             progress.finish()
         return out
 
-    def _run_managed(
+    def _run(
         self, points: list[SweepPoint], timeline: SweepTimeline | None
     ) -> list[tuple[RunRecord, Any]]:
+        """The one execution loop: probe, fan out, run the rest, collect.
+
+        Un-managed (serial, uncached) it only runs each point in order:
+        nothing is hashed or probed and ``run_app`` keeps recording to
+        the ambient ledger itself.
+        """
+        managed = self._managed
         results: list[tuple[RunRecord, Any] | None] = [None] * len(points)
         flags: list[bool] = [False] * len(points)
         pending: list[int] = []
@@ -699,10 +640,11 @@ class SweepExecutor:
         collector_active = _runner._ACTIVE_COLLECTOR is not None
         if collector_active and self.jobs > 1 and points:
             self._warn_trace_serial(len(points))
+        probe = managed and not collector_active
         for idx, point in enumerate(points):
             key = None
             cached = None
-            if not collector_active:
+            if probe:
                 # The probe span covers key hashing plus the disk lookup.
                 with _maybe_span(timeline, "cache_probe", point=idx):
                     key = point_profile_hash(point)
@@ -726,18 +668,11 @@ class SweepExecutor:
             if key is not None and not point.local:
                 parallelizable.append(idx)
 
+        executed: set[int] = set()
         if self.jobs > 1 and len(parallelizable) > 1:
-            batch = [points[i] for i in parallelizable]
-            pool = self._acquire_pool()
-            try:
-                if timeline is not None:
-                    payloads = self._run_pool_telemetered(
-                        batch, pool, timeline
-                    )
-                else:
-                    payloads = self._run_pool(batch, pool)
-            finally:
-                self._release_pool(pool, timeline)
+            payloads = self._run_pool(
+                [points[i] for i in parallelizable], timeline
+            )
             for idx, payload in zip(parallelizable, payloads):
                 with _maybe_span(timeline, "collect", point=idx):
                     record = run_record_from_payload(payload)
@@ -751,14 +686,12 @@ class SweepExecutor:
                     with _maybe_span(timeline, "cache_write", point=idx):
                         self._cache_put(keys[idx], points[idx], payload)
             executed = set(parallelizable)
-        else:
-            executed = set()
 
         for idx in pending:
             if idx in executed:
                 continue
             point = points[idx]
-            with _suspended_ledger():
+            with _suspended_ledger() if managed else _NOOP:
                 with _maybe_span(
                     timeline, "engine_run", point=idx, app=point.app,
                     n=point.n,
@@ -772,111 +705,64 @@ class SweepExecutor:
                 with _maybe_span(timeline, "cache_write", point=idx):
                     self._cache_put(keys[idx], point, payload)
 
-        out: list[tuple[RunRecord, Any]] = []
+        if not managed:
+            return results
         for idx, point in enumerate(points):
-            pair = results[idx]
-            assert pair is not None
             with _maybe_span(timeline, "collect", point=idx):
                 self._count(hit=flags[idx])
-                self._record_ledger(point, pair[0], cache_hit=flags[idx])
-            out.append(pair)
+                self._record_ledger(point, results[idx][0],
+                                    cache_hit=flags[idx])
         if timeline is not None:
             timeline.cache_hits = sum(flags)
-        return out
-
-    def _acquire_pool(self) -> WorkerPool:
-        """The pool for the next batch.
-
-        ``keep_pool=True`` (default) without a pinned start method uses
-        the process-global :func:`~repro.experiments.pool.shared_pool`
-        for ``jobs`` workers -- spawned once, reused by every batch,
-        sweep and bisection probe in this process.  A pinned
-        ``start_method`` gets an executor-private persistent pool (still
-        warm across this executor's batches; see :meth:`close`).
-        ``keep_pool=False`` reproduces the legacy throwaway
-        pool-per-batch behavior for A/B benchmarking.
-        """
-        if self.keep_pool and self.start_method is None:
-            pool = shared_pool(self.jobs)
-        elif self.keep_pool:
-            if self._private_pool is None:
-                self._private_pool = WorkerPool(
-                    self.jobs, start_method=self.start_method
-                )
-            pool = self._private_pool
-        else:
-            pool = WorkerPool(self.jobs, start_method=self.start_method)
-        self.pool = pool
-        return pool
-
-    def _release_pool(
-        self, pool: WorkerPool, timeline: SweepTimeline | None
-    ) -> None:
-        """After a batch: throwaway pools shut down (the legacy cost,
-        attributed to ``collect``); persistent pools stay warm."""
-        if self.keep_pool:
-            return
-        # Sentinel delivery + worker joins are real legacy-path overhead;
-        # attribute them to collect rather than leaving a coverage hole
-        # at the tail of the sweep window.
-        with _maybe_span(timeline, "collect", shutdown=True):
-            pool.shutdown(wait=True)
+        return results
 
     def _run_pool(
-        self, batch: list[SweepPoint], pool: WorkerPool
+        self, batch: list[SweepPoint], timeline: SweepTimeline | None
     ) -> list[dict[str, Any]]:
-        """Fan a batch out over the (warm) pool, untelemetered."""
-        _publish_batch_specs(batch)
-        pool.ensure()
-        tasks = [_encode_task(point, pool) for point in batch]
-        payloads: list[dict[str, Any]] = []
-        for payload in pool.map(_pool_worker, tasks):
-            payloads.append(payload)
-            self._tick()
-        return payloads
+        """Fan a batch out over the shared warm pool; payloads in order.
 
-    def _run_pool_telemetered(
-        self, batch: list[SweepPoint], pool: WorkerPool,
-        timeline: SweepTimeline,
-    ) -> list[dict[str, Any]]:
-        """Telemetry twin of :meth:`_run_pool`: timestamped submits,
-        warm-vs-cold spawn attribution, and shipped-span collection.
-
-        A cold batch records a parent ``spawn`` span around the pool
-        handle creation (workers fork lazily at first submit; their real
-        startup cost arrives as worker-side ``spawn`` spans stamped from
-        the pool-creation timestamp).  A warm batch records *no* spawn
-        span and sets :attr:`SweepTimeline.pool_reuse` -- and spawn
-        spans a long-lived worker already shipped to an earlier batch
-        are filtered by the batch epoch so reuse is visible in the
+        With telemetry, submits are timestamped and shipped worker spans
+        collected.  A cold batch records a parent ``spawn`` span around
+        the pool handle creation (workers fork lazily at first submit;
+        their real startup cost arrives as worker-side ``spawn`` spans
+        stamped from the pool-creation timestamp).  A warm batch records
+        *no* spawn span and sets :attr:`SweepTimeline.pool_reuse` -- and
+        spawn spans a long-lived worker already shipped to an earlier
+        batch are filtered by the batch epoch so reuse is visible in the
         phase table, not double-counted.
         """
+        pool = self.pool = shared_pool(self.jobs)
         epoch = wall_now()
         _publish_batch_specs(batch)
-        if pool.needs_spawn():
+        if timeline is None:
+            pool.ensure()
+        elif pool.needs_spawn():
             with timeline.parent.span("spawn", workers=pool.workers):
                 pool.ensure()
             timeline.pool_spawns += 1
         else:
             timeline.pool_reuse = True
-        tasks = [(_encode_task(point, pool), wall_now()) for point in batch]
+        tasks = [
+            (_encode_task(point, pool),
+             wall_now() if timeline is not None else None)
+            for point in batch
+        ]
         payloads: list[dict[str, Any]] = []
-        for item in pool.map(_telemetry_pool_worker, tasks):
-            spans = [
-                d for d in item["spans"]
-                if not (d["name"] == "spawn" and d["end"] < epoch)
-            ]
-            timeline.stale_spawn_spans += len(item["spans"]) - len(spans)
-            timeline.add_worker_spans(spans)
-            if self.progress is not None:
-                # Live worker utilization: credit the busy-phase
-                # (engine_run/serialize) seconds this result shipped.
-                self.progress.note_busy_seconds(sum(
-                    d["end"] - d["start"] for d in spans
-                    if d["name"] in BUSY_PHASES
-                ))
+        for payload, shipped in pool.map(_pool_worker, tasks):
+            if timeline is not None:
+                spans = [d for d in shipped
+                         if not (d["name"] == "spawn" and d["end"] < epoch)]
+                timeline.stale_spawn_spans += len(shipped) - len(spans)
+                timeline.add_worker_spans(spans)
+                if self.progress is not None:
+                    # Live worker utilization: credit the busy-phase
+                    # (engine_run/serialize) seconds this result shipped.
+                    self.progress.note_busy_seconds(sum(
+                        d["end"] - d["start"] for d in spans
+                        if d["name"] in BUSY_PHASES
+                    ))
             self._tick()
-            payloads.append(item["payload"])
+            payloads.append(payload)
         return payloads
 
     def _warn_trace_serial(self, npoints: int) -> None:
@@ -917,17 +803,19 @@ class SweepExecutor:
                 self.log.event("sweep.cache_write_failed", key=key)
 
 
-@contextmanager
-def _maybe_span(
-    timeline: SweepTimeline | None, name: str, **meta: Any
-) -> Iterator[None]:
-    """Record a parent span when a timeline is active; pass through when
-    telemetry is off (the zero-cost-when-off guarantee)."""
-    if timeline is None:
-        yield
-        return
-    with timeline.parent.span(name, **meta):
-        yield
+#: Shared no-op context: span sites with telemetry off, and the serial
+#: loop's ledger guard in un-managed mode.
+_NOOP = nullcontext()
+
+
+def _span_on(recorder: Any, name: str, **meta: Any) -> Any:
+    """A span on ``recorder``, or a no-op when it is ``None``."""
+    return _NOOP if recorder is None else recorder.span(name, **meta)
+
+
+def _maybe_span(timeline: SweepTimeline | None, name: str, **meta: Any) -> Any:
+    """A parent span when a timeline is active, else a no-op."""
+    return _NOOP if timeline is None else timeline.parent.span(name, **meta)
 
 
 @contextmanager
@@ -972,7 +860,7 @@ def sweep_execution(
 
 
 def resolve_executor(executor: SweepExecutor | None = None) -> SweepExecutor:
-    """Explicit executor wins; else the ambient one; else legacy serial."""
+    """Explicit executor wins; else the ambient one; else a serial one."""
     if executor is not None:
         return executor
     if _ACTIVE_EXECUTOR is not None:

@@ -235,11 +235,16 @@ class WorkerPool:
         self._pid = None
 
     def warm_up(self) -> None:
-        """Force every worker to exist *now* (spawn is otherwise lazy:
-        ``ProcessPoolExecutor`` forks workers at first submit).  Used to
-        take the one-off spawn cost outside a measured window."""
+        """Force every worker to exist and finish starting *now* (spawn
+        is otherwise lazy: ``ProcessPoolExecutor`` forks workers at first
+        submit).  Used to take the one-off spawn cost outside a measured
+        window.  Probe rounds repeat until every worker has answered one:
+        a fast worker can drain a whole round while a slow one is still
+        booting."""
         self.ensure()
-        list(self.map(_warmup_probe, range(self.workers)))
+        seen: set[int] = set()
+        while len(seen) < self.workers:
+            seen.update(self.map(_warmup_probe, range(self.workers)))
 
     # -- spec publication --------------------------------------------------
     def encode_spec(self, obj: Any) -> tuple[str | None, Any]:

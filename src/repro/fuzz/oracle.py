@@ -14,7 +14,7 @@ the scenario passes):
 * **monotonicity** -- ψ of the full-severity schedule must not exceed ψ
   of the same schedule scaled milder
   (:meth:`~repro.faults.schedule.FaultSchedule.scaled`);
-* **bit-identity** -- the serial legacy path, a jobs=2 process pool, a
+* **bit-identity** -- the serial path, a jobs=2 process pool, a
   cold cache write and a warm cache replay must all produce the *same
   bits* (finish times, per-rank stats, measurement) for the same
   scenario.

@@ -12,6 +12,8 @@ shared-memory link parameters.
 
 from __future__ import annotations
 
+import math
+
 from ..sim.errors import InvalidOperationError
 from .model import ETHERNET_100M, SHARED_MEMORY, LinkParams, NetworkModel, ZeroCostNetwork
 from .topology import Topology
@@ -110,6 +112,9 @@ class SharedBusEthernet(NetworkModel):
 _FLAT_KINDS = ("bus", "switch", "zero")
 #: Hierarchical kinds accepting colon-separated numeric parameters.
 _HIERARCHICAL_KINDS = ("fat-tree", "torus", "tiered")
+#: Position of the (fractional) oversubscription parameter per kind;
+#: every other parameter is a count and must be a whole number.
+_OVERSUBSCRIPTION_SLOT = {"fat-tree": 1, "torus": None, "tiered": 2}
 
 
 def parse_network_spec(spec: str) -> tuple[str, tuple[float, ...]]:
@@ -124,7 +129,9 @@ def parse_network_spec(spec: str) -> tuple[str, tuple[float, ...]]:
 
     ``fat-tree:8:2`` therefore reads "8 nodes per edge switch, 2:1 core
     oversubscription".  Raises :class:`InvalidOperationError` on an
-    unknown kind or a malformed parameter.
+    unknown kind or a malformed parameter: non-numeric, non-positive or
+    non-finite values anywhere, and fractional values in count slots
+    (only oversubscription may be fractional).
     """
     parts = str(spec).split(":")
     kind = parts[0]
@@ -140,18 +147,26 @@ def parse_network_spec(spec: str) -> tuple[str, tuple[float, ...]]:
             f"unknown network kind {spec!r}; choose from "
             f"{_FLAT_KINDS + _HIERARCHICAL_KINDS}"
         )
+    oversub_slot = _OVERSUBSCRIPTION_SLOT[kind]
     params = []
-    for piece in raw:
+    for slot, piece in enumerate(raw):
         try:
-            params.append(float(piece))
+            value = float(piece)
         except ValueError:
             raise InvalidOperationError(
                 f"malformed network spec {spec!r}: {piece!r} is not a number"
             ) from None
-        if params[-1] <= 0:
+        if not math.isfinite(value) or value <= 0:
             raise InvalidOperationError(
-                f"network spec {spec!r} parameters must be positive"
+                f"network spec {spec!r} parameters must be positive and "
+                "finite"
             )
+        if slot != oversub_slot and not value.is_integer():
+            raise InvalidOperationError(
+                f"network spec {spec!r}: {piece!r} is a count and must be "
+                "a whole number"
+            )
+        params.append(value)
     max_params = {"fat-tree": 3, "torus": 2, "tiered": 3}[kind]
     if len(params) > max_params:
         raise InvalidOperationError(

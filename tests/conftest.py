@@ -33,6 +33,16 @@ def _isolated_flight_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_FLIGHT_DIR", str(tmp_path / "flight"))
 
 
+@pytest.fixture
+def cold_pool():
+    """Start with no shared worker pool alive, so the next parallel
+    batch pays a genuine cold spawn (an earlier test may have left the
+    process-wide pool warm)."""
+    from repro.experiments.pool import shutdown_worker_pools
+
+    shutdown_worker_pools()
+
+
 @pytest.fixture(scope="session")
 def ge2_cluster():
     """The paper's two-node GE configuration (server 2 CPUs + SunBlade)."""

@@ -408,10 +408,9 @@ class TestRankSummaryThreshold:
         assert "rank_summary" not in payload["run"]
 
     def test_large_runs_store_summary_only(self, ge2_cluster, monkeypatch):
-        from repro.experiments.executor import rank_summary_threshold
+        from repro.experiments import executor
 
-        monkeypatch.setenv("REPRO_RANK_SUMMARY_THRESHOLD", "1")
-        assert rank_summary_threshold() == 1
+        monkeypatch.setattr(executor, "RANK_SUMMARY_THRESHOLD", 1)
         record = run_app("ge", ge2_cluster, 80)
         payload = run_record_to_payload(record)
         run_block = payload["run"]
@@ -424,7 +423,9 @@ class TestRankSummaryThreshold:
     def test_summary_payload_rehydrates_and_records(
         self, ge2_cluster, tmp_path, monkeypatch
     ):
-        monkeypatch.setenv("REPRO_RANK_SUMMARY_THRESHOLD", "1")
+        from repro.experiments import executor
+
+        monkeypatch.setattr(executor, "RANK_SUMMARY_THRESHOLD", 1)
         record = run_app("ge", ge2_cluster, 80)
         payload = json.loads(json.dumps(run_record_to_payload(record)))
         loaded = run_record_from_payload(payload)

@@ -28,19 +28,17 @@ def fresh_cache(tmp_path):
 
 class TestAcceptance:
     def test_cold_parallel_sweep_attributes_wall_time(
-        self, ge2_cluster, tmp_path
+        self, ge2_cluster, tmp_path, cold_pool
     ):
         """The headline gate: cold, jobs=2, every phase observed and
         >=95% of the wall explained by named phase spans.
 
-        ``keep_pool=False`` forces a genuinely cold (throwaway) pool --
-        the process-wide shared pool may already be warm from an
-        earlier test, and a warm sweep legitimately has no spawn phase
-        (covered by ``TestPoolReuse``).
+        ``cold_pool`` shuts the process-wide shared pool down first --
+        it may already be warm from an earlier test, and a warm sweep
+        legitimately has no spawn phase (covered by ``TestPoolReuse``).
         """
         exe = SweepExecutor(
-            jobs=2, cache=fresh_cache(tmp_path), telemetry=True,
-            keep_pool=False,
+            jobs=2, cache=fresh_cache(tmp_path), telemetry=True
         )
         efficiency_curve("ge", ge2_cluster, SIZES, executor=exe)
         timeline = exe.timeline

@@ -1,17 +1,18 @@
 """Persistent warm worker pool: reuse, spec interning, fork/spawn safety.
 
-The load-bearing contracts of the PR-9 fix: one pool survives across
-batches, sweeps and bisection probes (spawned once, reused everywhere);
-the pool is transport only, so serial == warm-pool == cold-pool ==
-cached results bit for bit; spec interning hits on repeated
-cluster/schedule hashes; and spawn attribution survives the ``spawn``
-start method.
+The load-bearing contracts of the persistent pool: one pool survives
+across batches, sweeps and bisection probes (spawned once, reused
+everywhere); the pool is transport only, so serial == cold-pool ==
+warm-pool == cached results bit for bit; spec interning hits on
+repeated cluster/schedule hashes; and spawn attribution survives the
+``spawn`` start method.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.experiments import pool as pool_module
 from repro.experiments.executor import (
     BisectionPrefetcher,
     RunCache,
@@ -47,10 +48,11 @@ def points_for(cluster, sizes=SIZES, schedule=None):
 
 class TestPoolReuse:
     def test_two_sweeps_share_one_pool_bit_identically(
-        self, ge2_cluster, tmp_path
+        self, ge2_cluster, tmp_path, cold_pool
     ):
-        """serial == warm-pool == cold-pool == cached, across two
-        consecutive sweeps sharing one persistent pool."""
+        """serial == cold-pool == warm-pool == cached, across two
+        consecutive sweeps sharing one persistent pool: exactly one
+        cold spawn (the first sweep), none on the second."""
         points = points_for(ge2_cluster)
         serial = [record_signature(r)
                   for r in SweepExecutor().run_points(points)]
@@ -59,6 +61,12 @@ class TestPoolReuse:
                             telemetry=True)
         first = [record_signature(r) for r in exe.run_points(points)]
         spawns_after_first = exe.pool.spawns
+
+        # The first sweep started cold: one parent spawn span.
+        t1 = exe.timeline
+        assert len([s for s in t1.parent.spans if s.name == "spawn"]) == 1
+        assert t1.pool_spawns == 1
+        assert t1.pool_reuse is False
 
         exe2 = SweepExecutor(jobs=2, cache=fresh_cache(tmp_path, "b"),
                              telemetry=True)
@@ -70,6 +78,9 @@ class TestPoolReuse:
         assert exe2.timeline.pool_reuse is True
         assert exe2.timeline.pool_spawns == 0
         assert exe2.timeline.phase_counts()["spawn"] == 0
+        assert not [s for s in exe2.timeline.parent.spans
+                    if s.name == "spawn"]
+        assert shared_pool(2).spawns == 1
 
         cached = [record_signature(r) for r in SweepExecutor(
             jobs=2, cache=RunCache(tmp_path / "a"),
@@ -102,19 +113,6 @@ class TestPoolReuse:
             assert record_signature(rec_s) == record_signature(rec_p)
             assert inj_s.downtime == inj_p.downtime
             assert len(inj_s.events) == len(inj_p.events)
-
-    def test_keep_pool_false_uses_throwaway_pools(
-        self, ge2_cluster, tmp_path
-    ):
-        """The legacy mode: a fresh pool per batch, shut down after."""
-        exe = SweepExecutor(jobs=2, cache=fresh_cache(tmp_path),
-                            keep_pool=False)
-        points = points_for(ge2_cluster)
-        exe.run_points(points)
-        first_pool = exe.pool
-        assert first_pool.alive is False  # shut down after the batch
-        exe.run_points(points_for(ge2_cluster, sizes=(70, 100, 130)))
-        assert exe.pool is not first_pool
 
 
 class TestSpecInterning:
@@ -177,12 +175,15 @@ class TestSpecInterning:
 
 
 class TestSpawnStartMethod:
-    def test_spawn_method_stamps_spawn_spans(self, ge2_cluster, tmp_path):
+    def test_spawn_method_stamps_spawn_spans(
+        self, ge2_cluster, tmp_path, monkeypatch
+    ):
         """The non-fork path must still attribute worker spawn latency:
         created_at and the spec snapshot travel via initargs."""
+        spawn_pool = WorkerPool(2, start_method="spawn")
+        monkeypatch.setitem(pool_module._POOLS, 2, spawn_pool)
         exe = SweepExecutor(
-            jobs=2, cache=fresh_cache(tmp_path), telemetry=True,
-            start_method="spawn",
+            jobs=2, cache=fresh_cache(tmp_path), telemetry=True
         )
         try:
             serial = [record_signature(r)
@@ -191,6 +192,7 @@ class TestSpawnStartMethod:
             pooled = [record_signature(r)
                       for r in exe.run_points(points_for(ge2_cluster))]
             assert serial == pooled
+            assert exe.pool is spawn_pool
             timeline = exe.timeline
             assert timeline.pool_spawns == 1
             spawn_spans = [s for s in timeline.worker_spans
@@ -202,7 +204,7 @@ class TestSpawnStartMethod:
             assert 1 <= len(spawn_spans) <= 2
             assert all(s.duration > 0 for s in spawn_spans)
         finally:
-            exe.close()
+            spawn_pool.shutdown()
 
 
 class TestFairnessGuards:

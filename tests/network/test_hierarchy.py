@@ -225,7 +225,10 @@ class TestSpecParsing:
     @pytest.mark.parametrize(
         "spec",
         ["token-ring", "fat-tree:0", "fat-tree:-2", "torus:four",
-         "torus:2:2:2", "tiered:1:2:3:4"],
+         "torus:2:2:2", "tiered:1:2:3:4",
+         "torus:nan", "fat-tree:inf", "tiered:1e400", "fat-tree:8:nan",
+         "tiered:8:4:inf", "torus:2.5", "torus:4:1.5", "fat-tree:2.5",
+         "fat-tree:8:2:1.5", "tiered:8.5", "tiered:8:2.5"],
     )
     def test_malformed_specs_rejected(self, spec):
         with pytest.raises(InvalidOperationError):
@@ -234,7 +237,8 @@ class TestSpecParsing:
 
     def test_known_network_spec_accepts_valid(self):
         for spec in ("bus", "switch", "zero", "fat-tree:4:2", "torus",
-                     "tiered:8:4:2"):
+                     "tiered:8:4:2", "fat-tree:8:1.5", "tiered:8:4:2.5",
+                     "torus:4.0"):
             assert known_network_spec(spec)
 
 

@@ -7,22 +7,25 @@ filters the new sweep-level ledger records; `repro faults sweep
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
+from repro import cli
 from repro.cli import main
 from repro.obs.ledger import RunLedger
 from repro.obs.telemetry import PHASES
 
-# --no-keep-pool forces a genuinely cold (throwaway) pool so the spawn
-# phase is observed even when earlier tests already warmed the shared
-# pool in this process; TestWarmPool covers the reuse path.
 PROFILE_ARGS = [
     "sweep", "profile", "--app", "ge", "--nodes", "2",
-    "--sizes", "60", "90", "120", "--jobs", "2", "--no-keep-pool",
+    "--sizes", "60", "90", "120", "--jobs", "2",
 ]
 
 
+# ``cold_pool`` makes every profiled sweep start without a live shared
+# pool, so the spawn phase is observed even when earlier tests already
+# warmed it in this process; --warm-pool covers the reuse path.
+@pytest.mark.usefixtures("cold_pool")
 class TestSweepProfile:
     def test_prints_phase_table_and_speedup(self, capsys):
         assert main(PROFILE_ARGS) == 0
@@ -160,3 +163,59 @@ class TestFaultsSweepProfile:
         assert code == 0
         assert "telemetry" not in json.loads(out_path.read_text())
         assert "overhead attribution" not in capsys.readouterr().out
+
+
+#: One invocation per command that takes the shared executor options.
+EXECUTOR_COMMANDS = {
+    "table3": ["table3", "--nodes", "2"],
+    "faults sweep": ["faults", "sweep", "--nodes", "2"],
+    "faults attack": ["faults", "attack"],
+    "fuzz run": ["fuzz", "run", "--count", "1"],
+    "fuzz replay": ["fuzz", "replay", "--corpus",
+                    str(Path(__file__).parent / "fuzz" / "corpus")],
+    "sweep profile": ["sweep", "profile", "--no-serial"],
+}
+
+
+class _Built(Exception):
+    """Raised by the spy once a command has built its executor."""
+
+
+class TestSharedExecutorOptions:
+    @pytest.mark.parametrize("command", sorted(EXECUTOR_COMMANDS))
+    def test_jobs_and_no_cache_build_one_config(self, command, monkeypatch):
+        built = []
+        real = cli._build_executor
+
+        def spy(args, *rest, **kwargs):
+            built.append(real(args, *rest, **kwargs))
+            raise _Built
+
+        monkeypatch.setattr(cli, "_build_executor", spy)
+        with pytest.raises(_Built):
+            main(EXECUTOR_COMMANDS[command] + ["--jobs", "2", "--no-cache"])
+        (executor,) = built
+        assert (executor.jobs, executor.cache, executor.progress) == (
+            2, None, None
+        )
+
+    @pytest.mark.parametrize("command", sorted(EXECUTOR_COMMANDS))
+    def test_no_keep_pool_is_rejected(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(EXECUTOR_COMMANDS[command] + ["--no-keep-pool"])
+        assert exc.value.code == 2
+        assert "--no-keep-pool" in capsys.readouterr().err
+
+    def test_sweep_profile_defaults_to_two_jobs(self, monkeypatch):
+        built = []
+
+        def spy(args, *rest, **kwargs):
+            built.append(args.jobs)
+            raise _Built
+
+        monkeypatch.setattr(cli, "_build_executor", spy)
+        with pytest.raises(_Built):
+            main(["sweep", "profile", "--no-serial"])
+        with pytest.raises(_Built):
+            main(["faults", "sweep"])
+        assert built == [2, 1]
