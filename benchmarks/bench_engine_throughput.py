@@ -72,9 +72,10 @@ def _sweep_rows() -> list[dict]:
 def _flight_overhead(cluster, marked) -> dict:
     """Bare vs flight-recorded throughput, interleaved in this process.
 
-    The flight fast lane (prebound ring append called from the engine's
-    handler closures) is always-on instrumentation when a recorder is
-    attached, so its cost is a gated budget: the measured overhead at the
+    With the recorder as the only sink, the engine's one observation
+    callback is the ring's own C-level ``deque.append``, called from the
+    handler closures on every event; that is always-on instrumentation,
+    so its cost is a gated budget: the measured overhead at the
     default capacity must stay under 5% (the dominant term is the ring's
     eviction-time cache misses, which grow with capacity -- see
     ``repro.sim.flight``).

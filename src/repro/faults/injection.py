@@ -131,10 +131,10 @@ class FaultInjector:
         rank 0's timeline.
         """
         for ev in sorted(self.events, key=lambda e: (e.time, e.rank, e.kind)):
-            tracer.record(
+            tracer.append((
                 ev.rank, "fault", ev.time, ev.time,
                 f"{ev.kind} {ev.detail}".strip(),
-            )
+            ))
 
 
 class _RankDead(Exception):

@@ -32,12 +32,40 @@ def list_dumps(directory: str | Path | None = None) -> list[Path]:
     return sorted(root.glob("flight-*.json"), reverse=True)
 
 
+#: Field types of one rendered record in a dump's ``records`` list.
+_RECORD_FIELDS = {
+    "rank": int, "kind": str, "start": (int, float), "end": (int, float),
+    "detail": str,
+}
+
+
+def _is_record(rec: Any) -> bool:
+    return isinstance(rec, dict) and all(
+        isinstance(rec.get(key), kind) for key, kind in _RECORD_FIELDS.items()
+    )
+
+
 def load_dump(path: str | Path) -> dict[str, Any]:
-    """Load and validate one dump envelope."""
+    """Load and validate one dump envelope.
+
+    Raises :class:`ValueError` unless the document is a ``flight-dump``
+    whose ``reason`` and ``engine`` are objects and whose ``records`` is
+    a list of records carrying ``rank``/``kind``/``start``/``end``/
+    ``detail``.
+    """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or doc.get("kind") != "flight-dump":
         raise ValueError(f"{path} is not a flight dump")
+    for key in ("reason", "engine"):
+        if not isinstance(doc.get(key), dict):
+            raise ValueError(f"{path}: flight dump {key!r} is not an object")
+    records = doc.get("records")
+    if not isinstance(records, list) or not all(map(_is_record, records)):
+        raise ValueError(
+            f"{path}: flight dump 'records' is not a list of "
+            f"{'/'.join(_RECORD_FIELDS)} records"
+        )
     return doc
 
 

@@ -24,6 +24,8 @@ import math
 from bisect import bisect_left
 from typing import Any, Iterator, Mapping
 
+from ..sim.trace import record_volume
+
 #: Default histogram boundaries for durations in (virtual) seconds.
 DURATION_BUCKETS: tuple[float, ...] = (
     1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0, 1000.0
@@ -135,9 +137,9 @@ class MetricsRegistry:
 
     Instruments are identified by ``(name, labels)``; labels are arbitrary
     keyword arguments (the engine uses ``rank=`` and ``kind=``).  The
-    registry also implements the engine's duck-typed metrics hooks
-    (:meth:`record_op`, :meth:`record_engine`), so it can be passed directly
-    as ``Engine(metrics=...)`` / ``run_app(..., metrics=...)``.
+    registry also implements the engine's sink contract (:meth:`append`,
+    :meth:`run_complete`), so it can be passed directly as
+    ``Engine(metrics=...)`` / ``run_app(..., metrics=...)``.
     """
 
     def __init__(self) -> None:
@@ -179,25 +181,19 @@ class MetricsRegistry:
             inst = self._histograms[key] = Histogram(buckets)
         return inst
 
-    # -- engine hooks ------------------------------------------------------
-    def record_op(
-        self,
-        rank: int,
-        kind: str,
-        start: float,
-        end: float,
-        nbytes: float = 0.0,
-        flops: float = 0.0,
-    ) -> None:
-        """Engine hook: account one primitive operation.
+    # -- engine sink contract ---------------------------------------------
+    def append(self, rec: tuple) -> None:
+        """Account one raw engine record ``(rank, kind, start, end, ...)``.
 
         Populates ``sim_ops_total{rank,kind}``, ``sim_op_seconds{rank,kind}``
         and, when applicable, ``sim_bytes_total{rank,kind}``,
         ``sim_message_bytes{kind}`` and ``sim_flops_total{rank}``.
         """
+        rank, kind = rec[0], rec[1]
+        nbytes, flops = record_volume(rec)
         self.counter("sim_ops_total", rank=rank, kind=kind).inc()
         self.histogram("sim_op_seconds", rank=rank, kind=kind).observe(
-            end - start
+            rec[3] - rec[2]
         )
         if nbytes:
             self.counter("sim_bytes_total", rank=rank, kind=kind).inc(nbytes)
@@ -207,33 +203,17 @@ class MetricsRegistry:
         if flops:
             self.counter("sim_flops_total", rank=rank).inc(flops)
 
-    def record_engine(
-        self,
-        events: int,
-        wall_seconds: float,
-        heap_pushes: int,
-        stale_pops: int,
-        makespan: float,
-        heap_pops: int | None = None,
-    ) -> None:
-        """Engine hook: record the run's wall-clock self-profile gauges."""
-        self.gauge("engine_events").set(events)
-        self.gauge("engine_wall_seconds").set(wall_seconds)
-        self.gauge("engine_events_per_second").set(
-            events / wall_seconds if wall_seconds > 0 else 0.0
-        )
-        self.gauge("engine_heap_pushes").set(heap_pushes)
-        self.gauge("engine_stale_pops").set(stale_pops)
-        # The ratio is stale pops over *total* pops; older callers that do
-        # not report heap_pops fall back to pushes (every push is eventually
-        # popped, so the denominators agree for completed runs).
-        pop_total = heap_pops if heap_pops is not None else heap_pushes
-        if heap_pops is not None:
-            self.gauge("engine_heap_pops").set(heap_pops)
-        self.gauge("engine_stale_pop_ratio").set(
-            stale_pops / pop_total if pop_total > 0 else 0.0
-        )
-        self.gauge("engine_makespan_seconds").set(makespan)
+    def run_complete(self, result: Any) -> None:
+        """Record a :class:`~repro.sim.engine.RunResult`'s wall-clock
+        self-profile gauges."""
+        self.gauge("engine_events").set(result.events)
+        self.gauge("engine_wall_seconds").set(result.wall_seconds)
+        self.gauge("engine_events_per_second").set(result.events_per_second)
+        self.gauge("engine_heap_pushes").set(result.heap_pushes)
+        self.gauge("engine_stale_pops").set(result.stale_pops)
+        self.gauge("engine_heap_pops").set(result.heap_pops)
+        self.gauge("engine_stale_pop_ratio").set(result.stale_pop_ratio)
+        self.gauge("engine_makespan_seconds").set(result.makespan)
 
     # -- introspection -----------------------------------------------------
     def __iter__(self) -> Iterator[tuple[str, dict[str, Any], Any]]:

@@ -17,7 +17,7 @@ Estimators
 * :class:`QuantileSketch` — a bundle of P² markers (p50/p90/p99 by
   default) sharing one :class:`OnlineStats`.
 * :class:`RateMeter` — windowed events/s over explicit timestamps.
-* :class:`StreamingGroupStats` — keyed :class:`OnlineStats`, duck-typed
+* :class:`StreamingGroupStats` — keyed :class:`OnlineStats`, usable
   as an engine ``metrics=`` sink (per-``(rank, kind)`` durations).
 * :func:`summarize_rank_stats` — the rank-summary path: feeds per-rank
   utilization/idle/flops through the sketches and returns a plain-data
@@ -318,20 +318,19 @@ class RateMeter:
 class StreamingGroupStats:
     """Keyed :class:`OnlineStats` (optionally with quantile sketches).
 
-    Duck-types the engine ``metrics=`` sink contract (``record_op`` /
-    ``record_engine``) so it can be attached directly to a run to
-    aggregate per-``(rank, kind)`` operation durations without retaining
-    any per-event record — the streaming replacement for a full
+    Implements the engine's sink contract (:meth:`append`) so it can be
+    attached directly to a run as ``metrics=`` to aggregate
+    per-``(rank, kind)`` operation durations without retaining any
+    per-event record — the streaming replacement for a full
     :class:`~repro.sim.trace.Tracer` at scales where per-event lists are
     unaffordable.
     """
 
-    __slots__ = ("groups", "quantiles", "engine_summary")
+    __slots__ = ("groups", "quantiles")
 
     def __init__(self, quantiles: Sequence[float] | None = None):
         self.groups: dict[Hashable, Any] = {}
         self.quantiles = tuple(quantiles) if quantiles else ()
-        self.engine_summary: dict[str, float] | None = None
 
     def observe(self, key: Hashable, value: float) -> None:
         group = self.groups.get(key)
@@ -345,20 +344,10 @@ class StreamingGroupStats:
     def get(self, key: Hashable) -> Any:
         return self.groups.get(key)
 
-    # -- engine metrics= duck type --------------------------------------
-    def record_op(
-        self,
-        rank: int,
-        kind: str,
-        start: float,
-        end: float,
-        nbytes: float = 0.0,
-        flops: float = 0.0,
-    ) -> None:
-        self.observe((rank, kind), end - start)
-
-    def record_engine(self, **fields: float) -> None:
-        self.engine_summary = dict(fields)
+    def append(self, rec: tuple) -> None:
+        """Sink contract: observe one raw record's duration under
+        ``(rank, kind)``."""
+        self.observe((rec[0], rec[1]), rec[3] - rec[2])
 
     def to_dict(self) -> dict[str, dict[str, float]]:
         def _key(key: Hashable) -> str:

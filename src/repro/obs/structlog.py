@@ -8,11 +8,11 @@ ledger and CI both consume them).  A :class:`StructLogger` is run-scoped:
 extra fields (``app=``, ``rank=``, ``phase=``, ...) attached to every
 subsequent event.
 
-The logger is duck-type compatible with the engine's ``metrics=`` hook
-(:meth:`record_op` / :meth:`record_engine`), so it can be attached to an
+The logger implements the engine's sink contract (:meth:`append` /
+:meth:`run_complete`), so it can be attached to an
 :class:`~repro.sim.engine.Engine` either through the dedicated ``log=``
-keyword (run-level events only) or as a per-operation metrics sink when a
-full JSONL op log is wanted.
+keyword (run-level events only) or as a per-operation ``metrics=`` sink
+when a full JSONL op log is wanted.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Mapping
+
+from ..sim.trace import record_volume
 
 
 def _utc_now() -> str:
@@ -146,51 +148,35 @@ class StructLogger:
     def __exit__(self, *exc: Any) -> None:
         self.close()
 
-    # -- engine metrics-hook compatibility ---------------------------------
-    def record_op(
-        self,
-        rank: int,
-        kind: str,
-        start: float,
-        end: float,
-        nbytes: float = 0.0,
-        flops: float = 0.0,
-    ) -> None:
-        """Duck-typed engine hook: log one primitive as an ``op`` event.
+    # -- engine sink contract ---------------------------------------------
+    def append(self, rec: tuple) -> None:
+        """Log one raw engine record as a ``sim.op`` event.
 
         Attach the logger as ``Engine(metrics=...)`` to get a full
         per-operation JSONL trace; beware that large runs emit millions of
         events.
         """
         fields: dict[str, Any] = {
-            "rank": rank, "op": kind, "start": start, "end": end,
+            "rank": rec[0], "op": rec[1], "start": rec[2], "end": rec[3],
         }
+        nbytes, flops = record_volume(rec)
         if nbytes:
             fields["nbytes"] = nbytes
         if flops:
             fields["flops"] = flops
         self.event("sim.op", **fields)
 
-    def record_engine(
-        self,
-        events: int,
-        wall_seconds: float,
-        heap_pushes: int,
-        stale_pops: int,
-        makespan: float,
-        heap_pops: int | None = None,
-    ) -> None:
-        """Duck-typed engine hook: log the end-of-run self-profile."""
-        fields: dict[str, Any] = dict(
-            events=events,
-            wall_seconds=wall_seconds,
-            heap_pushes=heap_pushes,
-            stale_pops=stale_pops,
-            makespan=makespan,
+    def run_complete(self, result: Any) -> None:
+        """Log a :class:`~repro.sim.engine.RunResult`'s self-profile."""
+        self.event(
+            "engine.self_profile",
+            events=result.events,
+            wall_seconds=result.wall_seconds,
+            heap_pushes=result.heap_pushes,
+            stale_pops=result.stale_pops,
+            makespan=result.makespan,
+            heap_pops=result.heap_pops,
         )
-        if heap_pops is not None:
-            fields["heap_pops"] = heap_pops
-        self.event("engine.self_profile", **fields)
 
 
 def stderr_logger(**bound: Any) -> StructLogger:

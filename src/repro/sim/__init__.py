@@ -11,9 +11,9 @@ The engine itself is layered: a :class:`~repro.sim.scheduler.Scheduler`
 (time-ordered run queue), a :class:`~repro.sim.mailbox.MailboxSet`
 (per-``(src, tag)`` indexed message matching), a
 :class:`~repro.sim.dispatch.DispatchTable` (op-type handler registry and
-the extension point for new primitives), and an
-:class:`~repro.sim.instrument.Instrumentation` seam that carries tracing
-and metrics out of the hot path.
+the extension point for new primitives), and one observation stream:
+handlers pass each raw record tuple ``(rank, kind, start, end, *extras)``
+to the attached sinks' ``append`` (layout in :mod:`repro.sim.trace`).
 """
 
 from .dispatch import (
@@ -33,7 +33,6 @@ from .errors import (
     SimulationError,
 )
 from .events import ANY_SOURCE, ANY_TAG, Compute, Log, Message, Multicast, Now, Recv, Send, SimOp
-from .instrument import Instrumentation
 from .mailbox import MailboxSet
 from .scheduler import Scheduler
 from .trace import RankStats, RankStatsArray, Tracer, TraceRecord
@@ -49,7 +48,6 @@ __all__ = [
     "FlightRecorder",
     "Handler",
     "HandlerFactory",
-    "Instrumentation",
     "InvalidOperationError",
     "Log",
     "MailboxSet",

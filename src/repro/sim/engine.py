@@ -19,8 +19,12 @@ architecture"):
 * :class:`~repro.sim.dispatch.DispatchTable` — the ``{op type: handler}``
   table the hot loop resolves ``type(op)`` through.  The built-in
   primitives below register into the default table exactly like an
-  extension would; observability rides behind the single
-  :class:`~repro.sim.instrument.Instrumentation` seam.
+  extension would.
+
+Observation is one stream: each handler passes the raw record tuple
+``(rank, kind, start, end, *extras)`` (layout in :mod:`repro.sim.trace`)
+to the run's prebound ``emit``, which is ``None`` when no sink is
+attached.
 
 Timing semantics:
 
@@ -71,7 +75,6 @@ from .events import (
     Recv,
     Send,
 )
-from .instrument import Instrumentation
 from .mailbox import MailboxSet
 from .scheduler import Scheduler
 from .trace import RankStats, RankStatsArray, Tracer
@@ -177,16 +180,18 @@ class RunContext:
     need from it into their handler closures (see
     :mod:`repro.sim.dispatch` for the registration contract).
 
-    ``complete_recv(proc, msg, posted_at)`` accounts a matched receive and
-    re-queues the process; ``deliver(msg)`` routes a just-arrived message
-    to an eligible waiting receive or into the mailbox index, enforcing
-    the timed-receive deadline rule in both cases.
+    ``emit(rec)`` hands one raw record tuple to every attached sink, or
+    is ``None`` when nothing listens.  ``complete_recv(proc, msg,
+    posted_at)`` accounts a matched receive and re-queues the process;
+    ``deliver(msg)`` routes a just-arrived message to an eligible waiting
+    receive or into the mailbox index, enforcing the timed-receive
+    deadline rule in both cases.
     """
 
     __slots__ = ("engine", "nranks", "flops_per_second", "network",
                  "transfer", "native_multicast", "procs", "stats",
-                 "scheduler", "mailboxes", "instr", "flight_append",
-                 "complete_recv", "deliver")
+                 "scheduler", "mailboxes", "emit", "complete_recv",
+                 "deliver")
 
     def __init__(
         self,
@@ -195,8 +200,7 @@ class RunContext:
         stats: RankStatsArray,
         scheduler: Scheduler,
         mailboxes: MailboxSet,
-        instr: Instrumentation | None,
-        flight: Any = None,
+        emit: Callable[[tuple], None] | None,
     ):
         self.engine = engine
         self.nranks = engine.nranks
@@ -211,16 +215,10 @@ class RunContext:
         self.stats = stats
         self.scheduler = scheduler
         self.mailboxes = mailboxes
-        self.instr = instr
-        # The flight recorder's hot lane: a prebound C-level deque
-        # append (or None).  A seam method call per event would blow the
-        # <5% always-on budget; a bound append does not (see
-        # repro.sim.flight).
-        self.flight_append = flight.append if flight is not None else None
+        self.emit = emit
 
         push = scheduler.push_resume
         deposit = mailboxes.deposit
-        frec = self.flight_append
         # Stats columns, bound once per run: handler closures accumulate
         # into flat arrays instead of per-rank objects.
         recv_wait_time = stats.recv_wait_time
@@ -237,12 +235,9 @@ class RunContext:
             recv_wait_time[rank] += t - posted_at
             bytes_received[rank] += msg.nbytes
             messages_received[rank] += 1
-            if frec is not None:
-                frec((proc.rank, "recv", posted_at, t, msg.src, msg.tag,
+            if emit is not None:
+                emit((rank, "recv", posted_at, t, msg.src, msg.tag,
                       msg.nbytes))
-            if instr is not None:
-                instr.recv(proc.rank, posted_at, t, msg.src, msg.tag,
-                           msg.nbytes)
             proc.waiting = None
             proc.deadline_seq = None  # cancel any pending receive timeout
             proc.pending = msg
@@ -286,13 +281,11 @@ class Engine:
         Optional :class:`Tracer` collecting full event records.
     metrics:
         Optional metrics sink (e.g. :class:`repro.obs.MetricsRegistry`).
-        Duck-typed: the engine calls ``metrics.record_op(rank, kind, start,
-        end, nbytes=..., flops=...)`` once per traced primitive and
-        ``metrics.record_engine(events=..., wall_seconds=...,
-        heap_pushes=..., stale_pops=..., makespan=...)`` once per run.
-        Both sinks are reached through the per-run
-        :class:`~repro.sim.instrument.Instrumentation` seam; with neither
-        attached the hot loop pays a single ``None`` test per primitive.
+        Duck-typed like every sink: the engine calls ``metrics.append(rec)``
+        with each raw record tuple ``(rank, kind, start, end, *extras)``
+        and, if the sink defines it, ``metrics.run_complete(result)``
+        once with the run's :class:`RunResult`.  With no sink attached
+        the hot loop pays a single ``None`` test per primitive.
     log:
         Optional structured logger (e.g. :class:`repro.obs.StructLogger`).
         Duck-typed: the engine calls ``log.event(name, **fields)`` at run
@@ -381,12 +374,12 @@ class Engine:
         stats = RankStatsArray(self.nranks)
         scheduler = Scheduler()
         mailboxes = MailboxSet(self.nranks)
-        instr = Instrumentation.build(self.tracer, self.metrics)
         flight = self.flight
-        ctx = RunContext(self, procs, stats, scheduler, mailboxes, instr,
-                         flight)
+        sinks = [s for s in (flight, self.tracer, self.metrics)
+                 if s is not None]
+        emit = _bind_emit(sinks)
+        ctx = RunContext(self, procs, stats, scheduler, mailboxes, emit)
         handlers = self.dispatch.build(ctx)
-        frec = ctx.flight_append
 
         live = self.nranks
         events = 0
@@ -458,12 +451,9 @@ class Engine:
                     posted_at = proc.block_start
                     proc.time = entry_time
                     recv_wait_col[rank] += entry_time - posted_at
-                    if frec is not None:
-                        frec((rank, "recv-timeout", posted_at, entry_time,
+                    if emit is not None:
+                        emit((rank, "recv-timeout", posted_at, entry_time,
                               op.src, op.tag, op.timeout))
-                    if instr is not None:
-                        instr.recv_timeout(rank, posted_at, entry_time,
-                                           op.src, op.tag, op.timeout)
                     proc.waiting = None
                     proc.deadline_seq = None
                     proc.pending = None
@@ -496,27 +486,12 @@ class Engine:
             stale_pops=stale,
             heap_pops=pops,
         )
-        if instr is not None:
-            instr.run_complete(
-                events=events,
-                wall_seconds=wall,
-                heap_pushes=scheduler.pushes,
-                stale_pops=stale,
-                makespan=result.makespan,
-                heap_pops=pops,
-            )
-        if flight is not None:
-            # Watchdog pass over the completed run: monotonicity of the
-            # retained window, utilization collapse, stale-pop spike.
-            # Dumps (a pure side effect) and never alters the result.
-            flight.run_complete(
-                stats=stats,
-                makespan=result.makespan,
-                events=events,
-                heap_pops=pops,
-                stale_pops=stale,
-                nranks=self.nranks,
-            )
+        # Run-level hook (metrics gauges, the flight watchdog): a pure
+        # side effect that never alters the result.
+        for sink in sinks:
+            run_complete = getattr(sink, "run_complete", None)
+            if run_complete is not None:
+                run_complete(result)
         if undelivered and self.log is not None:
             # Messages still sitting in mailboxes at exit usually indicate a
             # protocol bug (mismatched tags, a receive that never ran).
@@ -561,6 +536,23 @@ class Engine:
         ) from None
 
 
+def _bind_emit(sinks: list[Any]) -> Callable[[tuple], None] | None:
+    """The run's one observation callback: ``None`` with no sink, the
+    sink's own bound ``append`` with one (a flight-only run binds the
+    ring's C-level ``deque.append``), else an in-order fan-out."""
+    if not sinks:
+        return None
+    if len(sinks) == 1:
+        return sinks[0].append
+    appends = tuple(sink.append for sink in sinks)
+
+    def emit(rec: tuple) -> None:
+        for append in appends:
+            append(rec)
+
+    return emit
+
+
 # ----------------------------------------------------------------------
 # Built-in primitive handlers.  Registered through the same public
 # interface extensions use; each factory runs once per Engine.run and
@@ -575,8 +567,7 @@ def _send_factory(ctx: RunContext):
     bytes_sent = stats.bytes_sent
     messages_sent = stats.messages_sent
     messages_lost = stats.messages_lost
-    instr = ctx.instr
-    frec = ctx.flight_append
+    emit = ctx.emit
     procs = ctx.procs
     complete_recv = ctx.complete_recv
     deposit = ctx.mailboxes.deposit
@@ -604,10 +595,8 @@ def _send_factory(ctx: RunContext):
         send_time[rank] += sender_done - start
         bytes_sent[rank] += nbytes
         messages_sent[rank] += 1
-        if frec is not None:
-            frec((rank, "send", start, sender_done, dst, tag, nbytes))
-        if instr is not None:
-            instr.send(rank, start, sender_done, dst, tag, nbytes)
+        if emit is not None:
+            emit((rank, "send", start, sender_done, dst, tag, nbytes))
         if arrival == _INF:
             # Lost in transit: sender paid, nothing is delivered.
             messages_lost[rank] += 1
@@ -668,8 +657,7 @@ def _compute_factory(ctx: RunContext):
     stats = ctx.stats
     flops_col = stats.flops
     compute_time = stats.compute_time
-    instr = ctx.instr
-    frec = ctx.flight_append
+    emit = ctx.emit
     push = ctx.scheduler.push_resume
 
     def handle_compute(proc: _Proc, op: Compute) -> None:
@@ -686,10 +674,8 @@ def _compute_factory(ctx: RunContext):
         end = start + duration
         proc.time = end
         compute_time[rank] += duration
-        if frec is not None:
-            frec((rank, "compute", start, end, flops))
-        if instr is not None:
-            instr.compute(rank, start, end, flops)
+        if emit is not None:
+            emit((rank, "compute", start, end, flops))
         push(proc)
 
     return handle_compute
@@ -705,8 +691,7 @@ def _multicast_factory(ctx: RunContext):
     bytes_sent = stats.bytes_sent
     messages_sent = stats.messages_sent
     messages_lost = stats.messages_lost
-    instr = ctx.instr
-    frec = ctx.flight_append
+    emit = ctx.emit
     deliver = ctx.deliver
     new_seq = ctx.mailboxes.new_seq
     push = ctx.scheduler.push_resume
@@ -765,12 +750,9 @@ def _multicast_factory(ctx: RunContext):
         bytes_sent[rank] += nbytes  # one physical transmission
         messages_sent[rank] += 1
         messages_lost[rank] += lost
-        if frec is not None:
-            frec((rank, "multicast", start, sender_done, len(remote),
+        if emit is not None:
+            emit((rank, "multicast", start, sender_done, len(remote),
                   op.tag, nbytes))
-        if instr is not None:
-            instr.multicast(rank, start, sender_done, len(remote), op.tag,
-                            nbytes)
         for dst, arrival in deliveries:
             deliver(Message(
                 src=rank, dst=dst, tag=op.tag, nbytes=nbytes,
@@ -794,15 +776,12 @@ def _now_factory(ctx: RunContext):
 
 @register_handler(Log)
 def _log_factory(ctx: RunContext):
-    instr = ctx.instr
-    frec = ctx.flight_append
+    emit = ctx.emit
     push = ctx.scheduler.push_resume
 
     def handle_log(proc: _Proc, op: Log) -> None:
-        if frec is not None:
-            frec((proc.rank, "log", proc.time, proc.time, op.message))
-        if instr is not None:
-            instr.log(proc.rank, proc.time, op.message)
+        if emit is not None:
+            emit((proc.rank, "log", proc.time, proc.time, op.message))
         push(proc)
 
     return handle_log

@@ -8,13 +8,13 @@ interesting records are the ones immediately *before* the failure.
 (``collections.deque(maxlen=K)``) that always holds the most recent K
 records and costs O(K) memory regardless of run length.
 
-Recording rides a dedicated fast lane rather than the
-:class:`~repro.sim.instrument.Instrumentation` seam: the engine's
-handlers call the prebound ``deque.append`` directly with a raw tuple
-``(rank, kind, start, end, *extras)``.  A seam method call costs ~200 ns
-per event on this interpreter — over the <5 % always-on budget — while
-the bound C-level append costs ~40 ns.  Detail strings are only
-formatted at dump time, never on the hot path.
+Recording is the engine's one observation stream with nothing in
+between: :meth:`FlightRecorder.append` *is* the ring's C-level
+``deque.append``, so when the recorder is the only sink attached the
+engine's handlers call it directly with the raw record tuple
+``(rank, kind, start, end, *extras)`` (~40 ns per event, where a Python
+method call costs ~200 ns).  Detail strings are only formatted at dump
+time (:func:`~repro.sim.trace.record_detail`), never on the hot path.
 
 The dominant recording cost is not the append but the *ring's cache
 footprint*: every append at steady state evicts the record inserted K
@@ -51,6 +51,8 @@ from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence
+
+from .trace import record_detail
 
 #: Default ring capacity: enough context to see the collective or
 #: protocol exchange leading into a failure, small enough that the ring
@@ -152,36 +154,21 @@ class FlightRecorder:
         }
         return self.dump(reason, context)
 
-    def run_complete(
-        self,
-        *,
-        stats: Sequence[Any],
-        makespan: float,
-        events: int,
-        heap_pops: int,
-        stale_pops: int,
-        **context: Any,
-    ) -> Path | None:
-        """Run the watchdog at run completion; dump and return the path
-        if any check trips, else ``None``."""
-        checks = self.check(
-            stats=stats,
-            makespan=makespan,
-            events=events,
-            heap_pops=heap_pops,
-            stale_pops=stale_pops,
-        )
+    def run_complete(self, result: Any) -> Path | None:
+        """Sink contract: run the watchdog over a completed
+        :class:`~repro.sim.engine.RunResult`; dump and return the path if
+        any check trips, else ``None``."""
+        engine = {
+            "makespan": result.makespan,
+            "events": result.events,
+            "heap_pops": result.heap_pops,
+            "stale_pops": result.stale_pops,
+        }
+        checks = self.check(stats=result.stats, **engine)
         if not checks:
             return None
         reason = {"trigger": "watchdog", "checks": checks}
-        context = dict(
-            context,
-            makespan=makespan,
-            events=events,
-            heap_pops=heap_pops,
-            stale_pops=stale_pops,
-        )
-        return self.dump(reason, context)
+        return self.dump(reason, {"nranks": len(result.stats), **engine})
 
     def check(
         self,
@@ -275,42 +262,13 @@ class FlightRecorder:
 # -- record rendering (dump time only, never on the hot path) ------------
 
 def _render_record(rec: tuple) -> dict[str, Any]:
-    rank, kind, start, end = rec[0], rec[1], rec[2], rec[3]
-    extras = rec[4:]
     return {
-        "rank": rank,
-        "kind": kind,
-        "start": start,
-        "end": end,
-        "detail": _detail(kind, extras),
+        "rank": rec[0],
+        "kind": rec[1],
+        "start": rec[2],
+        "end": rec[3],
+        "detail": record_detail(rec),
     }
-
-
-def _detail(kind: str, extras: tuple) -> str:
-    # Mirrors the detail strings Instrumentation feeds the Tracer, so a
-    # flight dump reads like the tail of a full trace.
-    try:
-        if kind == "compute":
-            (flops,) = extras
-            return f"flops={flops:g}" if flops is not None else ""
-        if kind == "send":
-            dst, tag, nbytes = extras
-            return f"dst={dst} tag={tag} nbytes={nbytes:g}"
-        if kind == "multicast":
-            ndsts, tag, nbytes = extras
-            return f"dsts={ndsts} tag={tag} nbytes={nbytes:g}"
-        if kind == "recv":
-            src, tag, nbytes = extras
-            return f"src={src} tag={tag} nbytes={nbytes:g}"
-        if kind == "recv-timeout":
-            src, tag, timeout = extras
-            return f"src={src} tag={tag} timeout={timeout:g}"
-        if kind == "log":
-            (message,) = extras
-            return str(message)
-    except (TypeError, ValueError):
-        pass
-    return " ".join(str(x) for x in extras)
 
 
 def _trace_events(

@@ -10,6 +10,22 @@ a bounded ring that keeps only the *last K* records, cheap enough to stay
 attached everywhere and dumped as a post-mortem when a run dies.  A tracer
 that hits its per-run record limit keeps counting drops (:attr:`Tracer.dropped`)
 so truncated traces are detectable downstream.
+
+Every sink sees the engine's one observation format, the raw record tuple
+``(rank, kind, start, end, *extras)``, through ``sink.append(rec)``.  The
+extras per kind are:
+
+==================  ==========================
+``compute``         ``flops`` (``None`` for ``Compute(seconds=)``)
+``send``            ``dst, tag, nbytes``
+``multicast``       ``ndsts, tag, nbytes``
+``recv``            ``src, tag, nbytes``
+``recv-timeout``    ``src, tag, timeout``
+``log``             ``message``
+==================  ==========================
+
+:func:`record_detail` renders a record's human-readable detail string and
+:func:`record_volume` decodes the ``(nbytes, flops)`` it accounts.
 """
 
 from __future__ import annotations
@@ -179,41 +195,70 @@ class TraceRecord:
     detail: str = ""
 
 
+_DETAIL_FORMATS = {
+    "compute": lambda flops: f"flops={flops:g}" if flops is not None else "",
+    "send": lambda dst, tag, nbytes: f"dst={dst} tag={tag} nbytes={nbytes:g}",
+    "multicast": (
+        lambda ndsts, tag, nbytes: f"dsts={ndsts} tag={tag} nbytes={nbytes:g}"
+    ),
+    "recv": lambda src, tag, nbytes: f"src={src} tag={tag} nbytes={nbytes:g}",
+    "recv-timeout": (
+        lambda src, tag, timeout: f"src={src} tag={tag} timeout={timeout:g}"
+    ),
+    "log": str,
+}
+
+
+def record_detail(rec: tuple) -> str:
+    """The detail string of a raw record (``"dst=1 tag=7 nbytes=64"``).
+
+    Kinds without a known layout (e.g. the fault injector's ``fault``
+    records) and malformed extras fall back to the extras joined by spaces.
+    """
+    fmt = _DETAIL_FORMATS.get(rec[1])
+    if fmt is not None:
+        try:
+            return fmt(*rec[4:])
+        except (TypeError, ValueError):
+            pass
+    return " ".join(str(x) for x in rec[4:])
+
+
+def record_volume(rec: tuple) -> tuple[float, float]:
+    """The ``(nbytes, flops)`` a raw record accounts to the metrics sinks."""
+    kind = rec[1]
+    if kind == "compute":
+        flops = rec[4]
+        return 0.0, (flops if flops is not None else 0.0)
+    if kind in ("send", "recv", "multicast"):
+        return rec[6], 0.0
+    return 0.0, 0.0
+
+
 @dataclass
 class Tracer:
     """Collects :class:`TraceRecord` objects during a run.
 
-    ``limit`` bounds memory use; once reached, further records spill to a
-    streaming per-kind duration summary (``spill``, a
-    :class:`~repro.obs.streaming.StreamingGroupStats` created on first
-    overflow) and are counted in ``dropped`` instead of stored -- a
-    truncated trace stays detectable *and* keeps an aggregate view of the
-    tail it could not retain.
+    ``limit`` bounds memory use; once reached, further records are counted
+    in ``dropped`` instead of stored, so a truncated trace stays
+    detectable.  ``compute`` records carry no detail string (Chrome traces
+    show their duration alone).
     """
 
     limit: int = 1_000_000
     records: list[TraceRecord] = field(default_factory=list)
     dropped: int = 0
-    spill: Any = None
 
-    def record(self, rank: int, kind: str, start: float, end: float, detail: str = "") -> None:
+    def append(self, rec: tuple) -> None:
+        """Sink contract: store one raw record as a :class:`TraceRecord`."""
         if len(self.records) >= self.limit:
             self.dropped += 1
-            spill = self.spill
-            if spill is None:
-                # Deferred import: repro.obs depends on repro.sim at module
-                # load, so the reverse edge must stay runtime-only.
-                from ..obs.streaming import StreamingGroupStats
-
-                spill = self.spill = StreamingGroupStats()
-            spill.observe(kind, end - start)
             return
-        self.records.append(TraceRecord(rank, kind, start, end, detail))
-
-    def spill_summary(self) -> dict[str, dict[str, float]]:
-        """Per-kind duration statistics of the overflowed records
-        (empty when the trace never hit ``limit``)."""
-        return self.spill.to_dict() if self.spill is not None else {}
+        kind = rec[1]
+        self.records.append(TraceRecord(
+            rec[0], kind, rec[2], rec[3],
+            "" if kind == "compute" else record_detail(rec),
+        ))
 
     def by_kind(self, kind: str) -> list[TraceRecord]:
         """All records of one kind ('compute', 'send', 'recv', 'multicast',

@@ -79,7 +79,7 @@ class TestNetworkTrack:
         # Network-level fault records (rank -1, e.g. link.degraded) render
         # on a dedicated "network" track, not on rank 0's timeline.
         tracer = traced_run()
-        tracer.record(-1, "fault", 0.2, 0.2, "link.degraded factor=0.5")
+        tracer.append((-1, "fault", 0.2, 0.2, "link.degraded factor=0.5"))
         events = chrome_trace_events(tracer)
         net = [e for e in events if e["tid"] == NETWORK_TID]
         assert any(e.get("cat") == "fault" and e["ph"] == "i" for e in net)

@@ -155,13 +155,11 @@ def test_rate_meter_single_instant_falls_back_to_window():
 
 def test_group_stats_engine_sink_duck_type():
     sink = StreamingGroupStats()
-    sink.record_op(0, "compute", 1.0, 3.0, flops=100.0)
-    sink.record_op(0, "compute", 3.0, 4.0)
-    sink.record_op(1, "send", 0.0, 0.5, nbytes=8.0)
-    sink.record_engine(events=10.0, makespan=4.0)
+    sink.append((0, "compute", 1.0, 3.0, 100.0))
+    sink.append((0, "compute", 3.0, 4.0, None))
+    sink.append((1, "send", 0.0, 0.5, 1, 0, 8.0))
     assert sink.get((0, "compute")).count == 2
     assert sink.get((0, "compute")).mean == pytest.approx(1.5)
-    assert sink.engine_summary == {"events": 10.0, "makespan": 4.0}
     doc = sink.to_dict()
     assert set(doc) == {"0/compute", "1/send"}
 

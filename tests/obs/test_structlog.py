@@ -106,12 +106,16 @@ class TestWarnOnce:
 
 
 class TestEngineHooks:
-    def test_record_op_and_engine(self):
+    def test_append_and_run_complete(self):
+        from repro.sim.engine import RunResult
+
         log = StructLogger()
-        log.record_op(2, "send", 0.0, 1.5, nbytes=64.0)
-        log.record_op(0, "compute", 0.0, 2.0, flops=100.0)
-        log.record_engine(events=5, wall_seconds=0.1, heap_pushes=7,
-                          stale_pops=1, makespan=2.0)
+        log.append((2, "send", 0.0, 1.5, 0, 3, 64.0))
+        log.append((0, "compute", 0.0, 2.0, 100.0))
+        log.run_complete(RunResult(
+            finish_times=[2.0], stats=[], events=5, wall_seconds=0.1,
+            heap_pushes=7, stale_pops=1, heap_pops=7,
+        ))
         ops = [e for e in log.events if e["event"] == "sim.op"]
         assert ops[0]["op"] == "send" and ops[0]["nbytes"] == 64.0
         assert ops[1]["op"] == "compute" and ops[1]["flops"] == 100.0

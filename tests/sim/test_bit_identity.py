@@ -18,6 +18,7 @@ semantics change is made::
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -31,6 +32,10 @@ from repro.faults import (
 from repro.experiments.runner import run_app
 from repro.machine.presets import mixed_pairs
 from repro.machine.sunwulf import ge_configuration
+from repro.obs import MetricsRegistry
+from repro.obs.streaming import StreamingGroupStats
+from repro.sim.flight import FlightRecorder
+from repro.sim.trace import Tracer
 
 FIXTURE = Path(__file__).parent / "golden_runs.json"
 
@@ -74,14 +79,12 @@ _STAT_FIELDS = (
 
 
 def _collect(
-    app: str, cluster_factory, n: int, faulted: bool, flight=None
+    app: str, cluster_factory, n: int, faulted: bool, **sinks
 ) -> dict:
     """Run one case and flatten every identity-relevant observation."""
-    kwargs = {}
+    kwargs = dict(sinks)
     if faulted:
         kwargs["launcher"] = make_fault_launcher(_SCHEDULE)
-    if flight is not None:
-        kwargs["flight"] = flight
     record = run_app(app, cluster_factory(), n, **kwargs)
     run = record.run
     return {
@@ -116,28 +119,79 @@ def test_engine_matches_golden_fixture(case_id, app, cluster_factory, n, faulted
     assert observed == golden[case_id]
 
 
+#: Sink sets attached in the identity-neutrality test.  The flight-only
+#: set keeps the bare case id; the others suffix it with the set name.
+SINK_SETS = {
+    "flight": lambda: {"flight": FlightRecorder(capacity=64)},
+    "tracer": lambda: {"tracer": Tracer()},
+    "metrics": lambda: {"metrics": MetricsRegistry()},
+    "streaming": lambda: {"metrics": StreamingGroupStats()},
+    "all": lambda: {
+        "tracer": Tracer(),
+        "metrics": MetricsRegistry(),
+        "flight": FlightRecorder(capacity=1 << 20),
+    },
+}
+
+
+def _records_seen(sink) -> int:
+    """How many engine records ``sink`` received (a flight ring retains
+    at most its capacity; fault-track records are not engine records)."""
+    if isinstance(sink, Tracer):
+        engine_records = [r for r in sink.records if r.kind != "fault"]
+        return len(engine_records) + sink.dropped
+    if isinstance(sink, FlightRecorder):
+        return len(sink)
+    if isinstance(sink, MetricsRegistry):
+        return int(sum(
+            inst.value for name, _, inst in sink if name == "sim_ops_total"
+        ))
+    return sum(group.count for group in sink.groups.values())
+
+
+@lru_cache(maxsize=None)
+def _engine_records(case_id: str) -> int:
+    (_, app, cluster_factory, n, faulted), = (
+        c for c in CASES if c[0] == case_id
+    )
+    tracer = Tracer()
+    _collect(app, cluster_factory, n, faulted, tracer=tracer)
+    return _records_seen(tracer)
+
+
 @pytest.mark.parametrize(
-    "case_id,app,cluster_factory,n,faulted",
-    CASES,
-    ids=[c[0] for c in CASES],
+    "case_id,app,cluster_factory,n,faulted,sink_set",
+    [
+        pytest.param(
+            *case, sink_set,
+            id=case[0] if sink_set == "flight" else f"{case[0]}-{sink_set}",
+        )
+        for sink_set in SINK_SETS
+        for case in CASES
+    ],
 )
 def test_flight_recorder_is_identity_neutral(
-    case_id, app, cluster_factory, n, faulted
+    case_id, app, cluster_factory, n, faulted, sink_set
 ):
-    """An attached flight recorder (ring + watchdog) must be read-only.
+    """Every sink set -- the flight recorder (ring + watchdog), a tracer,
+    either metrics sink, or all of them at once -- must be read-only.
 
-    The recorder's fast lane is called from inside the engine's handler
-    closures, so this is the contract that keeps post-mortem recording
-    always-on-able: same golden values, byte for byte, with the black
-    box attached.
+    Sinks are called from inside the engine's handler closures, so this
+    is the contract that keeps observation always-on-able: same golden
+    values, byte for byte, with the sinks attached, and every attached
+    sink sees every engine record.
     """
-    from repro.sim.flight import FlightRecorder
-
     golden = json.loads(FIXTURE.read_text())
-    flight = FlightRecorder(capacity=64)  # default watchdog enabled
-    observed = _collect(app, cluster_factory, n, faulted, flight=flight)
+    sinks = SINK_SETS[sink_set]()
+    observed = _collect(app, cluster_factory, n, faulted, **sinks)
     assert observed == golden[case_id]
-    assert flight.dumps == []  # healthy runs: the watchdog stays quiet
+    expected = _engine_records(case_id)
+    for sink in sinks.values():
+        if isinstance(sink, FlightRecorder):
+            assert sink.dumps == []  # healthy runs: the watchdog stays quiet
+            assert _records_seen(sink) == min(expected, sink.capacity)
+        else:
+            assert _records_seen(sink) == expected
 
 
 def regen() -> None:

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.network.model import ZeroCostNetwork
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, RunResult
 from repro.sim.errors import DeadlockError, EventLimitExceeded
 from repro.sim.events import Compute, Log, Recv, Send
 from repro.sim.flight import (
@@ -126,6 +126,16 @@ def _stats(utilizations, makespan):
     return out
 
 
+def _result(utilizations, makespan):
+    """A completed 1000-event run whose ranks reach the given
+    utilizations over ``makespan``."""
+    return RunResult(
+        finish_times=[makespan] * len(utilizations),
+        stats=_stats(utilizations, makespan),
+        events=1000, heap_pops=1000, stale_pops=0,
+    )
+
+
 class TestWatchdog:
     def test_healthy_run_trips_nothing(self):
         flight = FlightRecorder(capacity=8)
@@ -173,10 +183,7 @@ class TestWatchdog:
 
     def test_run_complete_dumps_on_trip(self, tmp_path):
         flight = FlightRecorder(capacity=8, out_dir=tmp_path)
-        path = flight.run_complete(
-            stats=_stats([0.9, 0.01], 10.0), makespan=10.0,
-            events=1000, heap_pops=1000, stale_pops=0, nranks=2,
-        )
+        path = flight.run_complete(_result([0.9, 0.01], 10.0))
         assert path is not None
         doc = json.loads(path.read_text())
         assert doc["reason"]["trigger"] == "watchdog"
@@ -184,14 +191,14 @@ class TestWatchdog:
             c.startswith("utilization_collapse")
             for c in doc["reason"]["checks"]
         )
-        assert doc["engine"]["makespan"] == 10.0
+        assert doc["engine"] == {
+            "nranks": 2, "makespan": 10.0, "events": 1000,
+            "heap_pops": 1000, "stale_pops": 0,
+        }
 
     def test_run_complete_quiet_when_healthy(self, tmp_path):
         flight = FlightRecorder(capacity=8, out_dir=tmp_path)
-        path = flight.run_complete(
-            stats=_stats([0.9, 0.8], 10.0), makespan=10.0,
-            events=1000, heap_pops=1000, stale_pops=0,
-        )
+        path = flight.run_complete(_result([0.9, 0.8], 10.0))
         assert path is None
         assert flight.dumps == []
 

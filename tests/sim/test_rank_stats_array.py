@@ -1,4 +1,4 @@
-"""Unit tests for the flat-array rank state and tracer spill summaries."""
+"""Unit tests for the flat-array rank state and the tracer record limit."""
 
 import pickle
 from dataclasses import asdict
@@ -95,8 +95,8 @@ class TestEngineIntegration:
         assert run.makespan == pytest.approx(0.3)
 
 
-class TestTracerSpill:
-    def test_overflow_feeds_spill_summary(self):
+class TestTracerLimit:
+    def test_overflow_is_counted_in_dropped(self):
         tracer = Tracer(limit=2)
         engine = Engine(1, ZeroCostNetwork(), [1e6], tracer=tracer)
 
@@ -107,12 +107,9 @@ class TestTracerSpill:
         engine.run(program)
         assert len(tracer.records) == 2
         assert tracer.dropped == 8
-        summary = tracer.spill_summary()
-        assert summary["compute"]["count"] == 8
-        assert summary["compute"]["mean"] == pytest.approx(0.25)
 
-    def test_no_overflow_means_empty_summary(self):
+    def test_no_overflow_drops_nothing(self):
         tracer = Tracer()
-        tracer.record(0, "compute", 0.0, 1.0)
-        assert tracer.spill_summary() == {}
+        tracer.append((0, "compute", 0.0, 1.0, None))
+        assert len(tracer.records) == 1
         assert tracer.dropped == 0

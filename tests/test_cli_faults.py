@@ -183,7 +183,13 @@ class TestFlightFlag:
         doc = load_dump(dump)
         assert doc["reason"]["trigger"] == "error"
         assert doc["reason"]["error_type"] == "DeadlockError"
+        assert doc["retained"] > 0, "ring was empty at dump time"
         assert str(dump) in err
+        # ... and `flight show` renders it as the tail of a trace.
+        assert main(["flight", "show", "--tail", "8", str(dump)]) == 0
+        out = capsys.readouterr().out
+        assert "error: DeadlockError" in out
+        assert f"source: {dump}" in out
 
     def test_fail_stop_without_flight_leaves_no_dump(self, capsys, tmp_path):
         from repro.obs.flight import list_dumps

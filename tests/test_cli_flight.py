@@ -45,6 +45,16 @@ class TestFlightList:
         assert main(["flight", "list"]) == 0
         assert path.name in capsys.readouterr().out
 
+    def test_malformed_envelope_listed_as_unreadable(self, capsys, dump_dir):
+        root, older, newer = dump_dir
+        bad = {"kind": "flight-dump", "reason": "boom", "engine": {},
+               "records": []}
+        (root / "flight-malformed.json").write_text(json.dumps(bad))
+        assert main(["flight", "list", "--dir", str(root)]) == 0
+        out = capsys.readouterr().out
+        assert "flight-malformed.json  (unreadable:" in out
+        assert older.name in out and newer.name in out
+
     def test_unreadable_file_reported_not_fatal(self, capsys, tmp_path):
         root = tmp_path / "dumps"
         root.mkdir()
@@ -88,4 +98,21 @@ class TestFlightShow:
         path = tmp_path / "flight-fake.json"
         path.write_text(json.dumps({"kind": "something-else"}))
         with pytest.raises(SystemExit, match="not a flight dump"):
+            main(["flight", "show", str(path)])
+
+    @pytest.mark.parametrize("field,value", [
+        ("reason", "boom"),
+        ("engine", [1, 2]),
+        ("records", "x"),
+        ("records", [{"rank": 0, "kind": "compute", "start": 0.0}]),
+        ("records", [{"rank": 0, "kind": "compute", "start": "0",
+                      "end": 1.0, "detail": ""}]),
+    ])
+    def test_malformed_envelope_rejected(self, tmp_path, field, value):
+        doc = {"kind": "flight-dump", "reason": {"trigger": "error"},
+               "engine": {}, "records": []}
+        doc[field] = value
+        path = tmp_path / "flight-malformed.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit, match=f"flight dump '{field}'"):
             main(["flight", "show", str(path)])
