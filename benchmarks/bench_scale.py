@@ -3,7 +3,7 @@
 Not a paper table -- the paper's testbed tops out at 64 processors.  This
 bench tracks what the million-rank refactor bought: flat array-backed
 rank state (:class:`~repro.sim.trace.RankStatsArray`), O(1)-memory
-hierarchical network models, and streaming rank summaries keep a
+hierarchical network models, and fixed-size rank summaries keep a
 10^5-rank tiered-cluster run inside a committed memory budget instead of
 drowning in per-rank Python objects.
 

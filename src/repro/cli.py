@@ -413,7 +413,10 @@ def cmd_baseline(args: argparse.Namespace) -> int:
         print()
         return 0
 
-    baseline = load_baseline(name=args.name, root=args.baselines)
+    try:
+        baseline = load_baseline(name=args.name, root=args.baselines)
+    except MetricError as err:
+        raise SystemExit(f"error: {err}") from None
     if baseline is None:
         print(
             f"WARN: no baseline {args.name!r} at "

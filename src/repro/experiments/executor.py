@@ -59,8 +59,9 @@ from .runner import RunRecord, resolve_app, run_app
 #: Envelope kind of cache entries (see ``write_json_document``).
 CACHE_KIND = "cached-run"
 #: Bumped whenever the cache payload layout or hashed profile changes;
-#: part of the profile hash, so stale layouts simply miss.
-CACHE_PROFILE_VERSION = 1
+#: part of the profile hash, so stale layouts simply miss.  Version 2:
+#: ``rank_summary`` quantiles are exact (version 1 held estimates).
+CACHE_PROFILE_VERSION = 2
 #: Default cache root, overridable with $REPRO_CACHE_DIR.
 DEFAULT_CACHE_DIR = ".repro/cache"
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -74,7 +75,7 @@ SIDE_EFFECT_KWARGS = frozenset(
 )
 
 #: Above this rank count a serialized run drops its O(ranks) per-rank
-#: lists (``stats``/``finish_times``) and carries a streaming
+#: lists (``stats``/``finish_times``) and carries its exact
 #: ``rank_summary`` block instead.
 RANK_SUMMARY_THRESHOLD = 4096
 
@@ -194,9 +195,9 @@ def run_record_to_payload(
     faulted run rehydrates with its full degraded-metric surface.
 
     Above :data:`RANK_SUMMARY_THRESHOLD` ranks the payload replaces the
-    per-rank ``stats``/``finish_times`` lists with a streaming
-    ``rank_summary`` block (quantiles + top-k outliers), keeping cache
-    entries O(1) in rank count; the rehydrated
+    per-rank ``stats``/``finish_times`` lists with the ``rank_summary``
+    block (exact quantiles + top-k outliers), keeping cache entries O(1)
+    in rank count; the rehydrated
     :class:`~repro.sim.engine.RunResult` then has empty per-rank lists
     and reports its makespan from the summary.
     """
@@ -721,11 +722,13 @@ class SweepExecutor:
     ) -> list[dict[str, Any]]:
         """Fan a batch out over the shared warm pool; payloads in order.
 
-        With telemetry, submits are timestamped and shipped worker spans
-        collected.  A cold batch records a parent ``spawn`` span around
-        the pool handle creation (workers fork lazily at first submit;
-        their real startup cost arrives as worker-side ``spawn`` spans
-        stamped from the pool-creation timestamp).  A warm batch records
+        With telemetry, submits are timestamped, shipped worker spans
+        collected, and a parent ``collect`` span covers the last result's
+        trip back from its worker.  A cold batch records a parent
+        ``spawn`` span around the pool handle creation (workers fork
+        lazily at first submit; their real startup cost arrives as
+        worker-side ``spawn`` spans stamped from the pool-creation
+        timestamp).  A warm batch records
         *no* spawn span and sets :attr:`SweepTimeline.pool_reuse` -- and
         spawn spans a long-lived worker already shipped to an earlier
         batch are filtered by the batch epoch so reuse is visible in the
@@ -748,8 +751,10 @@ class SweepExecutor:
             for point in batch
         ]
         payloads: list[dict[str, Any]] = []
+        last_shipped = epoch
         for payload, shipped in pool.map(_pool_worker, tasks):
             if timeline is not None:
+                last_shipped = max([last_shipped] + [d["end"] for d in shipped])
                 spans = [d for d in shipped
                          if not (d["name"] == "spawn" and d["end"] < epoch)]
                 timeline.stale_spawn_spans += len(shipped) - len(spans)
@@ -763,6 +768,13 @@ class SweepExecutor:
                     ))
             self._tick()
             payloads.append(payload)
+        if timeline is not None:
+            # The last result's trip back to the parent (pickle, pipe,
+            # unpickle) is collection: ``collect`` opens where the last
+            # worker span ended -- span clocks are epoch-aligned across
+            # processes.
+            now = wall_now()
+            timeline.parent.add("collect", min(last_shipped, now), now)
         return payloads
 
     def _warn_trace_serial(self, npoints: int) -> None:

@@ -67,6 +67,8 @@ def read_json_document(path: str | Path, kind: str) -> dict[str, Any]:
         document = json.loads(path.read_text())
     except json.JSONDecodeError as err:
         raise MetricError(f"corrupt document {path}: {err}") from err
+    if not isinstance(document, dict):
+        raise MetricError(f"{path} does not contain a JSON object")
     version = document.get("format_version")
     if version != FORMAT_VERSION:
         found = "no format version" if version is None else f"version {version!r}"

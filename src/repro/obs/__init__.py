@@ -28,11 +28,9 @@ simulated run:
   span collection inside pool workers and the :class:`SweepTimeline`
   aggregator behind ``repro sweep profile`` (overhead attribution,
   phase coverage, worker utilization).
-* :mod:`repro.obs.streaming` — bounded-memory online estimators: Welford
-  :class:`OnlineStats`, the P² :class:`QuantileSketch` (p50/p90/p99
-  without storing samples), a windowed :class:`RateMeter`, the keyed
-  :class:`StreamingGroupStats` metrics sink, per-run
-  :func:`summarize_rank_stats` rank summaries and the
+* :mod:`repro.obs.streaming` — per-run :func:`summarize_rank_stats`
+  rank summaries (exact p50/p90/p99 of per-rank utilization, idle time
+  and flops), a windowed :class:`RateMeter` and the
   :class:`ProgressReporter` sweep heartbeat (``--progress``).
 * :mod:`repro.obs.flight` — the read side of the
   :class:`~repro.sim.flight.FlightRecorder` black box: list and render
@@ -57,15 +55,7 @@ from .chrome_trace import (
 )
 from .flight import describe_reason, format_dump, list_dumps, load_dump
 from .spans import Span, SpanRecorder, wall_now
-from .streaming import (
-    OnlineStats,
-    P2Quantile,
-    ProgressReporter,
-    QuantileSketch,
-    RateMeter,
-    StreamingGroupStats,
-    summarize_rank_stats,
-)
+from .streaming import ProgressReporter, RateMeter, summarize_rank_stats
 from .telemetry import (
     PHASES,
     SweepTimeline,
@@ -119,19 +109,15 @@ __all__ = [
     "MetricDelta",
     "MetricSpec",
     "MetricsRegistry",
-    "OnlineStats",
     "OverheadDecomposition",
-    "P2Quantile",
     "PHASES",
     "ProfileReport",
     "ProgressReporter",
-    "QuantileSketch",
     "RankUtilization",
     "RateMeter",
     "RunLedger",
     "Span",
     "SpanRecorder",
-    "StreamingGroupStats",
     "StructLogger",
     "SweepTimeline",
     "WorkerTelemetry",

@@ -11,8 +11,8 @@ under ``<root>/runs/`` plus one line in an append-only JSONL index
   cluster name / rank count / spec hash,
 * the metric surface -- makespan, speed-efficiency, load-imbalance index,
   the Theorem-1 decomposition, and the engine's wall-clock self-profile,
-* a ``rank_summary`` block -- per-rank utilization/idle/flops quantiles
-  (p50/p90/p99, streamed through :mod:`repro.obs.streaming` sketches)
+* a ``rank_summary`` block -- exact per-rank utilization/idle/flops
+  statistics (p50/p90/p99, :func:`~repro.obs.streaming.summarize_rank_stats`)
   plus the top-k busiest and idlest ranks, with the utilization
   quantiles mirrored into the flat metrics for regression gating.
 
@@ -330,55 +330,23 @@ class RunLedger:
     def record_report(
         self,
         report: "ProfileReport",
-        cluster: "ClusterSpec | None" = None,
+        cluster: "ClusterSpec",
         log: "StructLogger | None" = None,
     ) -> str:
         """Persist a ``repro profile`` report, reusing its analyzer results."""
-        run = report.record.run
-        m = report.record.measurement
-        run_id = _new_run_id(report.app, report.problem_size)
-        decomp = report.decomposition
-        metrics = {
-            "makespan": run.makespan,
-            "speed_efficiency": m.speed_efficiency,
-            "work": m.work,
-            "marked_speed": m.marked_speed,
-            "imbalance_index": report.imbalance,
-            "theorem1_ideal_compute": decomp.ideal_compute,
-            "theorem1_t0": decomp.t0,
-            "theorem1_overhead": decomp.overhead,
-            "theorem1_overhead_fraction": decomp.overhead_fraction,
-            "events": float(run.events),
-            "undelivered_messages": float(run.undelivered_messages),
-            "wall_seconds": run.wall_seconds,
-            "events_per_second": run.events_per_second,
-            "heap_pushes": float(run.heap_pushes),
-            "heap_pops": float(run.heap_pops),
-            "stale_pops": float(run.stale_pops),
-            "stale_pop_ratio": run.stale_pop_ratio,
-            "critical_path_length": report.path.length,
-            "trace_records": float(len(report.tracer.records)),
-            "trace_dropped": float(report.tracer.dropped),
-        }
-        summary = summarize_rank_stats(run.stats, run.makespan)
-        metrics.update(_summary_metrics(summary))
-        cluster_block: dict[str, Any] = {
-            "name": report.cluster_name,
-            "nranks": len(run.stats),
-            "spec_hash": cluster_spec_hash(cluster) if cluster is not None else None,
-        }
-        payload = {
-            "run_id": run_id,
-            "created_utc": _utc_now(),
-            "source": "profile",
-            "app": report.app,
-            "problem_size": report.problem_size,
-            "cluster": cluster_block,
-            "env": environment_info(),
-            "metrics": metrics,
-            "rank_summary": summary,
-        }
-        return self._write(run_id, payload, log=log)
+        return self.record_run(
+            report.app,
+            cluster,
+            report.record,
+            source="profile",
+            compute_efficiency=report.decomposition.compute_efficiency,
+            extra_metrics={
+                "critical_path_length": report.path.length,
+                "trace_records": float(len(report.tracer.records)),
+                "trace_dropped": float(report.tracer.dropped),
+            },
+            log=log,
+        )
 
     def record_sweep(
         self,
@@ -441,6 +409,10 @@ class RunLedger:
                 data = json.loads(line)
             except json.JSONDecodeError:
                 continue  # a torn append must not break history
+            if not isinstance(data, dict) or not isinstance(
+                data.get("run_id"), str
+            ):
+                continue  # nor may a line that is not an index entry
             yield LedgerEntry.from_dict(data)
 
     def history(
@@ -482,7 +454,8 @@ class RunLedger:
                     f"no run {run_id!r} in ledger {self.root} "
                     f"(see `repro history`)"
                 )
-        return read_json_document(path, kind=RUN_RECORD_KIND)
+        document = read_json_document(path, kind=RUN_RECORD_KIND)
+        return checked_record(document, path)
 
     def latest(
         self, app: str | None = None, source: str | None = None
@@ -529,15 +502,33 @@ def load_record_file(path: str | Path) -> dict[str, Any]:
     if not isinstance(data, dict):
         raise MetricError(f"{path} does not contain a JSON object")
     if data.get("kind") == RUN_RECORD_KIND:
-        return data
+        return checked_record(data, path)
     if "bench" in data:  # raw BENCH_*.json payload
         return bench_to_record(data)
     if "metrics" in data:  # un-enveloped record (e.g. hand-written)
-        return data
+        return checked_record(data, path)
     raise MetricError(
         f"{path} is neither a {RUN_RECORD_KIND!r} document nor a BENCH "
         "payload"
     )
+
+
+def checked_record(record: Any, source: Any) -> dict[str, Any]:
+    """``record`` if it has the shape :func:`compare_records` reads.
+
+    Raises :class:`~repro.core.types.MetricError` (naming ``source``)
+    when ``record`` is not an object, its ``metrics`` is not an object,
+    or its ``run_id`` is present but not a string.
+    """
+    from ..core.types import MetricError
+
+    if not isinstance(record, dict):
+        raise MetricError(f"{source} does not contain a JSON object")
+    if not isinstance(record.get("metrics", {}), dict):
+        raise MetricError(f"{source}: 'metrics' is not a JSON object")
+    if "run_id" in record and not isinstance(record["run_id"], str):
+        raise MetricError(f"{source}: 'run_id' is not a string")
+    return record
 
 
 def _app_compute_efficiency(app: str) -> float:

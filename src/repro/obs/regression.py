@@ -264,11 +264,13 @@ def load_baseline(
 ) -> dict[str, Any] | None:
     """The named baseline's frozen record, or None when not set."""
     from ..experiments.persistence import read_json_document
+    from .ledger import checked_record
 
     path = baseline_path(name, root)
     if not path.exists():
         return None
-    return read_json_document(path, kind=BASELINE_KIND)["record"]
+    document = read_json_document(path, kind=BASELINE_KIND)
+    return checked_record(document.get("record"), f"baseline {path}")
 
 
 def check_against_baseline(

@@ -1,33 +1,19 @@
-"""Bounded-memory streaming estimators for always-on observability.
+"""Run summaries and sweep progress: rank statistics, rates, heartbeat.
 
-Everything in this module is O(1) memory per metric stream, independent
-of how many observations flow through it.  That is the property the
-ROADMAP's million-rank item needs: the cost of *watching* a run must not
-grow with ranks x events, or instrumentation gets turned off exactly at
-the scales where the isospeed-efficiency question (PAPER.md) is
-interesting.
-
-Estimators
-----------
-* :class:`OnlineStats` — Welford mean/variance plus min/max.
-* :class:`P2Quantile` — the Jain & Chlamtac P² (piecewise-parabolic)
-  single-quantile estimator: five markers, no sample retention.  Exact
-  for the first five observations, approximate afterwards (validated
-  against exact sorted quantiles in ``tests/obs/test_streaming.py``).
-* :class:`QuantileSketch` — a bundle of P² markers (p50/p90/p99 by
-  default) sharing one :class:`OnlineStats`.
+* :func:`summarize_rank_stats` — the ``rank_summary`` block of ledger
+  records, ``metrics.json`` and ``repro profile`` output: exact
+  count/mean/std/min/max and p50/p90/p99 of per-rank utilization, idle
+  seconds and flops, plus the top-k busiest and idlest ranks.
 * :class:`RateMeter` — windowed events/s over explicit timestamps.
-* :class:`StreamingGroupStats` — keyed :class:`OnlineStats`, usable
-  as an engine ``metrics=`` sink (per-``(rank, kind)`` durations).
-* :func:`summarize_rank_stats` — the rank-summary path: feeds per-rank
-  utilization/idle/flops through the sketches and returns a plain-data
-  block (quantiles + top-k busiest/idlest ranks) for ledger records and
-  ``repro profile`` output.
 * :class:`ProgressReporter` — the ``--progress`` heartbeat for
   :class:`~repro.experiments.executor.SweepExecutor`.
 
-All estimators are deterministic for a fixed observation order, so
-attaching them never perturbs the bit-identity contract of the engine.
+The rank summary is computed from the per-rank values the run already
+holds in memory, so its numbers are exact rather than estimated.  The
+unbounded per-event streams (operation durations, message sizes, sweep
+phases) are bucketed by :class:`~repro.obs.metrics.Histogram` instead.
+Everything here is deterministic for a fixed input order, so attaching
+it never perturbs the bit-identity contract of the engine.
 """
 
 from __future__ import annotations
@@ -37,224 +23,13 @@ import math
 import sys
 import time
 from collections import deque
-from typing import Any, Callable, Hashable, Iterable, Sequence, TextIO
+from typing import Any, Callable, Sequence, TextIO
 
 __all__ = [
-    "OnlineStats",
-    "P2Quantile",
-    "QuantileSketch",
     "RateMeter",
-    "StreamingGroupStats",
     "summarize_rank_stats",
     "ProgressReporter",
 ]
-
-
-class OnlineStats:
-    """Welford online mean/variance with min/max, O(1) memory."""
-
-    __slots__ = ("count", "mean", "_m2", "min", "max")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.mean = 0.0
-        self._m2 = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-
-    def push(self, value: float) -> None:
-        """Fold one observation into the running moments."""
-        self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (value - self.mean)
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-
-    def extend(self, values: Iterable[float]) -> None:
-        for value in values:
-            self.push(value)
-
-    @property
-    def variance(self) -> float:
-        """Sample variance (n-1 denominator); 0.0 below two observations."""
-        if self.count < 2:
-            return 0.0
-        return self._m2 / (self.count - 1)
-
-    @property
-    def std(self) -> float:
-        return math.sqrt(self.variance)
-
-    def to_dict(self) -> dict[str, float]:
-        empty = self.count == 0
-        return {
-            "count": self.count,
-            "mean": self.mean if not empty else 0.0,
-            "std": self.std,
-            "min": self.min if not empty else 0.0,
-            "max": self.max if not empty else 0.0,
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"OnlineStats(count={self.count}, mean={self.mean:g}, "
-            f"std={self.std:g}, min={self.min:g}, max={self.max:g})"
-        )
-
-
-class P2Quantile:
-    """P² single-quantile estimator (Jain & Chlamtac, CACM 1985).
-
-    Maintains five markers whose heights track the quantile ``p`` of the
-    stream.  The first five observations are stored exactly; afterwards
-    marker heights are adjusted with the piecewise-parabolic (P²)
-    formula, falling back to linear interpolation when the parabolic
-    prediction would leave the bracketing markers.  Memory is O(1);
-    :meth:`value` is exact until the fifth observation.
-    """
-
-    __slots__ = ("p", "count", "_q", "_n", "_np", "_dn")
-
-    def __init__(self, p: float):
-        if not 0.0 < p < 1.0:
-            raise ValueError(f"quantile must be in (0, 1), got {p}")
-        self.p = p
-        self.count = 0
-        self._q: list[float] = []  # marker heights (first 5 obs verbatim)
-        # Marker positions, desired positions, and desired increments
-        # (1-based, as in the paper) — populated on the fifth observation.
-        self._n: list[float] = []
-        self._np: list[float] = []
-        self._dn = (0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0)
-
-    def push(self, value: float) -> None:
-        """Fold one observation into the marker state."""
-        value = float(value)
-        self.count += 1
-        q = self._q
-        if self.count <= 5:
-            q.append(value)
-            q.sort()
-            if self.count == 5:
-                self._n = [1.0, 2.0, 3.0, 4.0, 5.0]
-                self._np = [1.0 + 4.0 * d for d in self._dn]
-            return
-
-        n = self._n
-        # Locate the cell k with q[k] <= value < q[k+1], extending the
-        # extreme markers when the observation falls outside them.
-        if value < q[0]:
-            q[0] = value
-            k = 0
-        elif value >= q[4]:
-            if value > q[4]:
-                q[4] = value
-            k = 3
-        else:
-            k = 0
-            while k < 3 and value >= q[k + 1]:
-                k += 1
-        for i in range(k + 1, 5):
-            n[i] += 1.0
-        np_ = self._np
-        for i, d in enumerate(self._dn):
-            np_[i] += d
-
-        # Adjust the three interior markers toward their desired
-        # positions, at most one position step per observation.
-        for i in (1, 2, 3):
-            d = np_[i] - n[i]
-            if (d >= 1.0 and n[i + 1] - n[i] > 1.0) or (
-                d <= -1.0 and n[i - 1] - n[i] < -1.0
-            ):
-                step = 1.0 if d > 0 else -1.0
-                candidate = self._parabolic(i, step)
-                if q[i - 1] < candidate < q[i + 1]:
-                    q[i] = candidate
-                else:
-                    q[i] = self._linear(i, step)
-                n[i] += step
-
-    def _parabolic(self, i: int, d: float) -> float:
-        q, n = self._q, self._n
-        return q[i] + d / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + d) * (q[i + 1] - q[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - d) * (q[i] - q[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, d: float) -> float:
-        q, n = self._q, self._n
-        j = i + int(d)
-        return q[i] + d * (q[j] - q[i]) / (n[j] - n[i])
-
-    def value(self) -> float:
-        """Current quantile estimate (NaN before any observation)."""
-        if self.count == 0:
-            return math.nan
-        q = self._q
-        if self.count <= 5:
-            # Exact: linear interpolation over the stored sorted sample.
-            pos = self.p * (len(q) - 1)
-            lo = int(pos)
-            hi = min(lo + 1, len(q) - 1)
-            frac = pos - lo
-            return q[lo] + (q[hi] - q[lo]) * frac
-        return q[2]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"P2Quantile(p={self.p}, count={self.count}, value={self.value():g})"
-
-
-#: Default quantile set for sketches; matches the ledger rank-summary block.
-DEFAULT_QUANTILES = (0.5, 0.9, 0.99)
-
-
-class QuantileSketch:
-    """A bundle of :class:`P2Quantile` markers over one stream.
-
-    Tracks the configured quantiles (p50/p90/p99 by default) plus the
-    Welford moments, all in O(1) memory.
-    """
-
-    __slots__ = ("stats", "_markers")
-
-    def __init__(self, quantiles: Sequence[float] = DEFAULT_QUANTILES):
-        self.stats = OnlineStats()
-        self._markers = {p: P2Quantile(p) for p in quantiles}
-
-    def push(self, value: float) -> None:
-        self.stats.push(value)
-        for marker in self._markers.values():
-            marker.push(value)
-
-    def extend(self, values: Iterable[float]) -> None:
-        for value in values:
-            self.push(value)
-
-    def quantile(self, p: float) -> float:
-        return self._markers[p].value()
-
-    @property
-    def count(self) -> int:
-        return self.stats.count
-
-    def to_dict(self) -> dict[str, float]:
-        """Moments + quantiles, keyed ``p50``-style for JSON documents."""
-        out = self.stats.to_dict()
-        for p, marker in sorted(self._markers.items()):
-            out[_quantile_key(p)] = marker.value() if marker.count else 0.0
-        return out
-
-
-def _quantile_key(p: float) -> str:
-    """0.5 -> 'p50', 0.99 -> 'p99', 0.999 -> 'p99.9'."""
-    pct = p * 100.0
-    if pct == int(pct):
-        return f"p{int(pct)}"
-    return f"p{pct:g}"
 
 
 class RateMeter:
@@ -315,61 +90,51 @@ class RateMeter:
         return remaining / rate
 
 
-class StreamingGroupStats:
-    """Keyed :class:`OnlineStats` (optionally with quantile sketches).
+#: Quantiles of every ``rank_summary`` distribution, by JSON key.
+_QUANTILES = (("p50", 0.5), ("p90", 0.9), ("p99", 0.99))
 
-    Implements the engine's sink contract (:meth:`append`) so it can be
-    attached directly to a run as ``metrics=`` to aggregate
-    per-``(rank, kind)`` operation durations without retaining any
-    per-event record — the streaming replacement for a full
-    :class:`~repro.sim.trace.Tracer` at scales where per-event lists are
-    unaffordable.
+
+def _exact_summary(values: Sequence[float]) -> dict[str, float]:
+    """count/mean/std/min/max and :data:`_QUANTILES` of ``values``.
+
+    ``mean`` is ``math.fsum(values) / n``; ``std`` is the sample standard
+    deviation (n-1 denominator, 0.0 below two values); each quantile
+    interpolates linearly at position ``p * (n - 1)`` of the sorted
+    values (numpy's default ``percentile`` method).  An empty input
+    reports zeros.
     """
-
-    __slots__ = ("groups", "quantiles")
-
-    def __init__(self, quantiles: Sequence[float] | None = None):
-        self.groups: dict[Hashable, Any] = {}
-        self.quantiles = tuple(quantiles) if quantiles else ()
-
-    def observe(self, key: Hashable, value: float) -> None:
-        group = self.groups.get(key)
-        if group is None:
-            group = (
-                QuantileSketch(self.quantiles) if self.quantiles else OnlineStats()
-            )
-            self.groups[key] = group
-        group.push(value)
-
-    def get(self, key: Hashable) -> Any:
-        return self.groups.get(key)
-
-    def append(self, rec: tuple) -> None:
-        """Sink contract: observe one raw record's duration under
-        ``(rank, kind)``."""
-        self.observe((rec[0], rec[1]), rec[3] - rec[2])
-
-    def to_dict(self) -> dict[str, dict[str, float]]:
-        def _key(key: Hashable) -> str:
-            if isinstance(key, tuple):
-                return "/".join(str(part) for part in key)
-            return str(key)
-
-        return {
-            _key(key): group.to_dict()
-            for key, group in sorted(self.groups.items(), key=lambda kv: _key(kv[0]))
-        }
+    n = len(values)
+    if n == 0:
+        out = {"count": 0, "mean": 0.0, "std": 0.0, "min": 0.0, "max": 0.0}
+        out.update((key, 0.0) for key, _ in _QUANTILES)
+        return out
+    ordered = sorted(values)
+    mean = math.fsum(ordered) / n
+    variance = (
+        math.fsum((v - mean) ** 2 for v in ordered) / (n - 1) if n > 1 else 0.0
+    )
+    out = {
+        "count": n,
+        "mean": mean,
+        "std": math.sqrt(variance),
+        "min": ordered[0],
+        "max": ordered[-1],
+    }
+    for key, p in _QUANTILES:
+        pos = p * (n - 1)
+        lo = int(pos)
+        hi = min(lo + 1, n - 1)
+        out[key] = ordered[lo] + (ordered[hi] - ordered[lo]) * (pos - lo)
+    return out
 
 
 def summarize_rank_stats(
     stats: Sequence[Any], makespan: float, top_k: int = 3
 ) -> dict[str, Any]:
-    """Streaming rank summary: quantiles + top-k outliers, O(k) retained.
+    """Rank summary: exact distributions + top-k busiest/idlest ranks.
 
-    Feeds per-rank utilization, idle seconds, and flops through
-    :class:`QuantileSketch` (one pass, nothing materialized beyond the
-    sketches and the two k-element top lists), so the summary cost is
-    independent of rank count.  ``stats`` is any sequence with the
+    Summarizes per-rank utilization, idle seconds and flops with
+    :func:`_exact_summary`.  ``stats`` is any sequence with the
     :class:`~repro.sim.trace.RankStats` surface (``utilization``,
     ``idle_time``, ``flops``, ``rank``).
 
@@ -389,14 +154,6 @@ def summarize_rank_stats(
         _util = lambda st: 0.0
         _idle = lambda st: 0.0
 
-    utilization = QuantileSketch()
-    idle = QuantileSketch()
-    flops = QuantileSketch()
-    for st in stats:
-        utilization.push(_util(st))
-        idle.push(_idle(st))
-        flops.push(st.flops)
-
     k = max(0, min(top_k, len(stats)))
     busiest = heapq.nlargest(k, stats, key=_util)
     listed = {st.rank for st in busiest}
@@ -415,9 +172,9 @@ def summarize_rank_stats(
     return {
         "ranks": len(stats),
         "makespan": makespan,
-        "utilization": utilization.to_dict(),
-        "idle_seconds": idle.to_dict(),
-        "flops": flops.to_dict(),
+        "utilization": _exact_summary([_util(st) for st in stats]),
+        "idle_seconds": _exact_summary([_idle(st) for st in stats]),
+        "flops": _exact_summary([st.flops for st in stats]),
         "top_busiest": [_rank_entry(st) for st in busiest],
         "top_idlest": [_rank_entry(st) for st in idlest],
     }

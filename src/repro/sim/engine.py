@@ -98,7 +98,7 @@ class RunResult:
     :class:`~repro.sim.trace.RankStatsArray` (lazily materializing
     dataclass views) for engine-produced results.  Above the large-rank
     serialization threshold a cached run carries only ``rank_summary``
-    (the streaming :func:`~repro.obs.streaming.summarize_rank_stats`
+    (the exact :func:`~repro.obs.streaming.summarize_rank_stats`
     block) with empty ``finish_times``/``stats``; ``makespan`` then falls
     back to the summary's recorded value.
     """

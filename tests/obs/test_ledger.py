@@ -129,6 +129,14 @@ class TestRecordRun:
         for key in ("utilization_p50", "utilization_p90",
                     "utilization_p99", "utilization_mean"):
             assert metrics[key] == pytest.approx(util[key[len("utilization_"):]])
+        # ... and it mirrors the exact quantile of the per-rank sample.
+        makespan = record.run.makespan
+        ordered = sorted(st.utilization(makespan) for st in record.run.stats)
+        pos = 0.9 * (len(ordered) - 1)
+        lo = int(pos)
+        hi = min(lo + 1, len(ordered) - 1)
+        p90 = ordered[lo] + (ordered[hi] - ordered[lo]) * (pos - lo)
+        assert metrics["utilization_p90"] == pytest.approx(p90, rel=1e-12)
 
 
 class TestHistory:
@@ -151,9 +159,11 @@ class TestHistory:
     def test_torn_index_line_skipped(self, tmp_path, cluster, record):
         ledger = RunLedger(tmp_path / "ledger")
         run_id = ledger.record_run("ge", cluster, record)
-        with ledger.index_path.open("a") as handle:
-            handle.write('{"run_id": "torn-')  # interrupted append
-        assert [e.run_id for e in ledger.history()] == [run_id]
+        # An interrupted append, and lines that parse but are no entry.
+        for line in ('{"run_id": "torn-', "[1, 2]", '{"run_id": 7}', "{}"):
+            with ledger.index_path.open("a") as handle:
+                handle.write(line + "\n")
+            assert [e.run_id for e in ledger.history()] == [run_id], line
 
 
 class TestLoadAndResolve:
@@ -161,6 +171,18 @@ class TestLoadAndResolve:
         ledger = RunLedger(tmp_path / "ledger")
         run_id = ledger.record_run("ge", cluster, record)
         assert ledger.load(run_id[:-2])["run_id"] == run_id
+
+    def test_malformed_run_document_rejected(self, tmp_path):
+        from repro.experiments.persistence import write_json_document
+
+        ledger = RunLedger(tmp_path / "ledger")
+        write_json_document(ledger.runs_dir / "odd.json", kind=RUN_RECORD_KIND,
+                            payload={"run_id": "odd", "metrics": [1, 2]})
+        with pytest.raises(MetricError, match="'metrics' is not"):
+            ledger.load("odd")
+        (ledger.runs_dir / "list.json").write_text("[1, 2]")
+        with pytest.raises(MetricError, match="JSON object"):
+            ledger.load("list")
 
     def test_missing_run_id(self, tmp_path):
         ledger = RunLedger(tmp_path / "ledger")
@@ -239,10 +261,18 @@ class TestLoadRecordFile:
             load_record_file(tmp_path / "absent.json")
 
     def test_non_object(self, tmp_path):
-        path = tmp_path / "list.json"
-        path.write_text("[1, 2]")
-        with pytest.raises(MetricError, match="JSON object"):
-            load_record_file(path)
+        cases = [
+            ("[1, 2]", "does not contain a JSON object"),
+            ('{"metrics": [1, 2]}', "'metrics' is not a JSON object"),
+            ('{"metrics": {}, "run_id": 3}', "'run_id' is not a string"),
+            ('{"kind": "%s", "metrics": "x"}' % RUN_RECORD_KIND,
+             "'metrics' is not a JSON object"),
+        ]
+        path = tmp_path / "record.json"
+        for text, message in cases:
+            path.write_text(text)
+            with pytest.raises(MetricError, match=message):
+                load_record_file(path)
 
     def test_unrecognized_object(self, tmp_path):
         path = tmp_path / "other.json"

@@ -166,6 +166,16 @@ class TestNamedBaselines:
         with pytest.raises(MetricError, match="expected 'run-baseline'"):
             load_baseline("odd", tmp_path)
 
+    def test_malformed_record_rejected(self, tmp_path):
+        from repro.experiments.persistence import write_json_document
+
+        for record in ([1, 2], {"metrics": [1, 2]}, {"run_id": 5}):
+            write_json_document(baseline_path("bad", tmp_path),
+                                kind="run-baseline",
+                                payload={"record": record})
+            with pytest.raises(MetricError, match="baseline"):
+                load_baseline("bad", tmp_path)
+
 
 class TestDefaultSpecsRealistic:
     """The spec table as CI will use it: identical deterministic runs PASS,

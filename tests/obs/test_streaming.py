@@ -1,134 +1,20 @@
-"""Streaming estimators: P² vs exact quantiles, rates, the heartbeat."""
+"""Exact rank summaries, windowed rates, the sweep heartbeat."""
 
 from __future__ import annotations
 
 import io
-import math
-import random
 import statistics
 
+import numpy
 import pytest
 
+from repro.experiments.runner import run_app
+from repro.machine.sunwulf import ge_configuration, mm_configuration
 from repro.obs.streaming import (
-    OnlineStats,
-    P2Quantile,
     ProgressReporter,
-    QuantileSketch,
     RateMeter,
-    StreamingGroupStats,
     summarize_rank_stats,
 )
-
-
-def exact_quantile(values, p):
-    """Linear-interpolation quantile over the sorted sample."""
-    ordered = sorted(values)
-    pos = p * (len(ordered) - 1)
-    lo = int(pos)
-    hi = min(lo + 1, len(ordered) - 1)
-    return ordered[lo] + (ordered[hi] - ordered[lo]) * (pos - lo)
-
-
-# -- OnlineStats --------------------------------------------------------------
-
-def test_online_stats_matches_statistics_module():
-    rng = random.Random(7)
-    values = [rng.gauss(5.0, 2.0) for _ in range(500)]
-    stats = OnlineStats()
-    stats.extend(values)
-    assert stats.count == 500
-    assert stats.mean == pytest.approx(statistics.fmean(values))
-    assert stats.std == pytest.approx(statistics.stdev(values))
-    assert stats.min == min(values)
-    assert stats.max == max(values)
-
-
-def test_online_stats_empty_and_single():
-    stats = OnlineStats()
-    assert stats.to_dict() == {
-        "count": 0, "mean": 0.0, "std": 0.0, "min": 0.0, "max": 0.0,
-    }
-    stats.push(3.5)
-    assert stats.variance == 0.0
-    assert stats.to_dict()["mean"] == 3.5
-    assert stats.to_dict()["min"] == stats.to_dict()["max"] == 3.5
-
-
-# -- P² quantiles vs exact ----------------------------------------------------
-
-def _uniform(n, seed):
-    rng = random.Random(seed)
-    return [rng.random() for _ in range(n)]
-
-
-def _lognormal(n, seed):
-    rng = random.Random(seed)
-    return [rng.lognormvariate(0.0, 1.0) for _ in range(n)]
-
-
-@pytest.mark.parametrize("p", [0.5, 0.9, 0.99])
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_p2_uniform_stream(p, seed):
-    values = _uniform(5000, seed)
-    marker = P2Quantile(p)
-    for v in values:
-        marker.push(v)
-    # Uniform on [0, 1]: absolute error bound is meaningful directly.
-    assert marker.value() == pytest.approx(exact_quantile(values, p), abs=0.02)
-
-
-@pytest.mark.parametrize("p", [0.5, 0.9, 0.99])
-@pytest.mark.parametrize("seed", [11, 12])
-def test_p2_lognormal_stream(p, seed):
-    values = _lognormal(5000, seed)
-    marker = P2Quantile(p)
-    for v in values:
-        marker.push(v)
-    exact = exact_quantile(values, p)
-    # Heavy right tail: relative error, looser at p99.
-    rel = 0.15 if p == 0.99 else 0.05
-    assert marker.value() == pytest.approx(exact, rel=rel)
-
-
-@pytest.mark.parametrize("order", ["sorted", "reversed"])
-@pytest.mark.parametrize("p", [0.5, 0.9])
-def test_p2_adversarial_order(order, p):
-    # Monotone input is the P² worst case: markers trail the drift, and
-    # a descending stream keeps pulling the upper markers down late
-    # (measured error ~0.07 at p90).  The estimate must still stay in
-    # the right neighbourhood rather than collapsing to an extreme.
-    values = sorted(_uniform(4000, 21), reverse=(order == "reversed"))
-    marker = P2Quantile(p)
-    for v in values:
-        marker.push(v)
-    assert marker.value() == pytest.approx(exact_quantile(values, p), abs=0.1)
-
-
-def test_p2_exact_below_five_observations():
-    marker = P2Quantile(0.5)
-    assert math.isnan(marker.value())
-    for values in ([4.0], [4.0, 1.0], [4.0, 1.0, 3.0], [4.0, 1.0, 3.0, 2.0]):
-        marker = P2Quantile(0.5)
-        for v in values:
-            marker.push(v)
-        assert marker.value() == pytest.approx(exact_quantile(values, 0.5))
-
-
-def test_p2_rejects_degenerate_quantile():
-    with pytest.raises(ValueError):
-        P2Quantile(0.0)
-    with pytest.raises(ValueError):
-        P2Quantile(1.0)
-
-
-def test_quantile_sketch_to_dict_keys():
-    sketch = QuantileSketch()
-    sketch.extend(_uniform(1000, 5))
-    doc = sketch.to_dict()
-    assert set(doc) == {"count", "mean", "std", "min", "max",
-                        "p50", "p90", "p99"}
-    assert doc["count"] == 1000
-    assert doc["p50"] <= doc["p90"] <= doc["p99"]
 
 
 # -- RateMeter ----------------------------------------------------------------
@@ -151,26 +37,6 @@ def test_rate_meter_single_instant_falls_back_to_window():
     assert meter.rate(now=100.0) == pytest.approx(6 / 30.0)
 
 
-# -- StreamingGroupStats ------------------------------------------------------
-
-def test_group_stats_engine_sink_duck_type():
-    sink = StreamingGroupStats()
-    sink.append((0, "compute", 1.0, 3.0, 100.0))
-    sink.append((0, "compute", 3.0, 4.0, None))
-    sink.append((1, "send", 0.0, 0.5, 1, 0, 8.0))
-    assert sink.get((0, "compute")).count == 2
-    assert sink.get((0, "compute")).mean == pytest.approx(1.5)
-    doc = sink.to_dict()
-    assert set(doc) == {"0/compute", "1/send"}
-
-
-def test_group_stats_with_quantiles():
-    sink = StreamingGroupStats(quantiles=(0.5,))
-    for v in _uniform(200, 9):
-        sink.observe("durations", v)
-    assert "p50" in sink.get("durations").to_dict()
-
-
 # -- summarize_rank_stats -----------------------------------------------------
 
 def test_summarize_rank_stats_on_real_run(ge2_record_n200):
@@ -183,8 +49,7 @@ def test_summarize_rank_stats_on_real_run(ge2_record_n200):
     assert 0.0 <= util["p50"] <= 1.0
     assert util["min"] <= util["p50"] <= util["max"]
     exact = sorted(st.utilization(run.makespan) for st in run.stats)
-    # Few ranks -> P² is exact or near-exact against the sorted sample.
-    assert util["max"] == pytest.approx(exact[-1])
+    assert util["max"] == exact[-1]
 
     busiest = summary["top_busiest"]
     idlest = summary["top_idlest"]
@@ -198,11 +63,43 @@ def test_summarize_rank_stats_on_real_run(ge2_record_n200):
         assert set(entry) == {"rank", "utilization", "idle_seconds", "flops"}
 
 
+@pytest.mark.parametrize(
+    "app, cluster, n",
+    [("mm", mm_configuration(8), 120), ("ge", ge_configuration(8), 300)],
+    ids=["mm-8-nodes", "ge-8-nodes"],
+)
+def test_summarize_rank_stats_quantiles_are_exact(app, cluster, n):
+    run = run_app(app, cluster, n).run
+    summary = summarize_rank_stats(run.stats, run.makespan)
+    columns = {
+        "utilization": [st.utilization(run.makespan) for st in run.stats],
+        "idle_seconds": [st.idle_time(run.makespan) for st in run.stats],
+        "flops": [st.flops for st in run.stats],
+    }
+    assert len(run.stats) > 5  # past the first five observations
+    for name, values in columns.items():
+        block = summary[name]
+        expected = numpy.percentile(values, [50, 90, 99])
+        for key, want in zip(("p50", "p90", "p99"), expected):
+            assert block[key] == pytest.approx(want, rel=1e-12, abs=1e-12), (
+                name, key,
+            )
+        assert block["count"] == len(values)
+        assert block["min"] == min(values)
+        assert block["max"] == max(values)
+        assert block["mean"] == pytest.approx(statistics.fmean(values), rel=1e-12)
+        assert block["std"] == pytest.approx(statistics.stdev(values), rel=1e-9)
+
+
 def test_summarize_rank_stats_empty():
     summary = summarize_rank_stats([], 0.0)
     assert summary["ranks"] == 0
     assert summary["top_busiest"] == []
-    assert summary["utilization"]["count"] == 0
+    for name in ("utilization", "idle_seconds", "flops"):
+        assert summary[name] == {
+            "count": 0, "mean": 0.0, "std": 0.0, "min": 0.0, "max": 0.0,
+            "p50": 0.0, "p90": 0.0, "p99": 0.0,
+        }
 
 
 def test_summarize_rank_stats_single_rank():
@@ -214,6 +111,12 @@ def test_summarize_rank_stats_single_rank():
     assert [e["rank"] for e in summary["top_busiest"]] == [0]
     assert summary["top_idlest"] == []
     assert summary["top_busiest"][0]["utilization"] == pytest.approx(0.5)
+    # One value: zero spread, every statistic is that value.
+    util = summary["utilization"]
+    assert util["count"] == 1 and util["std"] == 0.0
+    assert {util[k] for k in ("mean", "min", "max", "p50", "p90", "p99")} == {
+        util["min"]
+    }
 
 
 def test_summarize_rank_stats_two_ranks_disjoint():

@@ -33,7 +33,6 @@ from repro.experiments.runner import run_app
 from repro.machine.presets import mixed_pairs
 from repro.machine.sunwulf import ge_configuration
 from repro.obs import MetricsRegistry
-from repro.obs.streaming import StreamingGroupStats
 from repro.sim.flight import FlightRecorder
 from repro.sim.trace import Tracer
 
@@ -125,7 +124,6 @@ SINK_SETS = {
     "flight": lambda: {"flight": FlightRecorder(capacity=64)},
     "tracer": lambda: {"tracer": Tracer()},
     "metrics": lambda: {"metrics": MetricsRegistry()},
-    "streaming": lambda: {"metrics": StreamingGroupStats()},
     "all": lambda: {
         "tracer": Tracer(),
         "metrics": MetricsRegistry(),
@@ -142,11 +140,9 @@ def _records_seen(sink) -> int:
         return len(engine_records) + sink.dropped
     if isinstance(sink, FlightRecorder):
         return len(sink)
-    if isinstance(sink, MetricsRegistry):
-        return int(sum(
-            inst.value for name, _, inst in sink if name == "sim_ops_total"
-        ))
-    return sum(group.count for group in sink.groups.values())
+    return int(sum(
+        inst.value for name, _, inst in sink if name == "sim_ops_total"
+    ))
 
 
 @lru_cache(maxsize=None)

@@ -14,7 +14,6 @@ sink's output:
 * ``MetricsRegistry.to_dict()`` minus the two wall-clock gauges;
 * the ``StructLogger`` ``sim.op`` events and its ``engine.self_profile``
   event (timestamps and wall-clock fields removed);
-* ``StreamingGroupStats.to_dict()``;
 * ``FlightRecorder.render()``.
 
 Each sink is also attached alone, and must see exactly what it sees when
@@ -39,7 +38,6 @@ from repro.faults import FaultInjector, FaultSchedule, LinkDegradation, NodeSlow
 from repro.machine.presets import mixed_pairs
 from repro.mpi import CollectiveConfig
 from repro.obs import MetricsRegistry, StructLogger, chrome_trace_events
-from repro.obs.streaming import StreamingGroupStats
 from repro.sim import Compute, Engine, Log, Recv, Send, Tracer
 from repro.sim.flight import FlightRecorder
 
@@ -155,15 +153,12 @@ def _observe(name: str) -> dict:
     log = StructLogger()
     run(metrics=log)
     ops, profile = _structlog_docs(log)
-    streaming = StreamingGroupStats()
-    run(metrics=streaming)
     return {
         "counts": counts,
         "chrome_trace": _sha(chrome_trace_events(tracer)),
         "metrics": _sha(_metrics_doc(registry)),
         "structlog_ops": _sha(ops),
         "structlog_profile": _sha(profile),
-        "streaming": _sha(streaming.to_dict()),
         "flight": _sha(flight.render()),
     }
 

@@ -142,18 +142,28 @@ class TestFaultsSweepCache:
         with pytest.raises(SystemExit):
             main(self.ARGS + ["--jobs", "0"])
 
-    def test_ledger_records_every_point_with_cache_hit_metric(self, tmp_path):
-        ledger_dir = tmp_path / "ledger"
-        argv = self.ARGS + ["--ledger", str(ledger_dir)]
-        assert main(argv) == 0
-        assert main(argv) == 0
-        ledger = RunLedger(ledger_dir)
-        entries = list(ledger.entries())
-        # (baseline + 2 severities) x 2 sweeps, no double recording.
-        assert len(entries) == 6
-        hits = [ledger.load(e.run_id)["metrics"]["cache_hit"]
-                for e in entries]
-        assert hits == [0.0] * 3 + [1.0] * 3
+    def test_ledger_records_every_point_with_cache_hit_metric(
+        self, tmp_path, monkeypatch
+    ):
+        for jobs in ("1", "2"):  # serial and pool-executed cold sweeps
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / f"cache-j{jobs}"))
+            ledger_dir = tmp_path / f"ledger-j{jobs}"
+            argv = self.ARGS + ["--jobs", jobs, "--ledger", str(ledger_dir)]
+            assert main(argv) == 0
+            assert main(argv) == 0
+            ledger = RunLedger(ledger_dir)
+            entries = list(ledger.entries())
+            # (baseline + 2 severities) x 2 sweeps, no double recording.
+            assert len(entries) == 6, jobs
+            metrics = [ledger.load(e.run_id)["metrics"] for e in entries]
+            hits = [m.pop("cache_hit") for m in metrics]
+            assert hits == [0.0] * 3 + [1.0] * 3, jobs
+            # The cache replay reproduces every ledger metric except the
+            # wall clock.
+            for cold, warm in zip(metrics[:3], metrics[3:]):
+                cold.pop("wall_seconds")
+                warm.pop("wall_seconds")
+                assert cold == warm, jobs
 
 
 class TestFlightFlag:

@@ -72,6 +72,12 @@ class TestHistory:
         out = capsys.readouterr().out
         assert "no matching runs" in out
 
+    def test_non_entry_index_line_skipped(self, capsys, ledger_dir):
+        ledger_dir.mkdir()
+        (ledger_dir / "index.jsonl").write_text("[1, 2]\n")
+        assert main(["history", "--ledger", str(ledger_dir)]) == 0
+        assert "no matching runs" in capsys.readouterr().out
+
     def test_app_filter_excludes(self, capsys, tmp_path, ledger_dir):
         run_id = profile_run(ledger_dir, tmp_path)
         capsys.readouterr()
@@ -104,6 +110,14 @@ class TestCompare:
     def test_unknown_run_exits_with_error(self, capsys, ledger_dir):
         with pytest.raises(SystemExit, match="error:"):
             main(["compare", "--ledger", str(ledger_dir), "nope", "latest"])
+
+    def test_malformed_record_file_exits_with_error(self, capsys, tmp_path,
+                                                     ledger_dir):
+        ok, bad = tmp_path / "ok.json", tmp_path / "bad.json"
+        ok.write_text('{"metrics": {"makespan": 1.0}}')
+        bad.write_text('{"metrics": [1, 2]}')
+        with pytest.raises(SystemExit, match="error: .*'metrics' is not"):
+            main(["compare", "--ledger", str(ledger_dir), str(ok), str(bad)])
 
     def test_check_flag_fails_on_regression(self, capsys, tmp_path,
                                             ledger_dir):
@@ -153,6 +167,19 @@ class TestBaseline:
         assert code == 1
         out = capsys.readouterr().out
         assert "FAIL: metric regression past threshold: makespan" in out
+
+    def test_malformed_baseline_exits_with_error(self, capsys, tmp_path,
+                                                 ledger_dir):
+        from repro.experiments.persistence import write_json_document
+        from repro.obs.regression import BASELINE_KIND
+
+        baselines = tmp_path / "baselines"
+        write_json_document(baselines / "default.json", kind=BASELINE_KIND,
+                            payload={"record": {"metrics": [1, 2]}})
+        profile_run(ledger_dir, tmp_path)
+        with pytest.raises(SystemExit, match="error: .*'metrics' is not"):
+            main(["baseline", "--ledger", str(ledger_dir), "check",
+                  "latest", "--baselines", str(baselines)])
 
     def test_warn_only_downgrades_exit(self, capsys, tmp_path, ledger_dir):
         baselines = tmp_path / "baselines"
