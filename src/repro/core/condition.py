@@ -13,15 +13,67 @@ Two solvers are provided:
   ``N`` with ``E(N) >= target``.
 * :func:`required_size_continuous` -- Brent root finding against a smooth
   model ``E(N)``, for analytic prediction (section 4.5).
+
+``_brentq`` (also Theorem 1's fixed point in :mod:`repro.core.theory`) is a port
+of scipy's C ``brentq``: the same roots bit for bit, without importing scipy.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
-from scipy.optimize import brentq
-
 from .types import MetricError, _require_positive
+
+
+def _brentq(
+    f: Callable[[float], float], a: float, b: float, xtol: float, rtol: float
+) -> float:
+    """Root of ``f`` in ``[a, b]``: scipy's ``brentq`` (same branches, stop rule and
+    100-iteration cap), raising :class:`MetricError` wherever scipy raises."""
+
+    def call(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise MetricError(f"residual is NaN at x={x!r}")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0 or fcur == 0:
+        return xpre if fpre == 0 else xcur
+    if (fpre < 0) == (fcur < 0):
+        raise MetricError(f"f(a) and f(b) must have different signs on [{a}, {b}]")
+    for _ in range(100):
+        if (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise MetricError(f"Brent's method did not converge on [{a}, {b}]")
 
 
 def required_problem_size(
@@ -108,4 +160,4 @@ def required_size_continuous(
         raise MetricError(
             f"model efficiency at upper bound N={upper} is below target {target}"
         )
-    return float(brentq(residual, lower, upper, xtol=1e-6, rtol=1e-12))
+    return _brentq(residual, lower, upper, xtol=1e-6, rtol=1e-12)

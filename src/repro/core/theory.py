@@ -25,8 +25,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from scipy.optimize import brentq
-
+from .condition import _brentq
 from .types import MetricError, _require_positive
 
 
@@ -153,4 +152,4 @@ def solve_scaled_work(
             else:
                 raise MetricError("could not bracket the scaled work W'")
         bracket = (lo, hi)
-    return float(brentq(residual, bracket[0], bracket[1], xtol=1e-9, rtol=1e-12))
+    return _brentq(residual, bracket[0], bracket[1], xtol=1e-9, rtol=1e-12)

@@ -257,8 +257,10 @@ def _event_to_dict(event: FaultEvent) -> dict[str, Any]:
 
 
 def _event_from_dict(data: dict[str, Any]) -> FaultEvent:
+    if not isinstance(data, dict):
+        raise FaultScheduleError(f"fault event must be an object, got {data!r}")
     kind = data.get("type")
-    cls = _EVENT_TYPES.get(kind)  # type: ignore[arg-type]
+    cls = _EVENT_TYPES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise FaultScheduleError(f"unknown fault event type {kind!r}")
     known = {f.name for f in fields(cls)}

@@ -1,7 +1,7 @@
 """The simulated MPI communicator and run helper.
 
-Programs are written SPMD-style against :class:`Comm`, whose methods are
-generators used with ``yield from`` -- mirroring mpi4py's lower-case
+Programs are written SPMD-style against :class:`Comm`, whose methods
+return generators used with ``yield from`` -- mirroring mpi4py's lower-case
 object API (``send``/``recv``/``bcast``/``gather``/...)::
 
     def program(comm):
@@ -139,10 +139,10 @@ class Comm:
         return msg
 
     # -- collectives -------------------------------------------------------
-    # ``bcast`` and ``barrier`` sit on the per-elimination-step hot path
-    # of GE/MM (two broadcasts plus a barrier per column), so the peer
-    # check and tag allocation are inlined rather than delegated to
-    # ``_check_peer`` / ``_next_coll_tag``.
+    # Each validates, takes its tag block and returns the algorithm's own
+    # generator: ``yield from comm.bcast(...)`` enters one frame, not two.
+    # ``bcast``/``barrier`` sit on GE/MM's per-column hot path, so their
+    # peer check and tag allocation are inlined.
 
     def bcast(
         self,
@@ -155,7 +155,7 @@ class Comm:
             raise RankError(f"peer rank {root} out of range for size {self.size}")
         seq = self._coll_seq
         self._coll_seq = seq + 1
-        result = yield from _BCAST_ALGOS[self.config.bcast](
+        return _BCAST_ALGOS[self.config.bcast](
             self.rank,
             self.size,
             root,
@@ -163,7 +163,6 @@ class Comm:
             payload,
             COLLECTIVE_TAG_BASE + seq * _TAGS_PER_COLLECTIVE,
         )
-        return result
 
     def barrier(self, root: int = 0) -> Generator[Any, Any, None]:
         """Synchronize all ranks."""
@@ -171,7 +170,7 @@ class Comm:
             raise RankError(f"peer rank {root} out of range for size {self.size}")
         seq = self._coll_seq
         self._coll_seq = seq + 1
-        yield from _BARRIER_ALGOS[self.config.barrier](
+        return _BARRIER_ALGOS[self.config.barrier](
             self.rank, self.size, root,
             COLLECTIVE_TAG_BASE + seq * _TAGS_PER_COLLECTIVE,
         )
@@ -186,10 +185,7 @@ class Comm:
         self._check_peer(root)
         tag = self._next_coll_tag()
         size = nbytes_of(payload) if nbytes is None else float(nbytes)
-        result = yield from collectives.gatherv(
-            self.rank, self.size, root, payload, size, tag
-        )
-        return result
+        return collectives.gatherv(self.rank, self.size, root, payload, size, tag)
 
     def scatter(
         self,
@@ -200,10 +196,7 @@ class Comm:
         """Scatter one part per rank from root; returns this rank's part."""
         self._check_peer(root)
         tag = self._next_coll_tag()
-        result = yield from collectives.scatterv(
-            self.rank, self.size, root, payloads, sizes, tag
-        )
-        return result
+        return collectives.scatterv(self.rank, self.size, root, payloads, sizes, tag)
 
     def reduce(
         self,
@@ -216,10 +209,7 @@ class Comm:
         self._check_peer(root)
         tag = self._next_coll_tag()
         size = nbytes_of(value) if nbytes is None else float(nbytes)
-        result = yield from collectives.reduce(
-            self.rank, self.size, root, value, size, op, tag
-        )
-        return result
+        return collectives.reduce(self.rank, self.size, root, value, size, op, tag)
 
     def allreduce(
         self,
@@ -250,10 +240,7 @@ class Comm:
         """Personalized exchange: returns the per-source received list
         (own contribution passes through untouched)."""
         tag = self._next_coll_tag()
-        result = yield from collectives.alltoallv(
-            self.rank, self.size, payloads, sizes, tag
-        )
-        return result
+        return collectives.alltoallv(self.rank, self.size, payloads, sizes, tag)
 
 
 #: An SPMD program: called once per rank with that rank's communicator.

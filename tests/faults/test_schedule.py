@@ -141,8 +141,11 @@ class TestSerialization:
             FaultSchedule.load(path)
 
     def test_unknown_event_type_rejected(self):
-        with pytest.raises(FaultScheduleError):
-            FaultSchedule.from_payload({"events": [{"type": "meteor"}]})
+        # Unknown names, non-object events and non-string types.
+        for event in ({"type": "meteor"}, 1, "slowdown", None,
+                      {"type": ["slowdown"]}, {"type": {"a": 1}}, {}):
+            with pytest.raises(FaultScheduleError):
+                FaultSchedule.from_payload({"events": [event]})
 
     def test_profile_hash_stable_and_content_sensitive(self):
         a = self.round_trip()

@@ -71,6 +71,16 @@ class TestFaultsRun:
         events = json.loads(trace.read_text())
         assert any(e.get("cat") == "fault" for e in events)
 
+    @pytest.mark.parametrize("event", [1, {"type": ["slowdown"]}])
+    def test_malformed_schedule_file_rejected(self, tmp_path, event):
+        from repro.experiments.persistence import write_json_document
+
+        path = tmp_path / "bad.json"
+        write_json_document(path, "fault-schedule", {"events": [event]})
+        with pytest.raises(SystemExit) as exc:
+            main(["faults", "run", "--size", "120", "--schedule", str(path)])
+        assert str(exc.value).startswith("error: ")
+
     def test_missing_fault_source_rejected(self):
         with pytest.raises(SystemExit):
             main(["faults", "run", "--size", "120"])
