@@ -175,7 +175,7 @@ def make_ge_program(options: GEOptions):
             count = my_counts_after[k]
             if count:
                 flops = count * (2.0 * (n - k) + 1.0)
-                yield Compute(flops=flops)
+                yield Compute(flops)
                 if options.numeric:
                     assert pivot is not None
                     piv_val = pivot[0]

@@ -428,7 +428,7 @@ class FaultSchedule:
 
     @classmethod
     def from_payload(cls, payload: dict[str, Any]) -> "FaultSchedule":
-        raw = payload.get("events")
+        raw = payload.get("events") if isinstance(payload, dict) else None
         if not isinstance(raw, list):
             raise FaultScheduleError(
                 "fault-schedule payload must contain an 'events' list"

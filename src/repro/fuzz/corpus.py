@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from .errors import CorpusError
+from .errors import CorpusError, ScenarioError
 from .oracle import CheckConfig, ScenarioReport, check_scenario
 from .scenario import Scenario
 
@@ -70,18 +70,27 @@ class CorpusCase:
 
     @classmethod
     def from_payload(cls, payload: dict[str, Any]) -> "CorpusCase":
+        """Rebuild a case; any malformed field is a CorpusError."""
+        if not isinstance(payload, dict):
+            raise CorpusError(f"corpus case must be an object, got {payload!r}")
         try:
-            scenario = Scenario.from_payload(payload["scenario"])
-        except Exception as exc:
+            scenario = Scenario.from_payload(payload.get("scenario"))
+        except ScenarioError as exc:
             raise CorpusError(f"malformed corpus scenario: {exc}") from exc
         expected = payload.get("expected")
         if expected is not None:
+            if not isinstance(expected, dict) or any(
+                type(v) not in (int, float) for v in expected.values()
+            ):
+                raise CorpusError(f"expected must map metrics to numbers, "
+                                  f"got {expected!r}")
             expected = {k: float(v) for k, v in expected.items()}
-        return cls(
-            scenario=scenario,
-            expected=expected,
-            provenance=dict(payload.get("provenance") or {}),
-        )
+        provenance = payload.get("provenance") or {}
+        if not isinstance(provenance, dict):
+            raise CorpusError(f"provenance must be an object, "
+                              f"got {provenance!r}")
+        return cls(scenario=scenario, expected=expected,
+                   provenance=dict(provenance))
 
 
 def make_case(

@@ -25,6 +25,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from ..experiments.runner import resolve_app
+from ..faults.errors import FaultScheduleError
 from ..faults.schedule import FaultSchedule
 from ..machine.cluster import ClusterSpec
 from ..machine.presets import GENERIC_NODE
@@ -142,12 +143,15 @@ class ClusterModel:
 
     @classmethod
     def from_payload(cls, payload: dict[str, Any]) -> "ClusterModel":
-        raw = payload.get("groups")
-        if not isinstance(raw, list):
+        raw = payload.get("groups") if isinstance(payload, dict) else None
+        if not isinstance(raw, list) or any(
+            not isinstance(g, list) or len(g) != 2 for g in raw
+        ):
             raise ScenarioError(
-                "cluster payload must contain a 'groups' list"
+                f"cluster payload needs [name, count] 'groups', got {payload!r}"
             )
-        groups = tuple((str(name), int(count)) for name, count in raw)
+        # Counts pass through unconverted: __post_init__ rejects non-ints.
+        groups = tuple((str(name), count) for name, count in raw)
         return cls(groups=groups, network=str(payload.get("network", "bus")))
 
 
@@ -170,6 +174,8 @@ class Scenario:
         object.__setattr__(self, "app", canonical)
         if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 2:
             raise ScenarioError(f"n must be an int >= 2, got {self.n!r}")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise ScenarioError(f"seed must be an int, got {self.seed!r}")
         if canonical == "fft" and self.n & (self.n - 1):
             raise ScenarioError(
                 f"fft problem sizes must be powers of two, got {self.n}"
@@ -218,13 +224,25 @@ class Scenario:
 
     @classmethod
     def from_payload(cls, payload: dict[str, Any]) -> "Scenario":
+        """Rebuild a scenario; any malformed field is a ScenarioError."""
+        if not isinstance(payload, dict) or not (
+            {"app", "n", "cluster", "schedule"} <= payload.keys()
+        ):
+            raise ScenarioError(
+                f"scenario payload needs app, n, cluster and schedule, "
+                f"got {payload!r}"
+            )
+        try:
+            schedule = FaultSchedule.from_payload(payload["schedule"])
+        except FaultScheduleError as exc:
+            raise ScenarioError(f"malformed fault schedule: {exc}") from exc
         wrapper = payload.get("network_wrapper")
         return cls(
             app=str(payload["app"]),
-            n=int(payload["n"]),
+            n=payload["n"],
             cluster=ClusterModel.from_payload(payload["cluster"]),
-            schedule=FaultSchedule.from_payload(payload["schedule"]),
-            seed=int(payload.get("seed", 0)),
+            schedule=schedule,
+            seed=payload.get("seed", 0),
             network_wrapper=None if wrapper is None else str(wrapper),
         )
 

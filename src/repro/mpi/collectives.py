@@ -25,6 +25,9 @@ from typing import Any, Callable, Generator, Sequence
 from ..sim.events import Multicast, Recv, Send
 from .errors import CollectiveError
 
+# Ops are built positionally: a keyword call makes ``type.__call__`` build
+# a kwargs dict first, roughly doubling these per-event constructors' cost.
+
 #: Start of the tag space reserved for collectives.
 COLLECTIVE_TAG_BASE = 1 << 20
 
@@ -36,9 +39,9 @@ def flat_bcast(
     if rank == root:
         for dst in range(size):
             if dst != root:
-                yield Send(dst, nbytes, tag=tag, payload=payload)
+                yield Send(dst, nbytes, tag, payload)
         return payload
-    msg = yield Recv(src=root, tag=tag)
+    msg = yield Recv(root, tag)
     return msg.payload
 
 
@@ -55,9 +58,9 @@ def ethernet_bcast(
     if rank == root:
         dsts = tuple(d for d in range(size) if d != root)
         if dsts:
-            yield Multicast(dsts, nbytes, tag=tag, payload=payload)
+            yield Multicast(dsts, nbytes, tag, payload)
         return payload
-    msg = yield Recv(src=root, tag=tag)
+    msg = yield Recv(root, tag)
     return msg.payload
 
 
@@ -82,14 +85,14 @@ def binomial_bcast(
     rel = (rank - root) % size
     if rel != 0:
         parent = (_binomial_parent(rel) + root) % size
-        msg = yield Recv(src=parent, tag=tag)
+        msg = yield Recv(parent, tag)
         payload = msg.payload
     m = 1
     while m <= rel:
         m <<= 1
     while rel + m < size:
         dst = (rel + m + root) % size
-        yield Send(dst, nbytes, tag=tag, payload=payload)
+        yield Send(dst, nbytes, tag, payload)
         m <<= 1
     return payload
 
@@ -103,13 +106,13 @@ def linear_barrier(
     if rank == root:
         for src in range(size):
             if src != root:
-                yield Recv(src=src, tag=tag)
+                yield Recv(src, tag)
         for dst in range(size):
             if dst != root:
-                yield Send(dst, 0.0, tag=tag + 1)
+                yield Send(dst, 0.0, tag + 1)
     else:
-        yield Send(root, 0.0, tag=tag)
-        yield Recv(src=root, tag=tag + 1)
+        yield Send(root, 0.0, tag)
+        yield Recv(root, tag + 1)
 
 
 def tree_barrier(
@@ -129,10 +132,10 @@ def tree_barrier(
         children.append((rel + mm + root) % size)
         mm <<= 1
     for child in reversed(children):
-        yield Recv(src=child, tag=tag)
+        yield Recv(child, tag)
     if rel != 0:
         parent = (_binomial_parent(rel) + root) % size
-        yield Send(parent, 0.0, tag=tag)
+        yield Send(parent, 0.0, tag)
     # Release phase: a zero-byte binomial broadcast.
     yield from binomial_bcast(rank, size, root, 0.0, None, tag + 1)
 
@@ -151,10 +154,10 @@ def gatherv(
         parts[root] = payload
         for src in range(size):
             if src != root:
-                msg = yield Recv(src=src, tag=tag)
+                msg = yield Recv(src, tag)
                 parts[src] = msg.payload
         return parts
-    yield Send(root, nbytes, tag=tag, payload=payload)
+    yield Send(root, nbytes, tag, payload)
     return None
 
 
@@ -178,9 +181,9 @@ def scatterv(
                 continue
             part = payloads[dst] if payloads is not None else None
             part_bytes = sizes[dst] if sizes is not None else _payload_bytes(part)
-            yield Send(dst, part_bytes, tag=tag, payload=part)
+            yield Send(dst, part_bytes, tag, part)
         return payloads[root] if payloads is not None else None
-    msg = yield Recv(src=root, tag=tag)
+    msg = yield Recv(root, tag)
     return msg.payload
 
 
@@ -209,10 +212,10 @@ def alltoallv(
         dst = (rank + offset) % size
         part = payloads[dst] if payloads is not None else None
         part_bytes = sizes[dst] if sizes is not None else _payload_bytes(part)
-        yield Send(dst, part_bytes, tag=tag, payload=part)
+        yield Send(dst, part_bytes, tag, part)
     for offset in range(1, size):
         src = (rank - offset) % size
-        msg = yield Recv(src=src, tag=tag)
+        msg = yield Recv(src, tag)
         received[src] = msg.payload
     return received
 
@@ -235,7 +238,7 @@ def reduce(
         pending: dict[int, Any] = {}
         for src in range(size):
             if src != root:
-                msg = yield Recv(src=src, tag=tag)
+                msg = yield Recv(src, tag)
                 pending[src] = msg.payload
         acc: Any = None
         first = True
@@ -246,7 +249,7 @@ def reduce(
             else:
                 acc = op(acc, contrib)
         return acc
-    yield Send(root, nbytes, tag=tag, payload=value)
+    yield Send(root, nbytes, tag, value)
     return None
 
 

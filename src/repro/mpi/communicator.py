@@ -118,7 +118,7 @@ class Comm:
         self._check_peer(dst)
         self._check_user_tag(tag)
         size = nbytes_of(payload) if nbytes is None else float(nbytes)
-        yield Send(dst, size, tag=tag, payload=payload)
+        yield Send(dst, size, tag, payload)
 
     def recv(
         self,
@@ -135,7 +135,7 @@ class Comm:
         """
         self._check_peer(src, wildcard_ok=True)
         self._check_user_tag(tag)
-        msg = yield Recv(src=src, tag=tag, timeout=timeout)
+        msg = yield Recv(src, tag, timeout)
         return msg
 
     # -- collectives -------------------------------------------------------

@@ -17,12 +17,14 @@ Registration contract (the sanctioned extension point for ``repro.mpi``,
   "yield the primitive types directly" rule).
 * A factory has signature ``factory(ctx) -> handler``; it runs once per
   ``Engine.run`` and should bind whatever run state it needs
-  (``ctx.scheduler.push_resume``, ``ctx.stats``, ``ctx.deliver``, ...)
+  (``ctx.stats``, ``ctx.deliver``, ``ctx.scheduler.push_resume``, ...)
   into the closure so the per-event call stays cheap.
-* The handler has signature ``handler(proc, op) -> None``.  It must leave
-  ``proc`` either re-queued (``push_resume``), blocked on a receive
-  (``proc.waiting`` set), or untouched mid-delivery — exactly like the
-  built-in primitives in :mod:`repro.sim.engine`, which are registered
+* The handler has signature ``handler(proc, op) -> None``.  It advances
+  ``proc.time`` (and may set ``proc.pending``, the generator's resume
+  value).  The engine re-queues the yielding rank afterwards unless the
+  handler blocked it on a receive (``proc.waiting`` set); a handler only
+  queues *other* ranks (``ctx.deliver`` does so for a completed receive).
+  The built-in primitives in :mod:`repro.sim.engine` are registered
   through this same interface and double as reference implementations.
 
 The built-in primitives live on the shared default table

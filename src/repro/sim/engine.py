@@ -12,14 +12,16 @@ The engine is composed of three layers (see docs/API.md, "Engine
 architecture"):
 
 * :class:`~repro.sim.scheduler.Scheduler` — the time-ordered run queue:
-  heap, seq stamps, stale-entry and receive-timeout bookkeeping.
+  a ``(time, seq, rank)`` heap plus a seq counter.  The run loop itself
+  re-queues or directly resumes the rank that just yielded;
+  ``heap_pushes`` counts seq stamps, so direct resumes are included.
 * :class:`~repro.sim.mailbox.MailboxSet` — per-``(src, tag)`` indexed
   message matching with an exact wildcard path (smallest ``(arrival,
   seq)`` wins) and timed-receive deadline filtering.
 * :class:`~repro.sim.dispatch.DispatchTable` — the ``{op type: handler}``
   table the hot loop resolves ``type(op)`` through.  The built-in
   primitives below register into the default table exactly like an
-  extension would.
+  extension would; a handler only queues *other* ranks.
 
 Observation is one stream: each handler passes the raw record tuple
 ``(rank, kind, start, end, *extras)`` (layout in :mod:`repro.sim.trace`)
@@ -55,6 +57,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Sequence
 
 from .dispatch import DispatchTable, default_dispatch, register_handler
@@ -155,13 +158,12 @@ class RunResult:
 class _Proc:
     """Book-keeping for one simulated process."""
 
-    __slots__ = ("rank", "gen", "send", "time", "done", "waiting",
+    __slots__ = ("rank", "send", "time", "done", "waiting",
                  "block_start", "pending", "value", "resume_seq",
                  "deadline_seq")
 
     def __init__(self, rank: int, gen: Program):
         self.rank = rank
-        self.gen = gen
         self.send = gen.send  # bound once; resumed once per primitive event
         self.time = 0.0
         self.done = False
@@ -182,10 +184,11 @@ class RunContext:
 
     ``emit(rec)`` hands one raw record tuple to every attached sink, or
     is ``None`` when nothing listens.  ``complete_recv(proc, msg,
-    posted_at)`` accounts a matched receive and re-queues the process;
-    ``deliver(msg)`` routes a just-arrived message to an eligible waiting
-    receive or into the mailbox index, enforcing the timed-receive
-    deadline rule in both cases.
+    posted_at)`` only accounts a matched receive; whoever completes
+    another rank's receive queues that rank.  ``deliver(msg)`` routes a
+    just-arrived message to an eligible waiting receive (and queues that
+    rank) or into the mailbox index, enforcing the timed-receive deadline
+    rule in both cases.
     """
 
     __slots__ = ("engine", "nranks", "flops_per_second", "network",
@@ -241,7 +244,6 @@ class RunContext:
             proc.waiting = None
             proc.deadline_seq = None  # cancel any pending receive timeout
             proc.pending = msg
-            push(proc)
 
         def deliver(msg: Message) -> None:
             dst_proc = procs[msg.dst]
@@ -256,6 +258,7 @@ class RunContext:
                 )
             ):
                 complete_recv(dst_proc, msg, dst_proc.block_start)
+                push(dst_proc)
             else:
                 # No eligible waiter (none posted, no match, or the
                 # arrival is past a timed receive's deadline).
@@ -393,7 +396,7 @@ class Engine:
         # Pop/stale accounting lives in loop locals rather than Scheduler
         # attributes: this is the hottest line in the engine and a local
         # integer increment is measurably cheaper.
-        pop = scheduler.pop
+        heap = scheduler.heap
         push = scheduler.push_resume
         finish_time_col = stats.finish_time
         recv_wait_col = stats.recv_wait_time
@@ -407,7 +410,7 @@ class Engine:
         try:
             while live > 0:
                 try:
-                    entry_time, entry_seq, rank = pop()
+                    entry_time, entry_seq, rank = heappop(heap)
                 except IndexError:
                     raise DeadlockError(
                         {
@@ -422,28 +425,43 @@ class Engine:
                 # current resume stamp (a process is only ever queued while
                 # runnable, and each entry is consumed at most once) ...
                 if entry_seq == proc.resume_seq:
-                    send_back = proc.pending
-                    proc.pending = None
-                    try:
-                        op = proc.send(send_back)
-                    except StopIteration as stop:
-                        proc.done = True
-                        proc.value = stop.value
-                        finish_time_col[rank] = proc.time
-                        live -= 1
-                        continue
+                    send = proc.send
+                    while True:
+                        send_back = proc.pending
+                        proc.pending = None
+                        try:
+                            op = send(send_back)
+                        except StopIteration as stop:
+                            proc.done = True
+                            proc.value = stop.value
+                            finish_time_col[rank] = proc.time
+                            live -= 1
+                            break
 
-                    events += 1
-                    if events > max_events:
-                        raise EventLimitExceeded(
-                            f"exceeded max_events={max_events}; "
-                            "likely an unbounded program"
-                        )
-                    try:
-                        handler = handlers[op.__class__]
-                    except KeyError:
-                        self._reject_op(rank, op)
-                    handler(proc, op)
+                        events += 1
+                        if events > max_events:
+                            raise EventLimitExceeded(
+                                f"exceeded max_events={max_events}; "
+                                "likely an unbounded program"
+                            )
+                        try:
+                            handler = handlers[op.__class__]
+                        except KeyError:
+                            self._reject_op(rank, op)
+                        handler(proc, op)
+                        if proc.waiting is not None:
+                            break  # blocked on a receive
+                        # Re-queue the yielding rank: stamp a seq, resume
+                        # it at once if strictly earliest (the fresh seq
+                        # loses ties) as one push + one pop, else queue it.
+                        s = scheduler.seq
+                        scheduler.seq = s + 1
+                        t = proc.time
+                        if heap and heap[0][0] <= t:
+                            proc.resume_seq = s
+                            heappush(heap, (t, s, rank))
+                            break
+                        pops += 1
                 # ... or its pending receive-timeout stamp: resume the blocked
                 # process with None at the deadline instant.
                 elif proc.waiting is not None and entry_seq == proc.deadline_seq:
@@ -567,9 +585,11 @@ def _send_factory(ctx: RunContext):
     bytes_sent = stats.bytes_sent
     messages_sent = stats.messages_sent
     messages_lost = stats.messages_lost
+    recv_wait_time = stats.recv_wait_time
+    bytes_received = stats.bytes_received
+    messages_received = stats.messages_received
     emit = ctx.emit
     procs = ctx.procs
-    complete_recv = ctx.complete_recv
     deposit = ctx.mailboxes.deposit
     new_seq = ctx.mailboxes.new_seq
     push = ctx.scheduler.push_resume
@@ -601,12 +621,11 @@ def _send_factory(ctx: RunContext):
             # Lost in transit: sender paid, nothing is delivered.
             messages_lost[rank] += 1
         else:
-            # ctx.deliver inlined (point-to-point sends dominate traffic):
-            # hand the message to an eligible blocked receive, else mailbox.
-            msg = Message(
-                src=rank, dst=dst, tag=tag, nbytes=nbytes,
-                payload=op.payload, arrival=arrival, seq=new_seq(),
-            )
+            # ctx.deliver and complete_recv inlined (point-to-point sends
+            # dominate traffic): hand the message to an eligible blocked
+            # receive and queue that rank, else mailbox it.
+            msg = Message(rank, dst, tag, nbytes, op.payload, arrival,
+                          new_seq())
             dst_proc = procs[dst]
             waiting = dst_proc.waiting
             if (
@@ -618,10 +637,20 @@ def _send_factory(ctx: RunContext):
                     or arrival <= dst_proc.block_start + waiting.timeout
                 )
             ):
-                complete_recv(dst_proc, msg, dst_proc.block_start)
+                posted_at = dst_proc.block_start  # == its clock while blocked
+                t = arrival if arrival > posted_at else posted_at
+                dst_proc.time = t
+                recv_wait_time[dst] += t - posted_at
+                bytes_received[dst] += nbytes
+                messages_received[dst] += 1
+                if emit is not None:
+                    emit((dst, "recv", posted_at, t, rank, tag, nbytes))
+                dst_proc.waiting = None
+                dst_proc.deadline_seq = None  # cancel a receive timeout
+                dst_proc.pending = msg
+                push(dst_proc)
             else:
                 deposit(msg)
-        push(proc)
 
     return handle_send
 
@@ -658,7 +687,6 @@ def _compute_factory(ctx: RunContext):
     flops_col = stats.flops
     compute_time = stats.compute_time
     emit = ctx.emit
-    push = ctx.scheduler.push_resume
 
     def handle_compute(proc: _Proc, op: Compute) -> None:
         rank = proc.rank
@@ -676,7 +704,6 @@ def _compute_factory(ctx: RunContext):
         compute_time[rank] += duration
         if emit is not None:
             emit((rank, "compute", start, end, flops))
-        push(proc)
 
     return handle_compute
 
@@ -694,7 +721,6 @@ def _multicast_factory(ctx: RunContext):
     emit = ctx.emit
     deliver = ctx.deliver
     new_seq = ctx.mailboxes.new_seq
-    push = ctx.scheduler.push_resume
 
     def handle_multicast(proc: _Proc, op: Multicast) -> None:
         rank = proc.rank
@@ -708,7 +734,6 @@ def _multicast_factory(ctx: RunContext):
                     f"(nranks={nranks})"
                 )
         if not remote:
-            push(proc)
             return
         deliveries: list[tuple[int, float]] = []
         lost = 0
@@ -754,22 +779,16 @@ def _multicast_factory(ctx: RunContext):
             emit((rank, "multicast", start, sender_done, len(remote),
                   op.tag, nbytes))
         for dst, arrival in deliveries:
-            deliver(Message(
-                src=rank, dst=dst, tag=op.tag, nbytes=nbytes,
-                payload=op.payload, arrival=arrival, seq=new_seq(),
-            ))
-        push(proc)
+            deliver(Message(rank, dst, op.tag, nbytes, op.payload, arrival,
+                            new_seq()))
 
     return handle_multicast
 
 
 @register_handler(Now)
 def _now_factory(ctx: RunContext):
-    push = ctx.scheduler.push_resume
-
     def handle_now(proc: _Proc, op: Now) -> None:
         proc.pending = proc.time
-        push(proc)
 
     return handle_now
 
@@ -777,11 +796,9 @@ def _now_factory(ctx: RunContext):
 @register_handler(Log)
 def _log_factory(ctx: RunContext):
     emit = ctx.emit
-    push = ctx.scheduler.push_resume
 
     def handle_log(proc: _Proc, op: Log) -> None:
         if emit is not None:
             emit((proc.rank, "log", proc.time, proc.time, op.message))
-        push(proc)
 
     return handle_log

@@ -1,34 +1,20 @@
 """Scheduler layer: the engine's time-ordered run queue.
 
-The :class:`Scheduler` owns the ``(virtual time, seq, rank)`` min-heap the
-engine pops to always advance the runnable process with the smallest local
-clock (the conservative invariant), plus the bookkeeping that used to be
-spread through the monolithic run loop:
+The :class:`Scheduler` is a ``(virtual time, seq, rank)`` min-heap plus a
+seq counter.  The engine pops it to always advance the runnable process
+with the smallest local clock (the conservative invariant).
 
-* a monotonically increasing ``seq`` stamp that breaks time ties in push
-  order and identifies *live* entries — a process records the seq of its
+* The monotonically increasing ``seq`` stamp breaks time ties in stamp
+  order and identifies *live* entries: a process records the seq of its
   current resume entry (``resume_seq``) and of a pending receive-timeout
   entry (``deadline_seq``); popped entries matching neither are stale and
-  must be skipped (the engine counts them as it pops);
-* the ``pushes`` count surfaced in :class:`~repro.sim.engine.RunResult`
-  and the run ledger — every push consumes exactly one seq, so ``pushes``
-  is derived from ``seq`` rather than counted separately.  Pops (and the
-  stale subset) are counted by the popping loop itself: a loop-local
-  integer is measurably cheaper than an attribute increment on the hottest
-  line of the whole engine.
+  are skipped (the engine counts them as it pops).
+* ``pushes`` counts seq stamps.  The run loop re-queues the rank that
+  just yielded itself and stamps a seq even when it resumes that rank at
+  once (still the strict minimum), so the counts equal a pure heap's.
 
-A one-slot *pending* buffer keeps the most recently pushed entry out of
-the heap when it is already the global minimum — the common case when the
-just-run process remains the earliest (long compute chains, a root rank
-streaming broadcast sends while everyone else blocks).  A pending-slot hit
-replaces a ``heappush`` + ``heappop`` pair with two comparisons while
-preserving the exact pop order of a pure heap: the slot always holds an
-entry no larger than the heap minimum.
-
-The push bodies are deliberately duplicated between :meth:`push_resume`
-and :meth:`push_deadline` instead of sharing a helper: one Python call
-frame per simulated event is the difference between this layer being free
-and it costing ~5% of engine throughput.
+:meth:`push_resume` and :meth:`push_deadline` queue *other* ranks: a
+receive completed by a sender, a receive timeout.
 """
 
 from __future__ import annotations
@@ -41,29 +27,21 @@ Entry = tuple[float, int, int]
 
 
 class Scheduler:
-    """Min-heap run queue with stale-entry and timeout bookkeeping."""
+    """Min-heap run queue with a seq counter for stale-entry bookkeeping."""
 
-    __slots__ = ("_heap", "_pending", "seq")
+    __slots__ = ("heap", "seq")
 
     def __init__(self) -> None:
-        self._heap: list[Entry] = []
-        self._pending: Entry | None = None
+        self.heap: list[Entry] = []
         self.seq = 0
 
-    def __bool__(self) -> bool:
-        return self._pending is not None or bool(self._heap)
-
     def __len__(self) -> int:
-        return len(self._heap) + (self._pending is not None)
+        return len(self.heap)
 
     @property
     def pushes(self) -> int:
         """Entries pushed so far (== seq stamps consumed)."""
         return self.seq
-
-    # -- pushes ----------------------------------------------------------
-    # Invariant maintained by both push paths: self._pending, when set,
-    # compares <= every heap entry, so pop() may return it unconditionally.
 
     def push_resume(self, proc: Any) -> None:
         """Queue ``proc`` (anything with ``time``/``rank``/``resume_seq``)
@@ -71,50 +49,21 @@ class Scheduler:
         entry is recognized as live when popped."""
         s = self.seq
         self.seq = s + 1
-        entry = (proc.time, s, proc.rank)
         proc.resume_seq = s
-        pending = self._pending
-        if pending is None:
-            heap = self._heap
-            if not heap or entry < heap[0]:
-                self._pending = entry
-            else:
-                heappush(heap, entry)
-        elif entry < pending:
-            heappush(self._heap, pending)
-            self._pending = entry
-        else:
-            heappush(self._heap, entry)
+        heappush(self.heap, (proc.time, s, proc.rank))
 
     def push_deadline(self, time: float, rank: int) -> int:
         """Queue a receive-timeout wakeup for ``rank`` at ``time``; returns
         the entry's seq for the process's ``deadline_seq`` bookkeeping."""
         s = self.seq
         self.seq = s + 1
-        entry = (time, s, rank)
-        pending = self._pending
-        if pending is None:
-            heap = self._heap
-            if not heap or entry < heap[0]:
-                self._pending = entry
-            else:
-                heappush(heap, entry)
-        elif entry < pending:
-            heappush(self._heap, pending)
-            self._pending = entry
-        else:
-            heappush(self._heap, entry)
+        heappush(self.heap, (time, s, rank))
         return s
 
-    # -- pops ------------------------------------------------------------
     def pop(self) -> Entry:
         """Remove and return the globally earliest entry.
 
         Raises :class:`IndexError` when empty (the engine turns that into
         a :class:`~repro.sim.errors.DeadlockError` with context).
         """
-        entry = self._pending
-        if entry is not None:
-            self._pending = None
-            return entry
-        return heappop(self._heap)
+        return heappop(self.heap)

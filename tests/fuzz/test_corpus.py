@@ -84,14 +84,23 @@ class TestSaveLoadReplay:
     def test_malformed_case_file_raises_corpus_error(self, tmp_path):
         from repro.experiments.persistence import write_json_document
 
-        path = tmp_path / "bad.json"
-        write_json_document(path, "fuzz-case", {
-            "scenario": {"app": "nope", "n": 2,
-                         "cluster": {"groups": [["blade", 2]]},
-                         "schedule": {"events": []}},
-        })
-        with pytest.raises(CorpusError):
-            load_case(path)
+        scenario = {"app": "ge", "n": 16,
+                    "cluster": {"groups": [["blade", 2]]},
+                    "schedule": {"events": []}}
+        bad_cases = [
+            {"scenario": {**scenario, "app": "nope"}},
+            {"scenario": {**scenario, "n": "abc"}},
+            {"scenario": scenario, "expected": {"makespan": "abc"}},
+            {"scenario": scenario, "expected": [1.0]},
+            {"scenario": scenario, "provenance": "hand-written"},
+            {"scenario": scenario, "provenance": [1]},
+            {"expected": {"makespan": 1.0}},
+        ]
+        for i, payload in enumerate(bad_cases):
+            path = tmp_path / f"bad{i}.json"
+            write_json_document(path, "fuzz-case", payload)
+            with pytest.raises(CorpusError):
+                load_case(path)
 
     def test_replay_corpus_walks_directory(self, faulted_scenario,
                                            clean_scenario, tmp_path):

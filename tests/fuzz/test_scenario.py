@@ -122,6 +122,29 @@ class TestScenario:
         assert back.scenario_hash() == scenario.scenario_hash()
         assert len(scenario.scenario_hash()) == 16
 
+    @pytest.mark.parametrize("change", [
+        {"app": None},
+        {"n": "abc"},
+        {"n": 16.9},
+        {"n": 16.0},
+        {"seed": "7"},
+        {"cluster": [1]},
+        {"cluster": {"groups": [["blade"]]}},
+        {"cluster": {"groups": [["blade", 2.5]]}},
+        {"schedule": None},
+        {"schedule": [1]},
+        {"schedule": {"events": [{"type": "meteor"}]}},
+    ], ids=["no-app", "n-str", "n-fraction", "n-float", "seed-str", "cluster-list",
+            "group-no-count", "count-fraction", "no-schedule",
+            "schedule-list", "unknown-event"])
+    def test_malformed_payload_raises_scenario_error(self, tiny_cluster,
+                                                     change):
+        payload = Scenario(app="ge", n=16, cluster=tiny_cluster).to_payload()
+        payload.update(change)
+        payload = {k: v for k, v in payload.items() if v is not None}
+        with pytest.raises(ScenarioError):
+            Scenario.from_payload(payload)
+
     def test_hash_is_content_sensitive(self, clean_scenario):
         other = Scenario(
             app=clean_scenario.app, n=clean_scenario.n * 2,

@@ -27,11 +27,10 @@ class Sleep(SimOp):
 
 
 def _sleep_factory(ctx):
-    push = ctx.scheduler.push_resume
-
+    # The engine re-queues the yielding rank after the handler returns;
+    # a handler only queues *other* ranks.
     def handle_sleep(proc, op):
         proc.time += op.seconds
-        push(proc)
 
     return handle_sleep
 
@@ -52,6 +51,7 @@ class TestCustomOps:
         result = _engine(dispatch=table).run(program)
         assert result.finish_times == [3.0]
         assert result.events == 2
+        assert result.stale_pops == 0
 
     def test_copy_does_not_leak_into_default_table(self):
         table = default_dispatch().copy()

@@ -373,3 +373,21 @@ class TestHeapAccounting:
         assert result.stale_pop_ratio == (
             result.stale_pops / result.heap_pops
         )
+
+
+class TestDirectResume:
+    def test_time_tie_goes_to_queued_rank_not_direct_resume(self):
+        """The run loop resumes the rank that just yielded at once only
+        when it is *strictly* earliest: its fresh seq loses every time
+        tie, so two ranks computing in lockstep alternate."""
+        tracer = Tracer()
+
+        def program(rank):
+            for _ in range(3):
+                yield Compute(seconds=1.0)
+
+        result = make_engine(2, tracer=tracer).run(program)
+        computes = tracer.by_kind("compute")
+        assert [r.rank for r in computes] == [0, 1, 0, 1, 0, 1]
+        assert [r.start for r in computes] == [0.0, 0.0, 1.0, 1.0, 2.0, 2.0]
+        assert result.stale_pops == 0

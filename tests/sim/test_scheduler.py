@@ -1,10 +1,11 @@
-"""Scheduler-layer invariants: pop order, seq stamps, pending-slot buffer.
+"""Scheduler-layer invariants: pop order, seq stamps, heap size.
 
-The one-slot pending buffer is a pure optimization: for any interleaving
-of pushes and pops the scheduler must pop entries in exactly the order a
-plain heap would (sorted by ``(time, seq)``), because the engine's
-conservative invariant — always advance the smallest local clock — and
-the run's bit-identity both ride on it.
+For any interleaving of pushes and pops the scheduler must pop entries in
+exactly the order a plain heap would (sorted by ``(time, seq)``), because
+the engine's conservative invariant — always advance the smallest local
+clock — and the run's bit-identity both ride on it.  The engine's own
+direct-resume path (the yielding rank resumed without a queue round trip)
+is pinned by ``tests/sim/test_engine.py``.
 """
 
 import heapq
@@ -50,7 +51,7 @@ def test_resume_seq_stamps_are_unique_and_returned():
 def test_interleaved_push_pop_equals_reference_heap():
     # Drive a Scheduler and a plain heapq with the same randomized
     # push/pop schedule; every pop must agree.  Randomized but seeded —
-    # the point is covering pending-slot hit/miss/displace transitions.
+    # the point is covering time ties between resume and deadline pushes.
     rng = random.Random(1234)
     for trial in range(50):
         sched = Scheduler()
@@ -77,8 +78,8 @@ def test_interleaved_push_pop_equals_reference_heap():
 
 
 def test_pending_slot_preserves_order_when_displaced():
-    # Push descending times: each new entry lands in the pending slot and
-    # displaces its predecessor into the heap.
+    # Push descending times: each new entry becomes the heap minimum,
+    # ahead of every entry pushed before it.
     sched = Scheduler()
     for rank, t in enumerate([5.0, 4.0, 3.0]):
         sched.push_resume(FakeProc(t, rank))
@@ -100,8 +101,8 @@ def test_pop_empty_raises_indexerror():
 def test_len_and_bool_count_pending_slot():
     sched = Scheduler()
     assert not sched
-    sched.push_resume(FakeProc(1.0, 0))  # sits in the pending slot
+    sched.push_resume(FakeProc(1.0, 0))  # the heap minimum
     assert sched
     assert len(sched) == 1
-    sched.push_resume(FakeProc(2.0, 1))  # goes to the heap
+    sched.push_resume(FakeProc(2.0, 1))  # queued behind it
     assert len(sched) == 2

@@ -147,3 +147,23 @@ class TestFuzzReplay:
         out = capsys.readouterr().out
         assert "FAIL" in out
         assert "mismatch: makespan" in out
+
+    def test_malformed_case_fails_and_replay_goes_on(self, capsys, tmp_path,
+                                                     monkeypatch,
+                                                     tiny_cluster):
+        from repro.experiments.persistence import write_json_document
+        from repro.fuzz import Scenario, make_case, save_case
+
+        monkeypatch.chdir(tmp_path)
+        scenario = Scenario(app="ge", n=64, cluster=tiny_cluster)
+        good = save_case(make_case(scenario), tmp_path / "corpus")
+        write_json_document(tmp_path / "corpus" / "bad.json", "fuzz-case", {
+            "scenario": scenario.to_payload(),
+            "expected": {"makespan": "abc"},
+        })
+        code = main(["fuzz", "replay", "--corpus", str(tmp_path / "corpus")])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "FAIL bad.json:" in out
+        assert f"ok   {good.stem}:" in out
+        assert "replayed 2 case(s), 1 failing" in out
