@@ -27,6 +27,7 @@ from repro.experiments.sweep import efficiency_curve, required_size_by_simulatio
 from repro.faults.run import slowdown_sweep
 from repro.faults.schedule import uniform_slowdown
 from repro.obs.ledger import RunLedger
+from repro.sim.engine import Engine
 
 SIZES = (60, 90, 120)
 
@@ -73,6 +74,30 @@ class TestBitIdentity:
             assert record_signature(a) == record_signature(b)
             # wall_seconds replays the value stored at record time.
             assert a.run.wall_seconds == b.run.wall_seconds
+
+    def test_warm_replay_simulates_nothing(self, ge2_cluster, tmp_path,
+                                           monkeypatch):
+        """A warm replay runs no simulation, so it cannot be slower than
+        the cold sweep that ran them all."""
+        calls = 0
+        real_run = Engine.run
+
+        def counting_run(self, *args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return real_run(self, *args, **kwargs)
+
+        monkeypatch.setattr(Engine, "run", counting_run)
+        sizes = [24, 28, 34, 40]
+        cache = fresh_cache(tmp_path)
+        efficiency_curve("ge", ge2_cluster, sizes,
+                         executor=SweepExecutor(cache=cache))
+        assert calls > 0
+        calls = 0
+        warm_exe = SweepExecutor(cache=cache)
+        efficiency_curve("ge", ge2_cluster, sizes, executor=warm_exe)
+        assert warm_exe.cache_stats() == {"hits": 4, "misses": 0}
+        assert calls == 0
 
     def test_faulted_sweep_parallel_matches_serial(self, ge2_cluster, tmp_path):
         """ψ and every derived fault metric agree across serial, parallel
