@@ -22,7 +22,6 @@ from repro.faults import (
     slowdown_sweep,
 )
 from repro.machine.sunwulf import ge_configuration
-from repro.obs.ledger import RunLedger
 
 N = 300
 NODES = 4
@@ -61,7 +60,6 @@ def test_faults_scalability_sweep(benchmark, results_dir):
     text = json.dumps(payload, indent=2) + "\n"
     (results_dir / "BENCH_faults.json").write_text(text)
     (REPO_ROOT / "BENCH_faults.json").write_text(text)
-    RunLedger(REPO_ROOT / ".repro" / "ledger").record_bench(payload)
 
     assert rows[0].psi == 1.0  # severity 0 is the fault-free anchor
     assert psi_is_monotone_nonincreasing(rows)

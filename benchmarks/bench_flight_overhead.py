@@ -38,19 +38,19 @@ BUDGET = 0.05
 LEVEL = 0.95
 
 
-def median_ci(values, level=LEVEL):
+def median_ci(values):
     """``(median, lo, hi)``: ``[lo, hi]`` are the order statistics
     ``x_(k)`` and ``x_(n+1-k)``, which cover the population median with
     probability ``1 - 2 P(Binomial(n, 1/2) <= k - 1)``; ``k`` is the
-    largest rank that keeps that at or above ``level``."""
+    largest rank that keeps that at or above ``LEVEL``."""
     xs = sorted(values)
     n = len(xs)
     k, cdf = 0, 0.0
-    while 2 * (cdf + comb(n, k) / 2**n) <= 1 - level:
+    while 2 * (cdf + comb(n, k) / 2**n) <= 1 - LEVEL:
         cdf += comb(n, k) / 2**n
         k += 1
     if k == 0:
-        raise ValueError(f"{n} samples cannot give a {level:.0%} interval")
+        raise ValueError(f"{n} samples cannot give a {LEVEL:.0%} interval")
     return statistics.median(xs), xs[k - 1], xs[n - k]
 
 

@@ -25,12 +25,9 @@ from repro.experiments.tables import (
 RESULTS_DIR = Path(__file__).parent / "results"
 
 
-def bench_scale() -> str:
-    return os.environ.get("REPRO_BENCH_SCALE", "paper")
-
-
 def node_counts() -> tuple[int, ...]:
-    return (2, 4, 8) if bench_scale() == "quick" else (2, 4, 8, 16, 32)
+    quick = os.environ.get("REPRO_BENCH_SCALE", "paper") == "quick"
+    return (2, 4, 8) if quick else (2, 4, 8, 16, 32)
 
 
 @pytest.fixture(scope="session")

@@ -19,8 +19,7 @@ together with every substrate its evaluation depends on:
 * :mod:`repro.obs` -- run observability: metrics registry, Chrome-trace
   export, per-rank utilization / imbalance / overhead / critical-path
   analyzers, the ``repro profile`` engine, structured JSONL run logging,
-  the persistent run ledger, and cross-run regression checking
-  (``repro history`` / ``repro compare`` / ``repro baseline``).
+  and the persistent run ledger (``repro history``).
 * :mod:`repro.overhead` -- machine-parameter fitting and overhead models.
 * :mod:`repro.faults` -- deterministic fault injection (slowdowns, crashes,
   link degradation, message loss) and scalability-under-faults analysis:

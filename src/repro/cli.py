@@ -9,8 +9,6 @@ Examples::
     repro profile gaussian --nodes 4 --out /tmp/prof
     repro table3 --nodes 2 4 --trace-out study-trace.json
     repro history --app ge --limit 10
-    repro compare latest 20260805T120000-ge-n300-ab12cd34
-    repro baseline set latest && repro baseline check
     repro faults run --smoke
     repro faults run --app ge --slowdown 0.5 --trace-out faulted.json
     repro faults sweep --app ge --severities 0 0.2 0.4 0.6
@@ -24,7 +22,6 @@ repro`` works too.)
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from contextlib import ExitStack
@@ -330,7 +327,7 @@ def cmd_memory(args: argparse.Namespace) -> None:
     print()
 
 
-# -- run-ledger commands (history / compare / baseline) -----------------------
+# -- run-ledger history (repro history) --------------------------------------
 
 def cmd_history(args: argparse.Namespace) -> int:
     """List the run ledger (``repro history``)."""
@@ -365,76 +362,6 @@ def cmd_history(args: argparse.Namespace) -> int:
             title=f"Run ledger {ledger.root} (newest first)",
         )
     )
-    return 0
-
-
-def cmd_compare(args: argparse.Namespace) -> int:
-    """Metric-by-metric delta table between two runs (``repro compare``)."""
-    from .core.types import MetricError
-    from .obs.ledger import RunLedger
-    from .obs.regression import compare_records
-
-    ledger = RunLedger(args.ledger)
-    try:
-        baseline = ledger.resolve(args.run_a)
-        candidate = ledger.resolve(args.run_b)
-    except MetricError as err:
-        raise SystemExit(f"error: {err}") from None
-    report = compare_records(baseline, candidate)
-    _print(report.format())
-    if args.check and report.verdict == "FAIL":
-        return 1
-    return 0
-
-
-def cmd_baseline(args: argparse.Namespace) -> int:
-    """Freeze / check a named perf baseline (``repro baseline set|check``)."""
-    from .core.types import MetricError
-    from .obs.ledger import RunLedger
-    from .obs.regression import (
-        baseline_path,
-        compare_records,
-        load_baseline,
-        save_baseline,
-    )
-
-    ledger = RunLedger(args.ledger)
-    try:
-        record = ledger.resolve(args.run)
-    except MetricError as err:
-        raise SystemExit(f"error: {err}") from None
-
-    if args.action == "set":
-        path = save_baseline(record, name=args.name, root=args.baselines)
-        print(
-            f"baseline {args.name!r} set to run "
-            f"{record.get('run_id', '?')} at {path}"
-        )
-        print()
-        return 0
-
-    try:
-        baseline = load_baseline(name=args.name, root=args.baselines)
-    except MetricError as err:
-        raise SystemExit(f"error: {err}") from None
-    if baseline is None:
-        print(
-            f"WARN: no baseline {args.name!r} at "
-            f"{baseline_path(args.name, args.baselines)}; nothing to check "
-            "(create one with `repro baseline set`)"
-        )
-        print()
-        return 0
-    report = compare_records(baseline, record)
-    _print(report.format(
-        title=f"Baseline check ({args.name!r}) against "
-              f"{record.get('run_id', '?')}"
-    ))
-    if report.verdict == "FAIL":
-        failed = ", ".join(d.name for d in report.failed)
-        print(f"FAIL: metric regression past threshold: {failed}")
-        print()
-        return 0 if args.warn_only else 1
     return 0
 
 
@@ -1136,7 +1063,8 @@ def cmd_sweep_profile(args: argparse.Namespace) -> int:
     Runs one cache-cold parallel efficiency sweep with cross-process
     telemetry enabled and prints the phase table that explains where
     the wall time went -- the tool that makes a <1x cold "speedup"
-    (``BENCH_sweep.json``) diagnosable.  A serial reference sweep is
+    (perfbench ``sweep_mix``: ``experiments.speedup_vs_serial``)
+    diagnosable.  A serial reference sweep is
     timed first (skip with ``--no-serial``) so the report can state the
     measured serial-vs-parallel comparison directly.
     """
@@ -1375,89 +1303,35 @@ def flight_main(argv: Sequence[str]) -> int:
     return args.func(args)
 
 
-#: Ledger commands routed to their own parser (multi-positional grammar).
-LEDGER_COMMANDS = ("history", "compare", "baseline")
-
-
-def build_ledger_parser() -> argparse.ArgumentParser:
+def build_history_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Run-ledger tools: history, comparison, perf baselines.",
+        prog="repro history",
+        description="List the runs recorded in the run ledger, newest first.",
     )
     parser.add_argument(
         "--ledger", default=None, metavar="DIR",
         help="ledger directory (default: $REPRO_LEDGER_DIR or .repro/ledger)",
     )
-    # Also accepted after the subcommand; SUPPRESS keeps a pre-subcommand
-    # value from being overwritten by the subparser's default.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--ledger", default=argparse.SUPPRESS, metavar="DIR",
-        help=argparse.SUPPRESS,
-    )
-    sub = parser.add_subparsers(dest="ledger_command", required=True)
-
-    history = sub.add_parser("history", help="list recorded runs",
-                             parents=[common])
-    history.add_argument("--app", default=None,
-                         help="only runs of this application")
-    history.add_argument("--source", default=None,
-                         choices=["run", "engine", "sweep", "profile",
-                                  "bench", "faults"],
-                         help="only runs recorded by this source "
-                              "(`engine` = executor-recorded per-point "
-                              "runs, `sweep` = sweep-level telemetry "
-                              "records)")
-    history.add_argument("--limit", type=int, default=20,
-                         help="show at most this many runs (default 20)")
-    history.set_defaults(func=cmd_history)
-
-    compare = sub.add_parser(
-        "compare", help="metric-by-metric delta table between two runs",
-        parents=[common],
-    )
-    compare.add_argument(
-        "run_a", help="baseline run: id/prefix, 'latest', or a JSON path"
-    )
-    compare.add_argument(
-        "run_b", help="candidate run: id/prefix, 'latest', or a JSON path"
-    )
-    compare.add_argument(
-        "--check", action="store_true",
-        help="exit nonzero when the comparison verdict is FAIL",
-    )
-    compare.set_defaults(func=cmd_compare)
-
-    baseline = sub.add_parser(
-        "baseline", help="freeze or check a named perf baseline",
-        parents=[common],
-    )
-    baseline.add_argument("action", choices=["set", "check"])
-    baseline.add_argument(
-        "run", nargs="?", default="latest",
-        help="run to freeze/check: id/prefix, 'latest' (default), or a "
-             "JSON path (run record or BENCH_*.json)",
-    )
-    baseline.add_argument("--name", default="default",
-                          help="baseline name (default: 'default')")
-    baseline.add_argument(
-        "--baselines", default=None, metavar="DIR",
-        help="baseline directory (default: $REPRO_BASELINE_DIR or "
-             ".repro/baselines)",
-    )
-    baseline.add_argument(
-        "--warn-only", action="store_true",
-        help="report FAIL verdicts but exit zero (first-run CI mode)",
-    )
-    baseline.set_defaults(func=cmd_baseline)
+    parser.add_argument("--app", default=None,
+                        help="only runs of this application")
+    parser.add_argument("--source", default=None,
+                        choices=["run", "engine", "sweep", "profile",
+                                 "faults"],
+                        help="only runs recorded by this source "
+                             "(`engine` = executor-recorded per-point "
+                             "runs, `sweep` = sweep-level telemetry "
+                             "records)")
+    parser.add_argument("--limit", type=int, default=20,
+                        help="show at most this many runs (default 20)")
     return parser
 
 
-def ledger_main(argv: Sequence[str]) -> int:
-    args = build_ledger_parser().parse_args(argv)
-    if getattr(args, "baselines", None) is None:
-        args.baselines = os.environ.get("REPRO_BASELINE_DIR")
-    return args.func(args)
+def history_main(argv: Sequence[str]) -> int:
+    parser = build_history_parser()
+    args = parser.parse_args(argv)
+    if args.limit < 1:
+        parser.error(f"--limit must be at least 1, got {args.limit}")
+    return cmd_history(args)
 
 
 COMMANDS = {
@@ -1500,9 +1374,8 @@ def build_parser() -> argparse.ArgumentParser:
             "simulated Sunwulf cluster."
         ),
         epilog=(
-            "Run-ledger commands have their own grammar: "
-            "`repro history [--app A]`, `repro compare RUN_A RUN_B`, "
-            "`repro baseline set|check [RUN]`; see `repro history --help`. "
+            "Run ledger: `repro history [--app A]` "
+            "(see `repro history --help`). "
             "Fault injection: `repro faults run|sweep|attack` "
             "(see `repro faults --help`). Scenario fuzzing: "
             "`repro fuzz run|replay` (see `repro fuzz --help`). "
@@ -1579,8 +1452,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return sweep_main(argv[1:])
     if argv and argv[0] == "flight":
         return flight_main(argv[1:])
-    if argv and argv[0] in LEDGER_COMMANDS:
-        return ledger_main(argv)
+    if argv and argv[0] == "history":
+        return history_main(argv[1:])
     args = build_parser().parse_args(argv)
     from .experiments.runner import resolve_app
 

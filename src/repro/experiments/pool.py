@@ -1,10 +1,10 @@
 """Persistent warm worker pools and shared-once spec interning.
 
-PR 6's cross-process telemetry pinned why a cold ``--jobs 2`` sweep was
-*slower* than serial (``BENCH_sweep.json`` recorded 0.61x): every batch
-paid a fresh ``ProcessPoolExecutor`` spawn, every task shipped its full
-cluster spec and fault schedule, and ``chunksize=1`` dispatch put a
-queue round-trip behind every ~35 ms simulation.  This module removes
+Cross-process sweep telemetry pinned why a cold ``--jobs 2`` sweep was
+*slower* than serial (0.61x at the time): every batch paid a fresh
+``ProcessPoolExecutor`` spawn, every task shipped its full cluster spec
+and fault schedule, and ``chunksize=1`` dispatch put a queue round-trip
+behind every ~35 ms simulation.  This module removes
 the per-batch costs:
 
 * :class:`WorkerPool` -- a lazily-spawned process pool that *survives*

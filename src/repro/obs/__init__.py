@@ -19,9 +19,6 @@ simulated run:
 * :mod:`repro.obs.ledger` — the persistent run ledger: every recorded run
   becomes a versioned JSON document plus an append-only index line, with
   git SHA / platform / cluster-hash provenance (``repro history``).
-* :mod:`repro.obs.regression` — cross-run comparison with per-metric
-  WARN/FAIL thresholds and named baselines (``repro compare``,
-  ``repro baseline check``, the CI perf gate).
 * :mod:`repro.obs.spans` — epoch-aligned wall-clock spans that cross
   the process boundary (the sweep-telemetry primitive).
 * :mod:`repro.obs.telemetry` — cross-process sweep telemetry: per-worker
@@ -75,39 +72,23 @@ from .metrics import (
 from .ledger import (
     LedgerEntry,
     RunLedger,
-    bench_to_record,
     cluster_spec_hash,
     default_ledger_root,
     environment_info,
     git_sha,
-    load_record_file,
 )
 from .profiler import ProfileReport, build_report, profile_app, write_report
-from .regression import (
-    DEFAULT_SPECS,
-    ComparisonReport,
-    MetricDelta,
-    MetricSpec,
-    check_against_baseline,
-    compare_records,
-    load_baseline,
-    save_baseline,
-)
 from .structlog import StructLogger, stderr_logger
 
 __all__ = [
     "BYTES_BUCKETS",
-    "ComparisonReport",
     "Counter",
     "CriticalPath",
-    "DEFAULT_SPECS",
     "DURATION_BUCKETS",
     "Gauge",
     "Histogram",
     "LedgerEntry",
     "MessageEdge",
-    "MetricDelta",
-    "MetricSpec",
     "MetricsRegistry",
     "OverheadDecomposition",
     "PHASES",
@@ -121,12 +102,9 @@ __all__ = [
     "StructLogger",
     "SweepTimeline",
     "WorkerTelemetry",
-    "bench_to_record",
     "build_report",
-    "check_against_baseline",
     "chrome_trace_events",
     "cluster_spec_hash",
-    "compare_records",
     "critical_path",
     "default_ledger_root",
     "describe_reason",
@@ -136,14 +114,11 @@ __all__ = [
     "imbalance_index",
     "init_worker_telemetry",
     "list_dumps",
-    "load_baseline",
     "load_dump",
-    "load_record_file",
     "merged_length",
     "overhead_decomposition",
     "profile_app",
     "rank_utilization",
-    "save_baseline",
     "stderr_logger",
     "summarize_rank_stats",
     "telemetry_trace_events",

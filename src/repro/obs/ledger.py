@@ -6,7 +6,7 @@ under ``<root>/runs/`` plus one line in an append-only JSONL index
 (``<root>/index.jsonl``), capturing
 
 * identity -- run id, UTC timestamp, source (``run`` / ``profile`` /
-  ``bench``),
+  ``sweep`` / ``faults`` / ``attack``),
 * provenance -- git SHA, Python version, platform, ``repro`` version,
   cluster name / rank count / spec hash,
 * the metric surface -- makespan, speed-efficiency, load-imbalance index,
@@ -14,12 +14,11 @@ under ``<root>/runs/`` plus one line in an append-only JSONL index
 * a ``rank_summary`` block -- exact per-rank utilization/idle/flops
   statistics (p50/p90/p99, :func:`~repro.obs.streaming.summarize_rank_stats`)
   plus the top-k busiest and idlest ranks, with the utilization
-  quantiles mirrored into the flat metrics for regression gating.
+  quantiles mirrored into the flat metrics.
 
 The default root is ``.repro/ledger`` under the current directory,
 overridable with the ``REPRO_LEDGER_DIR`` environment variable or an
-explicit ``root=``.  :mod:`repro.obs.regression` consumes these records
-for cross-run comparison and CI perf gating.
+explicit ``root=``.  ``repro history`` lists the index.
 """
 
 from __future__ import annotations
@@ -160,42 +159,13 @@ def _run_metrics(
 
 
 def _summary_metrics(summary: dict[str, Any]) -> dict[str, float]:
-    """Flat (regression-gateable) view of a ``rank_summary`` block."""
+    """Flat view of a ``rank_summary`` block."""
     utilization = summary["utilization"]
     return {
         "utilization_p50": utilization["p50"],
         "utilization_p90": utilization["p90"],
         "utilization_p99": utilization["p99"],
         "utilization_mean": utilization["mean"],
-    }
-
-
-def bench_to_record(payload: dict[str, Any]) -> dict[str, Any]:
-    """Normalize a raw ``BENCH_*.json`` payload into a run-record dict.
-
-    Benches are not enveloped documents (they predate the ledger); this
-    maps their fields onto the record shape so ``repro compare`` and
-    baseline checks treat them uniformly.
-    """
-    metrics: dict[str, float] = {}
-    for key in ("events_per_second", "mean_wall_seconds", "events_per_run"):
-        if key in payload:
-            metrics[key] = float(payload[key])
-    nodes = payload.get("nodes")
-    return {
-        "run_id": f"bench-{payload.get('bench', 'unknown')}",
-        "created_utc": _utc_now(),
-        "source": "bench",
-        "app": payload.get("app", payload.get("bench", "bench")),
-        "problem_size": payload.get("n"),
-        "cluster": {
-            "name": f"{nodes} nodes" if nodes else "unknown",
-            "nranks": None,
-            "spec_hash": None,
-        },
-        "env": environment_info(),
-        "metrics": metrics,
-        "bench": payload,
     }
 
 
@@ -362,8 +332,7 @@ class RunLedger:
         its flat metric surface (wall seconds, per-phase totals,
         coverage, worker utilization) becomes the record's ``metrics``
         and the full structured view rides along as a ``telemetry``
-        block, so overhead fractions are regression-gateable like any
-        other metric.  Returns the new run id.
+        block.  Returns the new run id.
         """
         metrics = dict(timeline.flat_metrics())
         if extra_metrics:
@@ -386,15 +355,6 @@ class RunLedger:
             "telemetry": timeline.to_dict(),
         }
         return self._write(run_id, payload, log=log)
-
-    def record_bench(
-        self, payload: dict[str, Any], log: "StructLogger | None" = None
-    ) -> str:
-        """Persist one raw ``BENCH_*.json`` payload as a bench record."""
-        record = bench_to_record(payload)
-        run_id = _new_run_id(record["app"], record.get("problem_size"))
-        record["run_id"] = run_id
-        return self._write(run_id, record, log=log)
 
     # -- reading -----------------------------------------------------------
     def entries(self) -> Iterator[LedgerEntry]:
@@ -457,64 +417,9 @@ class RunLedger:
         document = read_json_document(path, kind=RUN_RECORD_KIND)
         return checked_record(document, path)
 
-    def latest(
-        self, app: str | None = None, source: str | None = None
-    ) -> dict[str, Any] | None:
-        """The newest full record, optionally filtered; None when empty."""
-        entries = self.history(app=app, source=source, limit=1)
-        if not entries:
-            return None
-        return self.load(entries[0].run_id)
-
-    def resolve(self, token: str) -> dict[str, Any]:
-        """Resolve a CLI run token into a full record dict.
-
-        Accepts ``latest``, a run id (or unique prefix), or a path to a
-        run-record document / raw ``BENCH_*.json`` file.
-        """
-        from ..core.types import MetricError
-
-        if token == "latest":
-            record = self.latest()
-            if record is None:
-                raise MetricError(
-                    f"ledger {self.root} is empty; run `repro profile <app>` "
-                    "first"
-                )
-            return record
-        path = Path(token)
-        if path.suffix == ".json" and path.exists():
-            return load_record_file(path)
-        return self.load(token)
-
-
-def load_record_file(path: str | Path) -> dict[str, Any]:
-    """Read a record from disk: enveloped run record or raw bench JSON."""
-    from ..core.types import MetricError
-
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except OSError as err:
-        raise MetricError(f"cannot read record {path}: {err}") from err
-    except json.JSONDecodeError as err:
-        raise MetricError(f"corrupt record {path}: {err}") from err
-    if not isinstance(data, dict):
-        raise MetricError(f"{path} does not contain a JSON object")
-    if data.get("kind") == RUN_RECORD_KIND:
-        return checked_record(data, path)
-    if "bench" in data:  # raw BENCH_*.json payload
-        return bench_to_record(data)
-    if "metrics" in data:  # un-enveloped record (e.g. hand-written)
-        return checked_record(data, path)
-    raise MetricError(
-        f"{path} is neither a {RUN_RECORD_KIND!r} document nor a BENCH "
-        "payload"
-    )
-
 
 def checked_record(record: Any, source: Any) -> dict[str, Any]:
-    """``record`` if it has the shape :func:`compare_records` reads.
+    """``record`` if it has the shape a run record must have.
 
     Raises :class:`~repro.core.types.MetricError` (naming ``source``)
     when ``record`` is not an object, its ``metrics`` is not an object,

@@ -4,8 +4,8 @@ The sweep executor fans points out over worker processes; the wall time
 of a cold parallel sweep is dominated not by simulation but by the
 machinery around it -- process spawn, point pickling, queue wait, cache
 probes, payload serialization, cache writes and result collection.
-``BENCH_sweep.json``'s 0.90x cold-parallel "speedup" is exactly that
-overhead, and it is invisible to the in-engine observability stack.
+A cold parallel sweep's "speedup" below 1x is exactly that overhead,
+and it is invisible to the in-engine observability stack.
 
 This module makes it visible:
 
@@ -30,8 +30,8 @@ which is what the ≥95 %-attributed acceptance gate checks.
 Driver spans outside the canonical vocabulary (``marked_speed``
 measurement before a slowdown sweep, say) are *setup spans*: they still
 count toward coverage and appear in the report, but live in a separate
-``setup_spans`` block so the ``phases`` schema carried by
-``BENCH_sweep.json`` and ledger documents never grows surprise keys.
+``setup_spans`` block so the ``phases`` schema carried by ledger
+documents never grows surprise keys.
 """
 
 from __future__ import annotations
@@ -190,9 +190,8 @@ class SweepTimeline:
         """Summed duration per canonical phase (worker-seconds).
 
         Keys are exactly :data:`PHASES`, each present even when
-        unobserved (0.0), so consumers of the ``phases`` block (the CI
-        telemetry gate, ``BENCH_sweep.json``) always see a stable
-        schema.  Spans outside the canonical vocabulary — a driver's
+        unobserved (0.0), so consumers of the ``phases`` block (ledger
+        records, ``repro sweep profile``) always see a stable schema.  Spans outside the canonical vocabulary — a driver's
         ``marked_speed`` setup, say — are reported separately by
         :meth:`setup_totals` instead of leaking in here.
         """

@@ -19,12 +19,14 @@ time (:func:`~repro.sim.trace.record_detail`), never on the hot path.
 The dominant recording cost is not the append but the *ring's cache
 footprint*: every append at steady state evicts the record inserted K
 events earlier, whose cache lines have long gone cold, so each eviction
-is a cache-miss-bound deallocation.  Measured on the GE benchmark
-(``benchmarks/bench_engine_throughput.py``), overhead grows with K —
-roughly free at K=128, ~3 % at K=512, ~5 % at K=1024 and ~8 % at
-K=4096 — which is why the default capacity is 512 rather than
-something roomier.  Raise it explicitly when a deeper post-mortem
-window is worth the throughput.
+is a cache-miss-bound deallocation and the overhead grows with K.
+Earlier best-of-5 measurements on GE read roughly free at K=128, ~5 %
+at K=1024 and ~8 % at K=4096.  At the default K=512,
+``benchmarks/bench_flight_overhead.py`` (GE, 8 nodes, N=300, 60 paired
+blocks) measured a median of 4.9 % with a 95 % CI of [3.4 %, 8.3 %] on
+a 2-vCPU host, against a 5 % budget; hence 512 rather than something
+roomier.  Raise it explicitly when a deeper post-mortem window is worth
+the throughput.
 
 Dumps are written to ``.repro/flight/`` (``$REPRO_FLIGHT_DIR``) when
 

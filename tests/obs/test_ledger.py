@@ -1,7 +1,5 @@
 """Tests for the persistent run ledger."""
 
-import json
-
 import pytest
 
 from repro.core import MetricError
@@ -10,12 +8,10 @@ from repro.machine import ge_configuration
 from repro.obs.ledger import (
     RUN_RECORD_KIND,
     RunLedger,
-    bench_to_record,
     cluster_spec_hash,
     default_ledger_root,
     environment_info,
     git_sha,
-    load_record_file,
 )
 from repro.obs.structlog import StructLogger
 
@@ -154,7 +150,6 @@ class TestHistory:
     def test_empty_ledger(self, tmp_path):
         ledger = RunLedger(tmp_path / "nothing")
         assert ledger.history() == []
-        assert ledger.latest() is None
 
     def test_torn_index_line_skipped(self, tmp_path, cluster, record):
         ledger = RunLedger(tmp_path / "ledger")
@@ -180,9 +175,16 @@ class TestLoadAndResolve:
                             payload={"run_id": "odd", "metrics": [1, 2]})
         with pytest.raises(MetricError, match="'metrics' is not"):
             ledger.load("odd")
+        write_json_document(ledger.runs_dir / "num.json", kind=RUN_RECORD_KIND,
+                            payload={"run_id": 3, "metrics": {}})
+        with pytest.raises(MetricError, match="'run_id' is not a string"):
+            ledger.load("num")
         (ledger.runs_dir / "list.json").write_text("[1, 2]")
         with pytest.raises(MetricError, match="JSON object"):
             ledger.load("list")
+        (ledger.runs_dir / "torn.json").write_text("{not json")
+        with pytest.raises(MetricError, match="corrupt"):
+            ledger.load("torn")
 
     def test_missing_run_id(self, tmp_path):
         ledger = RunLedger(tmp_path / "ledger")
@@ -200,90 +202,6 @@ class TestLoadAndResolve:
             shared += x
         with pytest.raises(MetricError, match="ambiguous"):
             ledger.load(shared)
-
-    def test_resolve_latest_and_empty(self, tmp_path, cluster, record):
-        ledger = RunLedger(tmp_path / "ledger")
-        with pytest.raises(MetricError, match="empty"):
-            ledger.resolve("latest")
-        run_id = ledger.record_run("ge", cluster, record)
-        assert ledger.resolve("latest")["run_id"] == run_id
-
-    def test_resolve_json_path(self, tmp_path, cluster, record):
-        ledger = RunLedger(tmp_path / "ledger")
-        run_id = ledger.record_run("ge", cluster, record)
-        path = ledger.runs_dir / f"{run_id}.json"
-        assert ledger.resolve(str(path))["run_id"] == run_id
-
-
-class TestBenchRecords:
-    PAYLOAD = {
-        "bench": "engine_throughput",
-        "app": "ge",
-        "n": 200,
-        "nodes": 4,
-        "events_per_second": 50000.0,
-        "mean_wall_seconds": 0.8,
-        "events_per_run": 40000,
-    }
-
-    def test_bench_to_record_metrics(self):
-        record = bench_to_record(self.PAYLOAD)
-        assert record["source"] == "bench"
-        assert record["app"] == "ge"
-        assert record["metrics"]["events_per_second"] == 50000.0
-        assert record["metrics"]["mean_wall_seconds"] == 0.8
-        assert record["bench"] == self.PAYLOAD
-
-    def test_record_bench_roundtrip(self, tmp_path):
-        ledger = RunLedger(tmp_path / "ledger")
-        run_id = ledger.record_bench(self.PAYLOAD)
-        loaded = ledger.load(run_id)
-        assert loaded["source"] == "bench"
-        assert loaded["metrics"]["events_per_second"] == 50000.0
-
-    def test_load_record_file_raw_bench(self, tmp_path):
-        path = tmp_path / "BENCH_engine.json"
-        path.write_text(json.dumps(self.PAYLOAD))
-        record = load_record_file(path)
-        assert record["source"] == "bench"
-        assert record["metrics"]["mean_wall_seconds"] == 0.8
-
-
-class TestLoadRecordFile:
-    def test_corrupt_json(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(MetricError, match="corrupt"):
-            load_record_file(path)
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(MetricError, match="cannot read"):
-            load_record_file(tmp_path / "absent.json")
-
-    def test_non_object(self, tmp_path):
-        cases = [
-            ("[1, 2]", "does not contain a JSON object"),
-            ('{"metrics": [1, 2]}', "'metrics' is not a JSON object"),
-            ('{"metrics": {}, "run_id": 3}', "'run_id' is not a string"),
-            ('{"kind": "%s", "metrics": "x"}' % RUN_RECORD_KIND,
-             "'metrics' is not a JSON object"),
-        ]
-        path = tmp_path / "record.json"
-        for text, message in cases:
-            path.write_text(text)
-            with pytest.raises(MetricError, match=message):
-                load_record_file(path)
-
-    def test_unrecognized_object(self, tmp_path):
-        path = tmp_path / "other.json"
-        path.write_text('{"hello": "world"}')
-        with pytest.raises(MetricError, match="neither"):
-            load_record_file(path)
-
-    def test_unenveloped_record_with_metrics(self, tmp_path):
-        path = tmp_path / "hand.json"
-        path.write_text('{"run_id": "hand", "metrics": {"makespan": 1.0}}')
-        assert load_record_file(path)["metrics"]["makespan"] == 1.0
 
 
 class TestAmbientRecording:

@@ -1,12 +1,8 @@
-"""Tests for the run-ledger CLI commands: history / compare / baseline.
+"""Tests for the run-ledger CLI: recording runs and `repro history`.
 
-Covers the acceptance path end to end: `repro profile` records a ledger
-run, `repro history` lists it, `repro compare` prints per-metric deltas,
-and `repro baseline check` exits nonzero on an injected makespan
-regression past the FAIL threshold.
+Covers the path end to end: `repro profile` (and any table command given
+`--ledger`) records a ledger run, and `repro history` lists it.
 """
-
-import json
 
 import pytest
 
@@ -84,152 +80,10 @@ class TestHistory:
         main(["history", "--ledger", str(ledger_dir), "--app", "fft"])
         assert run_id not in capsys.readouterr().out
 
-
-class TestCompare:
-    def test_compare_latest_to_itself(self, capsys, tmp_path, ledger_dir):
-        profile_run(ledger_dir, tmp_path)
-        capsys.readouterr()
-        code = main(["compare", "--ledger", str(ledger_dir),
-                     "latest", "latest"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "Run comparison" in out
-        assert "makespan" in out
-        assert "overall verdict: PASS" in out
-
-    def test_compare_two_runs_shows_deltas(self, capsys, tmp_path,
-                                           ledger_dir):
-        a = profile_run(ledger_dir, tmp_path, size=100)
-        b = profile_run(ledger_dir, tmp_path, size=140)
-        capsys.readouterr()
-        main(["compare", "--ledger", str(ledger_dir), a, b])
-        out = capsys.readouterr().out
-        assert "speed_efficiency" in out
-        assert "%" in out  # relative deltas rendered
-
-    def test_unknown_run_exits_with_error(self, capsys, ledger_dir):
-        with pytest.raises(SystemExit, match="error:"):
-            main(["compare", "--ledger", str(ledger_dir), "nope", "latest"])
-
-    def test_malformed_record_file_exits_with_error(self, capsys, tmp_path,
-                                                     ledger_dir):
-        ok, bad = tmp_path / "ok.json", tmp_path / "bad.json"
-        ok.write_text('{"metrics": {"makespan": 1.0}}')
-        bad.write_text('{"metrics": [1, 2]}')
-        with pytest.raises(SystemExit, match="error: .*'metrics' is not"):
-            main(["compare", "--ledger", str(ledger_dir), str(ok), str(bad)])
-
-    def test_check_flag_fails_on_regression(self, capsys, tmp_path,
-                                            ledger_dir):
-        run_id = profile_run(ledger_dir, tmp_path)
-        worse = _injected_regression(ledger_dir, run_id, tmp_path)
-        capsys.readouterr()
-        assert main(["compare", "--ledger", str(ledger_dir),
-                     run_id, str(worse), "--check"]) == 1
-
-
-def _injected_regression(ledger_dir, run_id, tmp_path, factor=1.5):
-    """A copy of a recorded run with makespan inflated past FAIL threshold."""
-    path = RunLedger(ledger_dir).runs_dir / f"{run_id}.json"
-    document = json.loads(path.read_text())
-    document["run_id"] = f"{run_id}-regressed"
-    document["metrics"]["makespan"] *= factor
-    out = tmp_path / "regressed.json"
-    out.write_text(json.dumps(document))
-    return out
-
-
-class TestBaseline:
-    def test_set_then_check_passes(self, capsys, tmp_path, ledger_dir):
-        baselines = tmp_path / "baselines"
-        profile_run(ledger_dir, tmp_path)
-        assert main(["baseline", "--ledger", str(ledger_dir), "set",
-                     "latest", "--baselines", str(baselines)]) == 0
-        assert (baselines / "default.json").exists()
-        code = main(["baseline", "--ledger", str(ledger_dir), "check",
-                     "latest", "--baselines", str(baselines)])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "baseline 'default' set" in out
-        assert "overall verdict: PASS" in out
-
-    def test_check_fails_on_injected_makespan_regression(
-        self, capsys, tmp_path, ledger_dir
-    ):
-        baselines = tmp_path / "baselines"
-        run_id = profile_run(ledger_dir, tmp_path)
-        main(["baseline", "--ledger", str(ledger_dir), "set", "latest",
-              "--baselines", str(baselines)])
-        worse = _injected_regression(ledger_dir, run_id, tmp_path)
-        capsys.readouterr()
-        code = main(["baseline", "--ledger", str(ledger_dir), "check",
-                     str(worse), "--baselines", str(baselines)])
-        assert code == 1
-        out = capsys.readouterr().out
-        assert "FAIL: metric regression past threshold: makespan" in out
-
-    def test_malformed_baseline_exits_with_error(self, capsys, tmp_path,
-                                                 ledger_dir):
-        from repro.experiments.persistence import write_json_document
-        from repro.obs.regression import BASELINE_KIND
-
-        baselines = tmp_path / "baselines"
-        write_json_document(baselines / "default.json", kind=BASELINE_KIND,
-                            payload={"record": {"metrics": [1, 2]}})
-        profile_run(ledger_dir, tmp_path)
-        with pytest.raises(SystemExit, match="error: .*'metrics' is not"):
-            main(["baseline", "--ledger", str(ledger_dir), "check",
-                  "latest", "--baselines", str(baselines)])
-
-    def test_warn_only_downgrades_exit(self, capsys, tmp_path, ledger_dir):
-        baselines = tmp_path / "baselines"
-        run_id = profile_run(ledger_dir, tmp_path)
-        main(["baseline", "--ledger", str(ledger_dir), "set", "latest",
-              "--baselines", str(baselines)])
-        worse = _injected_regression(ledger_dir, run_id, tmp_path)
-        code = main(["baseline", "--ledger", str(ledger_dir), "check",
-                     str(worse), "--baselines", str(baselines),
-                     "--warn-only"])
-        assert code == 0
-
-    def test_check_without_baseline_warns_and_passes(self, capsys, tmp_path,
-                                                     ledger_dir):
-        profile_run(ledger_dir, tmp_path)
-        capsys.readouterr()
-        code = main(["baseline", "--ledger", str(ledger_dir), "check",
-                     "latest", "--baselines", str(tmp_path / "none")])
-        assert code == 0
-        assert "WARN: no baseline" in capsys.readouterr().out
-
-    def test_named_baseline(self, capsys, tmp_path, ledger_dir):
-        baselines = tmp_path / "baselines"
-        profile_run(ledger_dir, tmp_path)
-        main(["baseline", "--ledger", str(ledger_dir), "set", "latest",
-              "--name", "nightly", "--baselines", str(baselines)])
-        assert (baselines / "nightly.json").exists()
-        assert main(["baseline", "--ledger", str(ledger_dir), "check",
-                     "latest", "--name", "nightly",
-                     "--baselines", str(baselines)]) == 0
-
-    def test_baseline_env_var_respected(self, capsys, tmp_path, ledger_dir,
-                                        monkeypatch):
-        baselines = tmp_path / "env-baselines"
-        monkeypatch.setenv("REPRO_BASELINE_DIR", str(baselines))
-        profile_run(ledger_dir, tmp_path)
-        main(["baseline", "--ledger", str(ledger_dir), "set", "latest"])
-        assert (baselines / "default.json").exists()
-
-    def test_check_raw_bench_payload(self, capsys, tmp_path, ledger_dir):
-        baselines = tmp_path / "baselines"
-        payload = {"bench": "engine_throughput", "app": "ge",
-                   "events_per_second": 10000.0, "mean_wall_seconds": 1.0}
-        bench = tmp_path / "BENCH_engine.json"
-        bench.write_text(json.dumps(payload))
-        assert main(["baseline", "--ledger", str(ledger_dir), "set",
-                     str(bench), "--baselines", str(baselines)]) == 0
-        # A 10x wall-clock slowdown WARNs but must not FAIL the build.
-        payload["mean_wall_seconds"] = 10.0
-        payload["events_per_second"] = 1000.0
-        bench.write_text(json.dumps(payload))
-        assert main(["baseline", "--ledger", str(ledger_dir), "check",
-                     str(bench), "--baselines", str(baselines)]) == 0
+    def test_limit_below_one_is_rejected(self, capsys, ledger_dir):
+        for limit in ("0", "-1"):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["history", "--ledger", str(ledger_dir),
+                      "--limit", limit])
+            assert exit_info.value.code == 2
+            assert "--limit" in capsys.readouterr().err
