@@ -334,8 +334,7 @@ def cmd_history(args: argparse.Namespace) -> int:
     from .obs.ledger import RunLedger
 
     ledger = RunLedger(args.ledger)
-    # `engine` is the user-facing name for executor-recorded per-point
-    # runs, which the ledger stores as source="run".
+    # `engine` is kept as an alias of the ledger's source="run".
     source = {"engine": "run"}.get(args.source, args.source)
     entries = ledger.history(app=args.app, source=source,
                              limit=args.limit)
@@ -1304,6 +1303,8 @@ def flight_main(argv: Sequence[str]) -> int:
 
 
 def build_history_parser() -> argparse.ArgumentParser:
+    from .obs.ledger import LEDGER_SOURCES
+
     parser = argparse.ArgumentParser(
         prog="repro history",
         description="List the runs recorded in the run ledger, newest first.",
@@ -1315,12 +1316,12 @@ def build_history_parser() -> argparse.ArgumentParser:
     parser.add_argument("--app", default=None,
                         help="only runs of this application")
     parser.add_argument("--source", default=None,
-                        choices=["run", "engine", "sweep", "profile",
-                                 "faults"],
-                        help="only runs recorded by this source "
-                             "(`engine` = executor-recorded per-point "
-                             "runs, `sweep` = sweep-level telemetry "
-                             "records)")
+                        choices=LEDGER_SOURCES + ("engine",),
+                        help="only runs recorded by this source (`run` = "
+                             "one simulation each, from run_app or a "
+                             "sweep; `engine` is an alias of `run`; "
+                             "`sweep` = sweep-level telemetry records; "
+                             "`attack` = worst-case search optima)")
     parser.add_argument("--limit", type=int, default=20,
                         help="show at most this many runs (default 20)")
     return parser

@@ -12,11 +12,16 @@ sweeps) sample many independent ``(app, cluster, N)`` simulation points.
   cluster/fault-schedule specs by hash instead of shipping them per
   task (see :mod:`repro.experiments.pool`).
 * **Caching** -- a persistent :class:`RunCache` under ``.repro/cache/``
-  stores finished runs as versioned JSON documents keyed by a
+  stores finished runs as compact versioned JSON documents keyed by a
   deterministic profile hash (app, N, cluster spec hash, run kwargs such
   as the :class:`~repro.mpi.communicator.CollectiveConfig`, the fault
   schedule's ``profile_hash`` and the library version), so repeated
-  curves, bisections and CI smoke runs are near-free.
+  curves, bisections and CI smoke runs are near-free.  The parent
+  computes every key for its cache probe; the process that ran a point
+  writes its entry -- the pool worker for parallel points (the task
+  carries the cache root and key, and a failed write comes back with
+  the result), the parent for in-process ones.  The parent's serial
+  share of a cold parallel sweep is then the probe and the collection.
 
 Determinism is the contract: the simulator is deterministic, floats
 survive both the pickle transport from workers and the JSON round-trip
@@ -33,7 +38,7 @@ import hashlib
 import json
 import os
 from contextlib import contextmanager, nullcontext
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Iterator, Sequence
 
@@ -45,14 +50,14 @@ from ..obs.spans import Span, wall_now
 from ..obs.streaming import summarize_rank_stats
 from ..obs.telemetry import BUSY_PHASES, ROOT_SPAN, SweepTimeline
 from ..sim.engine import RunResult
-from ..sim.trace import RankStats
+from ..sim.trace import RankStats, RankStatsArray
 from . import runner as _runner
 from .pool import WorkerPool, publish_spec, resolve_spec, shared_pool, spec_key
 from .persistence import (
+    document_envelope,
     measurement_from_dict,
     measurement_to_dict,
     read_json_document,
-    write_json_document,
 )
 from .runner import RunRecord, resolve_app, run_app
 
@@ -185,6 +190,27 @@ def point_profile_hash(point: SweepPoint) -> str | None:
 
 # -- record (de)serialization -------------------------------------------------
 
+#: Per-rank ``stats`` keys, in :class:`~repro.sim.trace.RankStats` field
+#: order; every one but ``rank`` names a :class:`RankStatsArray` column.
+_STATS_FIELDS = tuple(f.name for f in fields(RankStats))
+
+
+def _stats_payload(stats: Any) -> list[dict[str, Any]]:
+    """Per-rank ``stats`` dicts, equal to ``asdict`` of each rank's view.
+
+    An engine-produced :class:`RankStatsArray` is read column by column,
+    with no per-rank dataclass view; a plain list of rehydrated
+    :class:`RankStats` is read attribute by attribute.
+    """
+    if isinstance(stats, RankStatsArray):
+        columns = [range(len(stats))]
+        columns += [getattr(stats, name) for name in _STATS_FIELDS[1:]]
+    else:
+        columns = [[getattr(s, name) for s in stats]
+                   for name in _STATS_FIELDS]
+    return [dict(zip(_STATS_FIELDS, row)) for row in zip(*columns)]
+
+
 def run_record_to_payload(
     record: RunRecord, injector: Any = None
 ) -> dict[str, Any]:
@@ -212,7 +238,7 @@ def run_record_to_payload(
     else:
         run_block = {
             "finish_times": list(run.finish_times),
-            "stats": [asdict(s) for s in run.stats],
+            "stats": _stats_payload(run.stats),
         }
     run_block.update(
         events=run.events,
@@ -283,9 +309,13 @@ class RunCache:
     """Content-addressed store of finished runs under ``root``.
 
     Entries are ``write_json_document`` envelopes (kind ``cached-run``)
-    at ``<root>/<key[:2]>/<key>.json``; a corrupt or wrong-kind file is a
-    miss, never an error.  Writes go through a temp file + ``os.replace``
-    so concurrent sweeps only ever observe complete entries.
+    at ``<root>/<key[:2]>/<key>.json``, encoded compactly (no indent,
+    so ``json`` keeps its C encoder; indented entries written by older
+    versions still read); a corrupt or wrong-kind file is a miss, never
+    an error.  Whichever process ran a point writes its entry (a pool
+    worker for parallel points, see :func:`_pool_worker`).  Writes go
+    through a temp file named by the writer's pid + ``os.replace``, so
+    concurrent writers and sweeps only ever observe complete entries.
     """
 
     def __init__(self, root: str | Path | None = None):
@@ -313,9 +343,11 @@ class RunCache:
     ) -> Path:
         path = self.path_for(key)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        write_json_document(
-            tmp, CACHE_KIND, {"result": payload}, metadata=metadata
-        )
+        document = document_envelope(CACHE_KIND, {"result": payload},
+                                      metadata)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_text(json.dumps(document, sort_keys=True,
+                                  separators=(",", ":")))
         os.replace(tmp, path)
         return path
 
@@ -387,21 +419,42 @@ def _run_point(point: SweepPoint) -> tuple[RunRecord, Any]:
     return record, injector
 
 
-def _pool_worker(task: tuple[tuple, float | None]) -> tuple[dict, list]:
-    """Process-pool entry: run a point; returns ``(payload, spans)``.
+def _cache_write(
+    cache: RunCache, key: str, point: SweepPoint, payload: dict[str, Any]
+) -> bool:
+    """Write one point's cache entry; ``False`` when the write failed."""
+    try:
+        cache.put(key, payload, metadata={
+            "app": point.app,
+            "n": point.n,
+            "cluster": point.cluster.name,
+        })
+    except OSError:
+        return False
+    return True
 
-    ``task`` pairs the compact :func:`_encode_task` form (specs by
-    intern hash) with its parent-side submit timestamp, or ``None`` when
-    telemetry is off.  With a timestamp the worker records a
-    ``queue_wait`` span from it (pickle + queue + wait-for-free-worker
-    latency), an ``engine_run`` span around the simulation and a
-    ``serialize`` span around payload building, and ships its new spans
+
+def _pool_worker(
+    task: tuple[tuple, tuple[str, str] | None, float | None],
+) -> tuple[dict, list, bool]:
+    """Process-pool entry: run a point; returns ``(payload, spans, ok)``.
+
+    ``task`` is the compact :func:`_encode_task` form (specs by intern
+    hash), the point's ``(cache root, key)`` or ``None`` when it is not
+    cached, and its parent-side submit timestamp, or ``None`` when
+    telemetry is off.  With a cache entry the worker writes it through
+    :meth:`RunCache.put` before returning; ``ok`` is ``False`` only when
+    that write failed (the parent logs it).  With a timestamp the worker
+    records a ``queue_wait`` span from it (pickle + queue +
+    wait-for-free-worker latency), an ``engine_run`` span around the
+    simulation, a ``serialize`` span around payload building and a
+    ``cache_write`` span around the write, and ships its new spans
     (including, once per worker lifetime, the ``spawn`` span the pool
     initializer recorded) back with the payload.  Ambient observers
     (ledger, trace collector) inherited through fork are suspended --
     the parent executor is the recording authority.
     """
-    compact, submitted_at = task
+    compact, entry, submitted_at = task
     point = _decode_task(compact)
     recorder = None
     if submitted_at is not None:
@@ -420,7 +473,12 @@ def _pool_worker(task: tuple[tuple, float | None]) -> tuple[dict, list]:
     finally:
         _runner._ACTIVE_LEDGER = prev_ledger
         _runner._ACTIVE_COLLECTOR = prev_coll
-    return payload, (worker.drain() if recorder is not None else [])
+    ok = True
+    if entry is not None:
+        root, key = entry
+        with _span_on(recorder, "cache_write"):
+            ok = _cache_write(RunCache(root), key, point, payload)
+    return payload, (worker.drain() if recorder is not None else []), ok
 
 
 # -- the executor -------------------------------------------------------------
@@ -672,7 +730,8 @@ class SweepExecutor:
         executed: set[int] = set()
         if self.jobs > 1 and len(parallelizable) > 1:
             payloads = self._run_pool(
-                [points[i] for i in parallelizable], timeline
+                [points[i] for i in parallelizable],
+                [keys[i] for i in parallelizable], timeline,
             )
             for idx, payload in zip(parallelizable, payloads):
                 with _maybe_span(timeline, "collect", point=idx):
@@ -683,9 +742,6 @@ class SweepExecutor:
                             points[idx].schedule, payload.get("fault", {})
                         )
                 results[idx] = (record, injector)
-                if keys[idx] is not None and self.cache is not None:
-                    with _maybe_span(timeline, "cache_write", point=idx):
-                        self._cache_put(keys[idx], points[idx], payload)
             executed = set(parallelizable)
 
         for idx in pending:
@@ -704,7 +760,9 @@ class SweepExecutor:
                 with _maybe_span(timeline, "serialize", point=idx):
                     payload = run_record_to_payload(record, injector)
                 with _maybe_span(timeline, "cache_write", point=idx):
-                    self._cache_put(keys[idx], point, payload)
+                    if not _cache_write(self.cache, keys[idx], point,
+                                        payload):
+                        self._write_failed(keys[idx])
 
         if not managed:
             return results
@@ -718,18 +776,20 @@ class SweepExecutor:
         return results
 
     def _run_pool(
-        self, batch: list[SweepPoint], timeline: SweepTimeline | None
+        self, batch: list[SweepPoint], keys: list[str],
+        timeline: SweepTimeline | None,
     ) -> list[dict[str, Any]]:
         """Fan a batch out over the shared warm pool; payloads in order.
 
-        With telemetry, submits are timestamped, shipped worker spans
-        collected, and a parent ``collect`` span covers the last result's
-        trip back from its worker.  A cold batch records a parent
-        ``spawn`` span around the pool handle creation (workers fork
-        lazily at first submit; their real startup cost arrives as
+        With a cache attached each task carries its point's key and the
+        worker writes the entry; a write the worker reports failed is
+        logged here.  With telemetry, submits are timestamped, shipped
+        worker spans collected, and a parent ``collect`` span covers the
+        last result's trip back from its worker.  A cold batch records a
+        parent ``spawn`` span around the pool handle creation (workers
+        fork lazily at first submit; their real startup cost arrives as
         worker-side ``spawn`` spans stamped from the pool-creation
-        timestamp).  A warm batch records
-        *no* spawn span and sets :attr:`SweepTimeline.pool_reuse` -- and
+        timestamp).  A warm batch records *no* spawn span and sets :attr:`SweepTimeline.pool_reuse` -- and
         spawn spans a long-lived worker already shipped to an earlier
         batch are filtered by the batch epoch so reuse is visible in the
         phase table, not double-counted.
@@ -745,14 +805,17 @@ class SweepExecutor:
             timeline.pool_spawns += 1
         else:
             timeline.pool_reuse = True
+        root = str(self.cache.root) if self.cache is not None else None
         tasks = [
             (_encode_task(point, pool),
+             (root, key) if root is not None else None,
              wall_now() if timeline is not None else None)
-            for point in batch
+            for point, key in zip(batch, keys)
         ]
         payloads: list[dict[str, Any]] = []
         last_shipped = epoch
-        for payload, shipped in pool.map(_pool_worker, tasks):
+        results = pool.map(_pool_worker, tasks)
+        for key, (payload, shipped, ok) in zip(keys, results):
             if timeline is not None:
                 last_shipped = max([last_shipped] + [d["end"] for d in shipped])
                 spans = [d for d in shipped
@@ -766,6 +829,8 @@ class SweepExecutor:
                         d["end"] - d["start"] for d in spans
                         if d["name"] in BUSY_PHASES
                     ))
+            if not ok:
+                self._write_failed(key)
             self._tick()
             payloads.append(payload)
         if timeline is not None:
@@ -801,18 +866,9 @@ class SweepExecutor:
             ),
         )
 
-    def _cache_put(
-        self, key: str, point: SweepPoint, payload: dict[str, Any]
-    ) -> None:
-        try:
-            self.cache.put(key, payload, metadata={
-                "app": point.app,
-                "n": point.n,
-                "cluster": point.cluster.name,
-            })
-        except OSError:
-            if self.log is not None:
-                self.log.event("sweep.cache_write_failed", key=key)
+    def _write_failed(self, key: str) -> None:
+        if self.log is not None:
+            self.log.event("sweep.cache_write_failed", key=key)
 
 
 #: Shared no-op context: span sites with telemetry off, and the serial

@@ -39,6 +39,19 @@ def write_json_document(
     readers ignore unknown fields, so old documents stay loadable).
     Parent directories are created as needed.
     """
+    document = document_envelope(kind, payload, metadata)
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+
+
+def document_envelope(
+    kind: str,
+    payload: dict[str, Any],
+    metadata: dict[str, Any] | None = None,
+) -> dict[str, Any]:
+    """The document :func:`write_json_document` writes, before encoding
+    (for writers that pick their own layout, e.g. compact cache entries)."""
     from .. import __version__
 
     metadata = dict(metadata or {})
@@ -47,15 +60,12 @@ def write_json_document(
         datetime.now(timezone.utc).isoformat(timespec="seconds"),
     )
     metadata.setdefault("repro_version", __version__)
-    document = {
+    return {
         "format_version": FORMAT_VERSION,
         "kind": kind,
         "metadata": metadata,
         **payload,
     }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
 
 
 def read_json_document(path: str | Path, kind: str) -> dict[str, Any]:
@@ -86,9 +96,14 @@ def read_json_document(path: str | Path, kind: str) -> dict[str, Any]:
 # -- encoding ---------------------------------------------------------------
 
 def measurement_to_dict(measurement: Measurement) -> dict[str, Any]:
-    data = asdict(measurement)
-    data["extra"] = dict(measurement.extra)
-    return data
+    return {
+        "work": measurement.work,
+        "time": measurement.time,
+        "marked_speed": measurement.marked_speed,
+        "problem_size": measurement.problem_size,
+        "label": measurement.label,
+        "extra": dict(measurement.extra),
+    }
 
 
 def measurement_from_dict(data: dict[str, Any]) -> Measurement:

@@ -33,6 +33,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, fields
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable, Union
 
@@ -454,10 +455,14 @@ class FaultSchedule:
     def profile_hash(self) -> str:
         """Stable 16-hex-digit content hash of the schedule.
 
-        Ledger records carry this so cross-run comparisons (``repro
-        compare``) can gate regressions per fault scenario: two runs are
+        Ledger records and sweep cache keys carry this: two runs are
         comparable only when their fault profiles hash identically.
+        Computed once per instance (events are frozen dataclasses).
         """
+        return self._profile_hash
+
+    @cached_property
+    def _profile_hash(self) -> str:
         canonical = json.dumps(
             self.to_payload(), sort_keys=True, separators=(",", ":")
         )

@@ -46,6 +46,12 @@ if TYPE_CHECKING:  # avoid importing the experiments layer at module load
 #: Document kind of one persisted run record.
 RUN_RECORD_KIND = "run-record"
 
+#: Every ``source`` a ledger writer records: ``run`` (one simulation,
+#: recorded by ``run_app`` or the sweep executor), ``profile`` (``repro
+#: profile``), ``sweep`` (sweep-level telemetry), ``faults`` (a faulted
+#: run) and ``attack`` (a worst-case search optimum).
+LEDGER_SOURCES = ("run", "profile", "sweep", "faults", "attack")
+
 #: Default ledger location (relative to the working directory).
 DEFAULT_LEDGER_DIR = ".repro/ledger"
 
@@ -73,7 +79,20 @@ def git_sha(cwd: str | Path | None = None) -> str | None:
 
 
 def cluster_spec_hash(cluster: "ClusterSpec") -> str:
-    """Short stable hash of everything that determines a cluster's timing."""
+    """Short stable hash of everything that determines a cluster's timing.
+
+    Memoized on the instance: every field it hashes is immutable (frozen
+    slot, processor-type and link dataclasses, tuples), so a sweep that
+    keys many points on one cluster hashes it once.
+    """
+    digest = cluster.__dict__.get("_spec_hash")
+    if digest is None:
+        digest = _cluster_digest(cluster)
+        object.__setattr__(cluster, "_spec_hash", digest)
+    return digest
+
+
+def _cluster_digest(cluster: "ClusterSpec") -> str:
     spec = {
         "name": cluster.name,
         "network_kind": cluster.network_kind,

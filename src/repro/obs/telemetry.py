@@ -11,11 +11,13 @@ This module makes it visible:
 
 * :class:`WorkerTelemetry` lives inside each pool worker (installed by
   the pool initializer), records a ``spawn`` span at startup and ships
-  its per-task spans (``queue_wait`` / ``engine_run`` / ``serialize``)
-  back to the parent with every result.
+  its per-task spans (``queue_wait`` / ``engine_run`` / ``serialize``,
+  and ``cache_write`` when the sweep has a cache: a pool worker writes
+  its own point's entry) back to the parent with every result.
 * :class:`SweepTimeline` is the parent-side aggregator: the parent's
-  own spans (``cache_probe`` / ``spawn`` / ``cache_write`` /
-  ``collect`` under one ``sweep`` root) plus every shipped worker span,
+  own spans (``cache_probe`` / ``spawn`` / ``collect``, plus
+  ``engine_run`` / ``serialize`` / ``cache_write`` for points it runs
+  in-process, under one ``sweep`` root) plus every shipped worker span,
   merged into per-phase totals, an interval-union coverage of the sweep
   wall, and per-worker utilization summaries.
 
@@ -55,7 +57,9 @@ ROOT_SPAN = "sweep"
 
 _PHASE_SET = frozenset(PHASES)
 
-#: Phases counted as productive worker time for utilization.
+#: Phases counted as productive worker time for utilization.  A pool
+#: worker's ``cache_write`` is not among them, so utilization keeps
+#: meaning "simulating or encoding" whichever process writes the cache.
 BUSY_PHASES = frozenset({"engine_run", "serialize"})
 
 

@@ -464,3 +464,146 @@ class TestRankSummaryThreshold:
         run_id = ledger.record_run("ge", ge2_cluster, loaded)
         stored = ledger.load(run_id)
         assert stored["rank_summary"] == loaded.run.rank_summary
+
+
+class TestWorkerCacheWrites:
+    """On the pool path the worker that ran a point writes its entry."""
+
+    @staticmethod
+    def count_parent_puts(monkeypatch):
+        """Record every ``RunCache.put`` made in this process.  A forked
+        worker inherits the patch, but its appends land in its own copy
+        of the list, so the list only ever holds the parent's calls."""
+        calls = []
+        put = RunCache.put
+
+        def counting(self, key, *args, **kwargs):
+            calls.append(key)
+            return put(self, key, *args, **kwargs)
+
+        monkeypatch.setattr(RunCache, "put", counting)
+        return calls
+
+    def test_cold_pool_sweep_leaves_every_entry_on_disk(
+        self, ge2_cluster, tmp_path, monkeypatch
+    ):
+        calls = self.count_parent_puts(monkeypatch)
+        cache = fresh_cache(tmp_path)
+        points = [SweepPoint.make("ge", ge2_cluster, n) for n in (60, 70, 80)]
+        out = SweepExecutor(jobs=2, cache=cache).run_points(points)
+        assert calls == []
+        for point, record in zip(points, out):
+            path = cache.path_for(point_profile_hash(point))
+            assert path.is_file()
+            assert "\n" not in path.read_text()  # compact entry
+            stored = run_record_from_payload(cache.get(path.stem))
+            assert record_signature(stored) == record_signature(record)
+            assert stored.run.wall_seconds == record.run.wall_seconds
+        # The serial path still writes in-process, through the same put.
+        SweepExecutor(cache=fresh_cache(tmp_path / "serial")).run_points(
+            points
+        )
+        assert len(calls) == len(points)
+
+    def test_failed_worker_write_still_returns_record(
+        self, ge2_cluster, tmp_path
+    ):
+        from repro.obs.structlog import StructLogger
+
+        # A cache root that is a regular file: every mkdir under it
+        # raises NotADirectoryError, an OSError.
+        root = tmp_path / "not-a-dir"
+        root.write_text("")
+        log = StructLogger()
+        points = [SweepPoint.make("ge", ge2_cluster, n) for n in (60, 70, 80)]
+        exe = SweepExecutor(jobs=2, cache=RunCache(root), log=log)
+        out = exe.run_points(points)
+        serial = SweepExecutor().run_points(points)
+        assert [record_signature(r) for r in out] == [
+            record_signature(r) for r in serial
+        ]
+        failed = [e for e in log.events
+                  if e["event"] == "sweep.cache_write_failed"]
+        assert sorted(e["key"] for e in failed) == sorted(
+            point_profile_hash(p) for p in points
+        )
+
+    def test_indented_entry_written_before_still_hits(
+        self, ge2_cluster, tmp_path
+    ):
+        from repro.experiments.executor import CACHE_KIND
+        from repro.experiments.persistence import write_json_document
+
+        cache = fresh_cache(tmp_path)
+        point = SweepPoint.make("ge", ge2_cluster, 80)
+        record = run_app("ge", ge2_cluster, 80)
+        path = cache.path_for(point_profile_hash(point))
+        write_json_document(path, CACHE_KIND,
+                            {"result": run_record_to_payload(record)})
+        assert "\n  " in path.read_text()
+        exe = SweepExecutor(cache=cache)
+        (replayed,) = exe.run_points([point])
+        assert exe.cache_stats() == {"hits": 1, "misses": 0}
+        assert record_signature(replayed) == record_signature(record)
+
+    def test_shared_specs_are_hashed_once_per_instance(
+        self, ge2_cluster, tmp_path, monkeypatch
+    ):
+        """Probe, spec publication and task encoding all key a point's
+        cluster and schedule; each instance is hashed only once."""
+        import dataclasses
+
+        from repro.faults.schedule import FaultSchedule
+        from repro.obs import ledger
+
+        digests = []
+        digest = ledger._cluster_digest
+        monkeypatch.setattr(ledger, "_cluster_digest",
+                            lambda c: digests.append(c) or digest(c))
+        payloads = []
+        to_payload = FaultSchedule.to_payload
+        monkeypatch.setattr(FaultSchedule, "to_payload",
+                            lambda s: payloads.append(s) or to_payload(s))
+        cluster = dataclasses.replace(ge2_cluster)  # a fresh, unhashed copy
+        schedule = uniform_slowdown(cluster.nranks, 0.3)
+        points = [SweepPoint.make("ge", cluster, n, schedule=schedule)
+                  for n in (60, 70, 80, 90)]
+        SweepExecutor(jobs=2, cache=fresh_cache(tmp_path)).run_faulted(points)
+        assert len(digests) == 1
+        assert len(payloads) == 1
+
+
+class TestStatsPayload:
+    """``run_record_to_payload`` reads per-rank stats from the columns."""
+
+    @staticmethod
+    def golden_runs():
+        from repro.faults import make_fault_launcher
+        from tests.sim.test_bit_identity import _SCHEDULE, CASES
+
+        for case_id, app, cluster_factory, n, faulted in CASES:
+            kwargs = {}
+            if faulted:
+                kwargs["launcher"] = make_fault_launcher(_SCHEDULE)
+            yield case_id, run_app(app, cluster_factory(), n, **kwargs)
+
+    def test_equals_asdict_payload_for_every_golden_run(self):
+        from dataclasses import asdict
+
+        from repro.sim.trace import RankStatsArray
+
+        for case_id, record in self.golden_runs():
+            assert isinstance(record.run.stats, RankStatsArray), case_id
+            stats = run_record_to_payload(record)["run"]["stats"]
+            assert stats == [asdict(s) for s in record.run.stats], case_id
+            # Same key order and value types, so the encoded entry too.
+            assert json.dumps(stats) == json.dumps(
+                [asdict(s) for s in record.run.stats]
+            ), case_id
+
+    def test_accepts_rehydrated_rank_stats_lists(self):
+        for case_id, record in self.golden_runs():
+            payload = run_record_to_payload(record)
+            loaded = run_record_from_payload(payload)
+            assert isinstance(loaded.run.stats, list), case_id
+            assert run_record_to_payload(loaded) == payload, case_id

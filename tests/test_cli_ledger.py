@@ -87,3 +87,42 @@ class TestHistory:
                       "--limit", limit])
             assert exit_info.value.code == 2
             assert "--limit" in capsys.readouterr().err
+
+
+class TestHistorySources:
+    def test_attack_source_filters(self, capsys, ledger_dir, ge2_cluster):
+        from repro.experiments.runner import run_app
+
+        ledger = RunLedger(ledger_dir)
+        record = run_app("ge", ge2_cluster, 60)
+        attack_id = ledger.record_run("ge", ge2_cluster, record,
+                                      source="attack")
+        run_id = ledger.record_run("ge", ge2_cluster, record)
+        assert main(["history", "--ledger", str(ledger_dir),
+                     "--source", "attack"]) == 0
+        out = capsys.readouterr().out
+        assert attack_id in out and run_id not in out
+        for alias in ("run", "engine"):
+            assert main(["history", "--ledger", str(ledger_dir),
+                         "--source", alias]) == 0
+            out = capsys.readouterr().out
+            assert run_id in out and attack_id not in out
+
+    def test_every_written_source_is_a_choice(self, capsys, ledger_dir):
+        """Each ``source=`` literal a ledger writer uses is in
+        ``LEDGER_SOURCES``, and ``repro history`` accepts all of them."""
+        import re
+        from pathlib import Path
+
+        import repro
+        from repro.obs.ledger import LEDGER_SOURCES
+
+        literal = re.compile(r"""["']?source["']?\s*[=:]\s*["'](\w+)["']""")
+        written = set()
+        for path in Path(repro.__file__).parent.rglob("*.py"):
+            written.update(literal.findall(path.read_text()))
+        assert {"run", "attack"} <= written
+        assert written <= set(LEDGER_SOURCES)
+        for source in LEDGER_SOURCES:
+            assert main(["history", "--ledger", str(ledger_dir),
+                         "--source", source]) == 0
