@@ -11,17 +11,19 @@ sweeps) sample many independent ``(app, cluster, N)`` simulation points.
   dispatched in adaptive chunks and reference interned
   cluster/fault-schedule specs by hash instead of shipping them per
   task (see :mod:`repro.experiments.pool`).
-* **Caching** -- a persistent :class:`RunCache` under ``.repro/cache/``
-  stores finished runs as compact versioned JSON documents keyed by a
-  deterministic profile hash (app, N, cluster spec hash, run kwargs such
-  as the :class:`~repro.mpi.communicator.CollectiveConfig`, the fault
+* **Caching** -- a persistent :class:`~repro.experiments.runcache.RunCache`
+  under ``.repro/cache/`` stores finished runs keyed by a deterministic
+  profile hash (app, N, cluster spec hash, run kwargs such as the
+  :class:`~repro.mpi.communicator.CollectiveConfig`, the fault
   schedule's ``profile_hash`` and the library version), so repeated
-  curves, bisections and CI smoke runs are near-free.  The parent
-  computes every key for its cache probe; the process that ran a point
-  writes its entry -- the pool worker for parallel points (the task
-  carries the cache root and key, and a failed write comes back with
-  the result), the parent for in-process ones.  The parent's serial
-  share of a cold parallel sweep is then the probe and the collection.
+  curves, bisections and CI smoke runs are near-free.  Each writing
+  process appends compact JSON lines to one segment file of its own,
+  opened once.  The parent computes every key and refreshes the cache
+  index once per probe pass; the process that ran a point writes its
+  entry -- the pool worker for parallel points (the task carries the
+  cache root and key, and a failed write comes back with the result),
+  the parent for in-process ones.  The parent's serial share of a cold
+  parallel sweep is then the probe and the collection.
 
 Determinism is the contract: the simulator is deterministic, floats
 survive both the pickle transport from workers and the JSON round-trip
@@ -39,11 +41,9 @@ import json
 import os
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, fields
-from pathlib import Path
 from typing import Any, Iterator, Sequence
 
 from ..core.marked_speed import SystemMarkedSpeed
-from ..core.types import MetricError
 from ..machine.cluster import ClusterSpec
 from ..mpi.communicator import CollectiveConfig
 from ..obs.spans import Span, wall_now
@@ -53,23 +53,9 @@ from ..sim.engine import RunResult
 from ..sim.trace import RankStats, RankStatsArray
 from . import runner as _runner
 from .pool import WorkerPool, publish_spec, resolve_spec, shared_pool, spec_key
-from .persistence import (
-    document_envelope,
-    measurement_from_dict,
-    measurement_to_dict,
-    read_json_document,
-)
+from .persistence import measurement_from_dict, measurement_to_dict
+from .runcache import CACHE_PROFILE_VERSION, RunCache, append_entry
 from .runner import RunRecord, resolve_app, run_app
-
-#: Envelope kind of cache entries (see ``write_json_document``).
-CACHE_KIND = "cached-run"
-#: Bumped whenever the cache payload layout or hashed profile changes;
-#: part of the profile hash, so stale layouts simply miss.  Version 2:
-#: ``rank_summary`` quantiles are exact (version 1 held estimates).
-CACHE_PROFILE_VERSION = 2
-#: Default cache root, overridable with $REPRO_CACHE_DIR.
-DEFAULT_CACHE_DIR = ".repro/cache"
-CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 #: Run kwargs that are per-call side-effect channels, not part of the
 #: simulated outcome.  A point carrying any of these executes in-process
@@ -303,58 +289,6 @@ def injector_from_payload(schedule: Any, payload: dict[str, Any]) -> Any:
     return injector
 
 
-# -- the persistent cache -----------------------------------------------------
-
-class RunCache:
-    """Content-addressed store of finished runs under ``root``.
-
-    Entries are ``write_json_document`` envelopes (kind ``cached-run``)
-    at ``<root>/<key[:2]>/<key>.json``, encoded compactly (no indent,
-    so ``json`` keeps its C encoder; indented entries written by older
-    versions still read); a corrupt or wrong-kind file is a miss, never
-    an error.  Whichever process ran a point writes its entry (a pool
-    worker for parallel points, see :func:`_pool_worker`).  Writes go
-    through a temp file named by the writer's pid + ``os.replace``, so
-    concurrent writers and sweeps only ever observe complete entries.
-    """
-
-    def __init__(self, root: str | Path | None = None):
-        if root is None:
-            root = os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR
-        self.root = Path(root)
-
-    def path_for(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
-
-    def get(self, key: str) -> dict[str, Any] | None:
-        path = self.path_for(key)
-        if not path.exists():
-            return None
-        try:
-            document = read_json_document(path, CACHE_KIND)
-        except MetricError:
-            return None
-        result = document.get("result")
-        return result if isinstance(result, dict) else None
-
-    def put(
-        self, key: str, payload: dict[str, Any],
-        metadata: dict[str, Any] | None = None,
-    ) -> Path:
-        path = self.path_for(key)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        document = document_envelope(CACHE_KIND, {"result": payload},
-                                      metadata)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_text(json.dumps(document, sort_keys=True,
-                                  separators=(",", ":")))
-        os.replace(tmp, path)
-        return path
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*/*.json"))
-
-
 # -- worker-side execution ----------------------------------------------------
 
 def _encode_task(point: SweepPoint, pool: WorkerPool) -> tuple:
@@ -419,21 +353,6 @@ def _run_point(point: SweepPoint) -> tuple[RunRecord, Any]:
     return record, injector
 
 
-def _cache_write(
-    cache: RunCache, key: str, point: SweepPoint, payload: dict[str, Any]
-) -> bool:
-    """Write one point's cache entry; ``False`` when the write failed."""
-    try:
-        cache.put(key, payload, metadata={
-            "app": point.app,
-            "n": point.n,
-            "cluster": point.cluster.name,
-        })
-    except OSError:
-        return False
-    return True
-
-
 def _pool_worker(
     task: tuple[tuple, tuple[str, str] | None, float | None],
 ) -> tuple[dict, list, bool]:
@@ -442,9 +361,10 @@ def _pool_worker(
     ``task`` is the compact :func:`_encode_task` form (specs by intern
     hash), the point's ``(cache root, key)`` or ``None`` when it is not
     cached, and its parent-side submit timestamp, or ``None`` when
-    telemetry is off.  With a cache entry the worker writes it through
-    :meth:`RunCache.put` before returning; ``ok`` is ``False`` only when
-    that write failed (the parent logs it).  With a timestamp the worker
+    telemetry is off.  With a cache entry the worker appends it to its
+    own segment (:func:`~repro.experiments.runcache.append_entry`, the
+    handle kept across tasks) before returning; ``ok`` is ``False`` only
+    when that write failed (the parent logs it).  With a timestamp the worker
     records a ``queue_wait`` span from it (pickle + queue +
     wait-for-free-worker latency), an ``engine_run`` span around the
     simulation, a ``serialize`` span around payload building and a
@@ -477,7 +397,10 @@ def _pool_worker(
     if entry is not None:
         root, key = entry
         with _span_on(recorder, "cache_write"):
-            ok = _cache_write(RunCache(root), key, point, payload)
+            try:
+                append_entry(root, key, payload)
+            except OSError:
+                ok = False
     return payload, (worker.drain() if recorder is not None else []), ok
 
 
@@ -700,12 +623,18 @@ class SweepExecutor:
         if collector_active and self.jobs > 1 and points:
             self._warn_trace_serial(len(points))
         probe = managed and not collector_active
+        refresh = probe and self.cache is not None
         for idx, point in enumerate(points):
             key = None
             cached = None
             if probe:
-                # The probe span covers key hashing plus the disk lookup.
+                # The probe span covers key hashing plus the index lookup;
+                # the first also indexes what was appended since the
+                # last pass.
                 with _maybe_span(timeline, "cache_probe", point=idx):
+                    if refresh:
+                        self.cache.refresh()
+                        refresh = False
                     key = point_profile_hash(point)
                     if key is not None and self.cache is not None:
                         cached = self.cache.get(key)
@@ -760,8 +689,9 @@ class SweepExecutor:
                 with _maybe_span(timeline, "serialize", point=idx):
                     payload = run_record_to_payload(record, injector)
                 with _maybe_span(timeline, "cache_write", point=idx):
-                    if not _cache_write(self.cache, keys[idx], point,
-                                        payload):
+                    try:
+                        self.cache.put(keys[idx], payload)
+                    except OSError:
                         self._write_failed(keys[idx])
 
         if not managed:

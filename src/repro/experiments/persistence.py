@@ -39,19 +39,6 @@ def write_json_document(
     readers ignore unknown fields, so old documents stay loadable).
     Parent directories are created as needed.
     """
-    document = document_envelope(kind, payload, metadata)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-
-
-def document_envelope(
-    kind: str,
-    payload: dict[str, Any],
-    metadata: dict[str, Any] | None = None,
-) -> dict[str, Any]:
-    """The document :func:`write_json_document` writes, before encoding
-    (for writers that pick their own layout, e.g. compact cache entries)."""
     from .. import __version__
 
     metadata = dict(metadata or {})
@@ -60,12 +47,15 @@ def document_envelope(
         datetime.now(timezone.utc).isoformat(timespec="seconds"),
     )
     metadata.setdefault("repro_version", __version__)
-    return {
+    document = {
         "format_version": FORMAT_VERSION,
         "kind": kind,
         "metadata": metadata,
         **payload,
     }
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
 
 
 def read_json_document(path: str | Path, kind: str) -> dict[str, Any]:

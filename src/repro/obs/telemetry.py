@@ -12,8 +12,9 @@ This module makes it visible:
 * :class:`WorkerTelemetry` lives inside each pool worker (installed by
   the pool initializer), records a ``spawn`` span at startup and ships
   its per-task spans (``queue_wait`` / ``engine_run`` / ``serialize``,
-  and ``cache_write`` when the sweep has a cache: a pool worker writes
-  its own point's entry) back to the parent with every result.
+  and ``cache_write`` when the sweep has a cache: a pool worker appends
+  its own point's entry to its own cache segment) back to the parent
+  with every result.
 * :class:`SweepTimeline` is the parent-side aggregator: the parent's
   own spans (``cache_probe`` / ``spawn`` / ``collect``, plus
   ``engine_run`` / ``serialize`` / ``cache_write`` for points it runs

@@ -8,6 +8,7 @@ derived metric, and a cache-warm sweep replays those exact values.
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -22,6 +23,7 @@ from repro.experiments.executor import (
     run_record_to_payload,
     sweep_execution,
 )
+from repro.experiments.runcache import SEGMENT_HEADER, SEGMENT_SUFFIX
 from repro.experiments.runner import ledger_recording, marked_speed_of, run_app
 from repro.experiments.sweep import efficiency_curve, required_size_by_simulation
 from repro.faults.run import slowdown_sweep
@@ -129,16 +131,33 @@ class TestBitIdentity:
         assert exe.misses >= 1
 
 
+def segments(root):
+    return sorted(root.glob(f"*{SEGMENT_SUFFIX}"))
+
+
+def entry_keys(segment):
+    """Keys of the complete entry lines of one segment, in order."""
+    lines = segment.read_bytes().split(b"\n")[1:-1]  # header, torn tail
+    return [line.split(b"\t", 1)[0].decode() for line in lines]
+
+
 class TestRunCache:
     def test_round_trip(self, ge2_cluster, tmp_path):
         record = run_app("ge", ge2_cluster, 80)
         cache = fresh_cache(tmp_path)
-        cache.put("ab" + "0" * 62, run_record_to_payload(record))
+        key = "ab" + "0" * 62
+        path = cache.put(key, run_record_to_payload(record))
         assert len(cache) == 1
-        loaded = run_record_from_payload(cache.get("ab" + "0" * 62))
-        assert record_signature(loaded) == record_signature(record)
-        assert loaded.app_result is None
-        assert loaded.run.tracer is None
+        # One segment: its header line, then one compact entry line.
+        assert segments(cache.root) == [path]
+        assert path.read_bytes().startswith(SEGMENT_HEADER)
+        assert entry_keys(path) == [key]
+        for reader in (cache, RunCache(cache.root)):
+            loaded = run_record_from_payload(reader.get(key))
+            assert record_signature(loaded) == record_signature(record)
+            assert loaded.app_result is None
+            assert loaded.run.tracer is None
+        assert len(RunCache(cache.root)) == 1
 
     def test_missing_key_is_miss(self, tmp_path):
         assert fresh_cache(tmp_path).get("ff" + "0" * 62) is None
@@ -148,17 +167,27 @@ class TestRunCache:
         cache = fresh_cache(tmp_path)
         key = "ab" + "0" * 62
         path = cache.put(key, run_record_to_payload(record))
-        path.write_text("{ not json")
+        path.write_bytes(SEGMENT_HEADER + key.encode() + b"\t{ not json\n")
+        assert RunCache(cache.root).get(key) is None
+        cache.refresh()
         assert cache.get(key) is None
-        path.write_text(json.dumps({"kind": "something-else"}))
-        assert cache.get(key) is None
+        # A complete entry under a wrong-kind header is a miss too.
+        line = key.encode() + b"\t" + json.dumps(
+            run_record_to_payload(record)).encode() + b"\n"
+        path.write_bytes(json.dumps({"kind": "something-else"}).encode()
+                         + b"\n" + line)
+        assert RunCache(cache.root).get(key) is None
+        path.write_bytes(SEGMENT_HEADER + line)
+        assert RunCache(cache.root).get(key) is not None
 
     def test_corrupt_entry_refills_on_next_sweep(self, ge2_cluster, tmp_path):
         cache = fresh_cache(tmp_path)
         exe = SweepExecutor(cache=cache)
         exe.run_points([SweepPoint.make("ge", ge2_cluster, 80)])
-        entry = next(cache.root.glob("*/*.json"))
-        entry.write_text("corrupt")
+        (segment,) = segments(cache.root)
+        header, entry = segment.read_bytes().splitlines(keepends=True)
+        key = entry.split(b"\t", 1)[0]
+        segment.write_bytes(header + key + b"\tcorrupt\n")
         exe2 = SweepExecutor(cache=cache)
         exe2.run_points([SweepPoint.make("ge", ge2_cluster, 80)])
         assert exe2.cache_stats() == {"hits": 0, "misses": 1}
@@ -166,6 +195,26 @@ class TestRunCache:
         exe3 = SweepExecutor(cache=cache)
         exe3.run_points([SweepPoint.make("ge", ge2_cluster, 80)])
         assert exe3.cache_stats() == {"hits": 1, "misses": 0}
+
+    def test_last_complete_line_wins_across_segments(
+        self, ge2_cluster, tmp_path
+    ):
+        """A fresh reader scans segments oldest-modified first, so the
+        refill of a corrupt entry, in a newer segment, wins."""
+        point = SweepPoint.make("ge", ge2_cluster, 80)
+        key = point_profile_hash(point)
+        cache = fresh_cache(tmp_path)
+        cache.root.mkdir(parents=True)
+        # Named to sort after any writer's segment, modified long ago.
+        stale = cache.root / f"99999999-old{SEGMENT_SUFFIX}"
+        stale.write_bytes(SEGMENT_HEADER + key.encode() + b"\tcorrupt\n")
+        os.utime(stale, ns=(1, 1))
+        exe = SweepExecutor(cache=cache)
+        exe.run_points([point])
+        assert exe.cache_stats() == {"hits": 0, "misses": 1}
+        exe2 = SweepExecutor(cache=RunCache(cache.root))
+        exe2.run_points([point])
+        assert exe2.cache_stats() == {"hits": 1, "misses": 0}
 
     def test_env_var_sets_default_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "elsewhere"))
@@ -492,11 +541,17 @@ class TestWorkerCacheWrites:
         points = [SweepPoint.make("ge", ge2_cluster, n) for n in (60, 70, 80)]
         out = SweepExecutor(jobs=2, cache=cache).run_points(points)
         assert calls == []
-        for point, record in zip(points, out):
-            path = cache.path_for(point_profile_hash(point))
-            assert path.is_file()
-            assert "\n" not in path.read_text()  # compact entry
-            stored = run_record_from_payload(cache.get(path.stem))
+        # Workers wrote every entry, one compact line each, into their
+        # own segments: none is named by the parent's pid.
+        written = {}
+        for segment in segments(cache.root):
+            assert not segment.name.startswith(f"{os.getpid()}-")
+            written.update(dict.fromkeys(entry_keys(segment), segment))
+        keys = [point_profile_hash(point) for point in points]
+        assert sorted(written) == sorted(keys)
+        reader = RunCache(cache.root)
+        for key, record in zip(keys, out):
+            stored = run_record_from_payload(reader.get(key))
             assert record_signature(stored) == record_signature(record)
             assert stored.run.wall_seconds == record.run.wall_seconds
         # The serial path still writes in-process, through the same put.
@@ -510,8 +565,8 @@ class TestWorkerCacheWrites:
     ):
         from repro.obs.structlog import StructLogger
 
-        # A cache root that is a regular file: every mkdir under it
-        # raises NotADirectoryError, an OSError.
+        # A cache root that is a regular file: creating it as a
+        # directory raises FileExistsError, an OSError, in every writer.
         root = tmp_path / "not-a-dir"
         root.write_text("")
         log = StructLogger()
@@ -527,24 +582,34 @@ class TestWorkerCacheWrites:
         assert sorted(e["key"] for e in failed) == sorted(
             point_profile_hash(p) for p in points
         )
+        assert root.read_text() == ""
+        # The serial path logs its failed writes the same way.
+        log.events.clear()
+        SweepExecutor(cache=RunCache(root), log=log).run_points(points[:1])
+        assert [e["key"] for e in log.events
+                if e["event"] == "sweep.cache_write_failed"] == [
+            point_profile_hash(points[0])]
 
-    def test_indented_entry_written_before_still_hits(
+    def test_old_per_file_entry_is_miss_not_error(
         self, ge2_cluster, tmp_path
     ):
-        from repro.experiments.executor import CACHE_KIND
+        """Entries of the one-file-per-entry layout are never read."""
         from repro.experiments.persistence import write_json_document
+        from repro.experiments.runcache import CACHE_KIND
 
         cache = fresh_cache(tmp_path)
         point = SweepPoint.make("ge", ge2_cluster, 80)
         record = run_app("ge", ge2_cluster, 80)
-        path = cache.path_for(point_profile_hash(point))
-        write_json_document(path, CACHE_KIND,
+        key = point_profile_hash(point)
+        write_json_document(cache.root / key[:2] / f"{key}.json", CACHE_KIND,
                             {"result": run_record_to_payload(record)})
-        assert "\n  " in path.read_text()
         exe = SweepExecutor(cache=cache)
-        (replayed,) = exe.run_points([point])
-        assert exe.cache_stats() == {"hits": 1, "misses": 0}
-        assert record_signature(replayed) == record_signature(record)
+        (rerun,) = exe.run_points([point])
+        assert exe.cache_stats() == {"hits": 0, "misses": 1}
+        assert record_signature(rerun) == record_signature(record)
+        exe2 = SweepExecutor(cache=cache)
+        exe2.run_points([point])
+        assert exe2.cache_stats() == {"hits": 1, "misses": 0}
 
     def test_shared_specs_are_hashed_once_per_instance(
         self, ge2_cluster, tmp_path, monkeypatch
@@ -571,6 +636,203 @@ class TestWorkerCacheWrites:
         SweepExecutor(jobs=2, cache=fresh_cache(tmp_path)).run_faulted(points)
         assert len(digests) == 1
         assert len(payloads) == 1
+
+
+def _write_entries(root, tag, count, barrier):
+    """A writer process: append ``count`` entries once both writers are up."""
+    cache = RunCache(root)
+    barrier.wait(timeout=60)
+    for i in range(count):
+        cache.put(f"{tag}{i:063d}", {"i": i, "pad": "x" * 512})
+
+
+class TestSegments:
+    """Per-writer append-only segments: concurrency, torn lines and the
+    life cycle of a writer's handle (fork, deleted root, reused pid)."""
+
+    def test_two_concurrent_writers_every_entry_hits(self, tmp_path):
+        import multiprocessing
+
+        ctx = multiprocessing.get_context("spawn")
+        barrier = ctx.Barrier(2)
+        root = tmp_path / "cache"
+        writers = [ctx.Process(target=_write_entries,
+                               args=(str(root), tag, 300, barrier))
+                   for tag in "ab"]
+        for writer in writers:
+            writer.start()
+        for writer in writers:
+            writer.join(timeout=120)
+            assert writer.exitcode == 0
+        assert len(segments(root)) == 2
+        reader = RunCache(root)
+        assert len(reader) == 600
+        for tag in "ab":
+            for i in range(300):
+                assert reader.get(f"{tag}{i:063d}") == {"i": i,
+                                                        "pad": "x" * 512}
+
+    def test_torn_final_line_is_miss_and_later_appends_read(self, tmp_path):
+        root = tmp_path / "cache"
+        root.mkdir()
+        a, b, c = ("a" * 64, "b" * 64, "c" * 64)
+        line_b = b.encode() + b'\t{"v":"b"}\n'
+        dead = root / f"1-dead{SEGMENT_SUFFIX}"  # a writer died mid-line
+        dead.write_bytes(SEGMENT_HEADER + a.encode() + b'\t{"v":"a"}\n'
+                         + line_b[:-1])
+        reader = RunCache(root)
+        assert reader.get(a) == {"v": "a"}
+        assert reader.get(b) is None
+        RunCache(root).put(c, {"v": "c"})  # another writer's segment
+        reader.refresh()
+        assert reader.get(c) == {"v": "c"}
+        assert reader.get(b) is None
+        assert RunCache(root).get(c) == {"v": "c"}
+        # A tail still being written is read again once it is complete.
+        with open(dead, "ab") as f:
+            f.write(b"\n")
+        reader.refresh()
+        assert reader.get(b) == {"v": "b"}
+
+    def test_killed_worker_keeps_its_finished_entries(
+        self, ge2_cluster, tmp_path, monkeypatch
+    ):
+        import signal
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.experiments import runcache
+        from repro.experiments.pool import shutdown_worker_pools
+
+        parent = os.getpid()
+        append = runcache._Segment.append
+        appends = []  # one list per forked worker
+
+        def dying_append(self, data):
+            # A worker's second entry (after header and first entry):
+            # write half its line, then die.
+            appends.append(data)
+            if os.getpid() != parent and len(appends) > 2:
+                os.write(self.fd, data[:len(data) // 2])
+                os.kill(os.getpid(), signal.SIGKILL)
+            return append(self, data)
+
+        cache = fresh_cache(tmp_path)
+        points = [SweepPoint.make("ge", ge2_cluster, n)
+                  for n in range(40, 100, 6)]
+        shutdown_worker_pools()  # the next pool forks with the patch
+        monkeypatch.setattr(runcache._Segment, "append", dying_append)
+        try:
+            with pytest.raises(BrokenProcessPool):
+                SweepExecutor(jobs=2, cache=cache).run_points(points)
+        finally:
+            shutdown_worker_pools()
+            monkeypatch.undo()
+        torn = [s for s in segments(cache.root)
+                if not s.read_bytes().endswith(b"\n")]
+        assert torn and all(entry_keys(s) for s in torn)
+        finished = [k for s in segments(cache.root) for k in entry_keys(s)]
+        reader = RunCache(cache.root)
+        assert all(reader.get(k) is not None for k in finished)
+        for segment in torn:
+            tail = segment.read_bytes().rsplit(b"\n", 1)[1]
+            assert reader.get(tail.split(b"\t", 1)[0].decode()) is None
+        # A rerun replays what finished and refills the rest.
+        exe = SweepExecutor(jobs=2, cache=cache)
+        out = exe.run_points(points)
+        assert exe.cache_stats() == {"hits": len(finished),
+                                     "misses": len(points) - len(finished)}
+        assert [record_signature(r) for r in out] == [
+            record_signature(r) for r in SweepExecutor().run_points(points)]
+
+    def test_serial_then_pool_sweep_on_one_root(self, ge2_cluster, tmp_path):
+        """Forked workers never append through the parent's inherited
+        segment handle; each opens its own."""
+        from repro.experiments.pool import shutdown_worker_pools
+
+        cache = fresh_cache(tmp_path)
+        first = [SweepPoint.make("ge", ge2_cluster, n) for n in (60, 70)]
+        more = [SweepPoint.make("ge", ge2_cluster, n) for n in (80, 90, 100)]
+        SweepExecutor(cache=cache).run_points(first)
+        (own,) = segments(cache.root)
+        assert own.name.startswith(f"{os.getpid()}-")
+        shutdown_worker_pools()  # fork the pool with the segment open
+        exe = SweepExecutor(jobs=2, cache=cache)
+        out = exe.run_points(first + more)
+        assert exe.cache_stats() == {"hits": 2, "misses": 3}
+        assert entry_keys(own) == [point_profile_hash(p) for p in first]
+        assert len(segments(cache.root)) > 1
+        replay = SweepExecutor(jobs=2, cache=RunCache(cache.root))
+        assert [record_signature(r)
+                for r in replay.run_points(first + more)] == [
+            record_signature(r) for r in out]
+        assert replay.cache_stats() == {"hits": 5, "misses": 0}
+        # ... and the parent keeps appending to its own segment.
+        SweepExecutor(cache=cache).run_points(
+            [SweepPoint.make("ge", ge2_cluster, 110)])
+        assert len(entry_keys(own)) == 3
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_deleted_root_refills_in_the_new_directory(
+        self, ge2_cluster, tmp_path, jobs
+    ):
+        import shutil
+
+        cache = fresh_cache(tmp_path)
+        points = [SweepPoint.make("ge", ge2_cluster, n) for n in (60, 70, 80)]
+        SweepExecutor(jobs=jobs, cache=cache).run_points(points)
+        shutil.rmtree(cache.root)  # pool workers keep their handles
+        exe = SweepExecutor(jobs=jobs, cache=cache)
+        exe.run_points(points)
+        assert exe.cache_stats() == {"hits": 0, "misses": 3}
+        assert sum(len(entry_keys(s)) for s in segments(cache.root)) == 3
+        for reader in (cache, RunCache(cache.root)):
+            exe = SweepExecutor(jobs=jobs, cache=reader)
+            exe.run_points(points)
+            assert exe.cache_stats() == {"hits": 3, "misses": 0}
+
+    def test_handles_do_not_pile_up_per_deleted_root(self, tmp_path):
+        import shutil
+        from pathlib import Path
+
+        fd_dir = Path("/proc/self/fd")
+        if not fd_dir.is_dir():
+            pytest.skip("needs /proc/self/fd")
+
+        def open_segments():
+            targets = []
+            for fd in os.listdir(fd_dir):
+                try:
+                    targets.append(os.readlink(fd_dir / fd))
+                except OSError:
+                    continue
+            return [t for t in targets if SEGMENT_SUFFIX in t]
+
+        for i in range(5):
+            root = tmp_path / f"cache{i}"
+            RunCache(root).put("ab" * 32, {"i": i})
+            shutil.rmtree(root)
+        assert len(open_segments()) <= 1
+
+    def test_reused_pid_never_extends_an_old_segment(self, tmp_path):
+        from repro.experiments import runcache
+
+        root = tmp_path / "cache"
+        root.mkdir()
+        a, b, c = ("a" * 64, "b" * 64, "c" * 64)
+        torn = (SEGMENT_HEADER + a.encode() + b'\t{"v":"a"}\n'
+                + b.encode() + b'\t{"v":"b"}')
+        # What an earlier process with this pid could have left behind.
+        olds = [root / f"{os.getpid()}{SEGMENT_SUFFIX}",
+                root / f"{os.getpid()}-0{SEGMENT_SUFFIX}"]
+        for old in olds:
+            old.write_bytes(torn)
+        runcache._close_segment()  # as in a fresh process
+        RunCache(root).put(c, {"v": "c"})
+        assert [old.read_bytes() for old in olds] == [torn, torn]
+        reader = RunCache(root)
+        assert reader.get(a) == {"v": "a"}
+        assert reader.get(b) is None
+        assert reader.get(c) == {"v": "c"}
 
 
 class TestStatsPayload:
