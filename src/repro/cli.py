@@ -514,6 +514,19 @@ def cmd_faults_run(args: argparse.Namespace) -> int:
 
         flight = FlightRecorder()
     tracer = Tracer() if args.trace_out else None
+
+    def write_trace() -> None:
+        from .obs.chrome_trace import write_chrome_trace
+
+        count = write_chrome_trace(args.trace_out, tracer,
+                                   topology=cluster.topology())
+        suffix = (
+            f" ({tracer.dropped} records dropped past the tracer limit)"
+            if tracer.dropped else ""
+        )
+        print(f"wrote {count} trace events to {args.trace_out}{suffix}")
+        print()
+
     try:
         faulty = run_app_under_faults(
             app, cluster, args.size, schedule,
@@ -522,7 +535,10 @@ def cmd_faults_run(args: argparse.Namespace) -> int:
     except SimulationError as err:
         # With a flight recorder attached the engine dumped its ring on
         # the way out -- point the user at the black box before exiting.
+        # A tracer keeps the records up to the failure: write them too.
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
+        if tracer is not None:
+            write_trace()
         if flight is not None:
             for path in flight.dumps:
                 print(
@@ -570,16 +586,7 @@ def cmd_faults_run(args: argparse.Namespace) -> int:
         ))
 
     if tracer is not None:
-        from .obs.chrome_trace import write_chrome_trace
-
-        count = write_chrome_trace(args.trace_out, tracer,
-                                   topology=cluster.topology())
-        suffix = (
-            f" ({tracer.dropped} records dropped past the tracer limit)"
-            if tracer.dropped else ""
-        )
-        print(f"wrote {count} trace events to {args.trace_out}{suffix}")
-        print()
+        write_trace()
     if args.smoke or args.ledger is not None:
         from .obs.ledger import RunLedger
 
@@ -818,7 +825,8 @@ def build_faults_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--trace-out", default=None, metavar="PATH",
-        help="write a Chrome trace of the faulted run (fault track included)",
+        help="write a Chrome trace of the faulted run (fault track "
+             "included; a failed run writes the records up to the failure)",
     )
     run.add_argument(
         "--flight", action="store_true",
@@ -1205,10 +1213,17 @@ def sweep_main(argv: Sequence[str]) -> int:
 
 # -- flight-recorder commands (flight list / flight show) ---------------------
 
+def _non_negative_int(text: str) -> int:
+    """argparse type: an integer >= 0 (a bad value exits 2)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def cmd_flight_list(args: argparse.Namespace) -> int:
     """Enumerate flight dumps, newest first (``repro flight list``)."""
-    from .obs.flight import format_dump_line, list_dumps, load_dump
-    from .sim.flight import flight_dir
+    from .sim.flight import flight_dir, format_dump_line, list_dumps, load_dump
 
     root = Path(args.dir) if args.dir else flight_dir()
     dumps = list_dumps(root)
@@ -1230,8 +1245,7 @@ def cmd_flight_list(args: argparse.Namespace) -> int:
 
 def cmd_flight_show(args: argparse.Namespace) -> int:
     """Render one flight dump (``repro flight show [DUMP]``)."""
-    from .obs.flight import format_dump, list_dumps, load_dump
-    from .sim.flight import flight_dir
+    from .sim.flight import flight_dir, format_dump, list_dumps, load_dump
 
     root = Path(args.dir) if args.dir else flight_dir()
     if args.dump:
@@ -1289,7 +1303,7 @@ def build_flight_parser() -> argparse.ArgumentParser:
              "the newest dump)",
     )
     show.add_argument(
-        "--tail", type=int, default=None, metavar="N",
+        "--tail", type=_non_negative_int, default=None, metavar="N",
         help="only the last N records before the failure (default: all "
              "retained records)",
     )

@@ -61,9 +61,7 @@ from .runner import RunRecord, resolve_app, run_app
 #: simulated outcome.  A point carrying any of these executes in-process
 #: and bypasses the cache (a cached run cannot feed a tracer, and a
 #: flight recorder's ring must live in the caller's process).
-SIDE_EFFECT_KWARGS = frozenset(
-    {"tracer", "metrics", "log", "launcher", "flight"}
-)
+SIDE_EFFECT_KWARGS = frozenset({"tracer", "launcher", "flight"})
 
 #: Above this rank count a serialized run drops its O(ranks) per-rank
 #: lists (``stats``/``finish_times``) and carries its exact
@@ -83,7 +81,7 @@ class SweepPoint:
 
     ``kwargs`` holds the run keywords that determine the outcome (sorted
     tuple of pairs, so points are picklable and comparable); ``local``
-    holds side-effect keywords (tracer/metrics/log/launcher) that force
+    holds side-effect keywords (tracer/launcher/flight) that force
     in-process, uncached execution.  ``schedule`` is an optional
     :class:`~repro.faults.schedule.FaultSchedule` to inject.
     """
@@ -344,7 +342,7 @@ def _run_point(point: SweepPoint) -> tuple[RunRecord, Any]:
     from ..faults.run import make_fault_launcher
 
     point.schedule.validate_for(point.cluster.nranks)
-    injector = FaultInjector(point.schedule, log=kwargs.get("log"))
+    injector = FaultInjector(point.schedule)
     record = run_app(
         point.app, point.cluster, point.n,
         launcher=make_fault_launcher(point.schedule, injector),
@@ -416,9 +414,8 @@ class SweepExecutor:
     :class:`RunCache` attached (*managed* mode), the executor
     becomes the recording authority: every point is appended to the
     ambient ledger (see :func:`~repro.experiments.runner.ledger_recording`)
-    with a ``cache_hit`` extra metric, and hit/miss counters are kept in
-    the attached metrics registry (``sweep_cache_hits_total`` /
-    ``sweep_cache_misses_total``).
+    with a ``cache_hit`` extra metric, and hits and misses are counted
+    (:meth:`cache_stats`).
 
     Points carrying side-effect kwargs, and every point while a trace
     collector is active, execute in-process and bypass the cache -- a
@@ -435,8 +432,7 @@ class SweepExecutor:
     spans for every phase of the sweep (spawn, queue-wait, cache probe,
     engine run, serialize, cache write, collect); each ``run_faulted``
     call then leaves a fresh :class:`~repro.obs.telemetry.SweepTimeline`
-    on :attr:`timeline`, feeds per-phase ``sweep_phase_seconds``
-    histograms into the metrics registry, and (when an ambient ledger is
+    on :attr:`timeline` and (when an ambient ledger is
     recording) appends one sweep-level ``source="sweep"`` ledger record
     carrying the full telemetry block.  With telemetry off (the
     default) no span machinery runs; with it on, spans only wrap the
@@ -455,7 +451,6 @@ class SweepExecutor:
         self,
         jobs: int = 1,
         cache: RunCache | None = None,
-        metrics: Any = None,
         log: Any = None,
         telemetry: bool = False,
         progress: Any = None,
@@ -473,21 +468,11 @@ class SweepExecutor:
         self._warned_trace_serial = False
         self.timeline: SweepTimeline | None = None
         self._setup_spans: list[Span] = []
-        if metrics is None:
-            from ..obs.metrics import MetricsRegistry
-
-            metrics = MetricsRegistry()
-        self.metrics = metrics
+        #: Managed-mode cache hits and misses over this executor's life.
+        self.hits = 0
+        self.misses = 0
 
     # -- bookkeeping -------------------------------------------------------
-    @property
-    def hits(self) -> int:
-        return int(self.metrics.value("sweep_cache_hits_total") or 0)
-
-    @property
-    def misses(self) -> int:
-        return int(self.metrics.value("sweep_cache_misses_total") or 0)
-
     def cache_stats(self) -> dict[str, int]:
         return {"hits": self.hits, "misses": self.misses}
 
@@ -496,10 +481,6 @@ class SweepExecutor:
         """Executor-managed mode: caching/parallelism in play, so the
         executor (not ``run_app``) appends to the ambient ledger."""
         return self.jobs > 1 or self.cache is not None
-
-    def _count(self, hit: bool) -> None:
-        name = "sweep_cache_hits_total" if hit else "sweep_cache_misses_total"
-        self.metrics.counter(name).inc()
 
     def _tick(self, hit: bool = False) -> None:
         """One point landed: advance the progress heartbeat, if any."""
@@ -594,12 +575,10 @@ class SweepExecutor:
             progress.begin(total=len(points), workers=self.jobs)
         with _maybe_span(timeline, ROOT_SPAN, points=len(points)):
             out = self._run(points, timeline)
-        if timeline is not None:
-            timeline.observe_metrics(self.metrics)
-            if self._managed:
-                # After the root closed: the recorded document then
-                # carries the final wall/coverage numbers.
-                self._record_sweep_ledger(points, timeline)
+        if timeline is not None and self._managed:
+            # After the root closed: the recorded document then
+            # carries the final wall/coverage numbers.
+            self._record_sweep_ledger(points, timeline)
         if progress is not None:
             progress.finish()
         return out
@@ -696,13 +675,15 @@ class SweepExecutor:
 
         if not managed:
             return results
+        hits = sum(flags)
+        self.hits += hits
+        self.misses += len(points) - hits
         for idx, point in enumerate(points):
             with _maybe_span(timeline, "collect", point=idx):
-                self._count(hit=flags[idx])
                 self._record_ledger(point, results[idx][0],
                                     cache_hit=flags[idx])
         if timeline is not None:
-            timeline.cache_hits = sum(flags)
+            timeline.cache_hits = hits
         return results
 
     def _run_pool(

@@ -190,8 +190,6 @@ def run_ge(
     collectives: CollectiveConfig | None = None,
     marked: SystemMarkedSpeed | None = None,
     tracer: Tracer | None = None,
-    metrics: Any = None,
-    log: Any = None,
     seed: int = 0,
     launcher: Any = None,
     flight: Any = None,
@@ -199,8 +197,6 @@ def run_ge(
     """Run Gaussian elimination of rank ``n`` on a cluster configuration."""
     marked = marked if marked is not None else marked_speed_of(cluster)
     tracer = _resolve_tracer(tracer, f"ge N={n} on {cluster.name}")
-    if log is not None:
-        log = log.bind(app="ge", n=n, cluster=cluster.name)
     options = GEOptions(
         n=n, speeds=tuple(marked.speeds), numeric=numeric, seed=seed
     )
@@ -213,8 +209,6 @@ def run_ge(
         program,
         config=collectives,
         tracer=tracer,
-        metrics=metrics,
-        log=log,
         **({"flight": flight} if flight is not None else {}),
     )
     measurement = Measurement(
@@ -244,8 +238,6 @@ def run_mm(
     collectives: CollectiveConfig | None = MM_COLLECTIVES,
     marked: SystemMarkedSpeed | None = None,
     tracer: Tracer | None = None,
-    metrics: Any = None,
-    log: Any = None,
     seed: int = 0,
     launcher: Any = None,
     flight: Any = None,
@@ -253,8 +245,6 @@ def run_mm(
     """Run matrix multiplication of rank ``n`` on a cluster configuration."""
     marked = marked if marked is not None else marked_speed_of(cluster)
     tracer = _resolve_tracer(tracer, f"mm N={n} on {cluster.name}")
-    if log is not None:
-        log = log.bind(app="mm", n=n, cluster=cluster.name)
     options = MMOptions(
         n=n, speeds=tuple(marked.speeds), numeric=numeric, seed=seed
     )
@@ -267,8 +257,6 @@ def run_mm(
         program,
         config=collectives,
         tracer=tracer,
-        metrics=metrics,
-        log=log,
         **({"flight": flight} if flight is not None else {}),
     )
     measurement = Measurement(
@@ -291,8 +279,6 @@ def run_fft(
     collectives: CollectiveConfig | None = None,
     marked: SystemMarkedSpeed | None = None,
     tracer: Tracer | None = None,
-    metrics: Any = None,
-    log: Any = None,
     seed: int = 0,
     launcher: Any = None,
     flight: Any = None,
@@ -300,8 +286,6 @@ def run_fft(
     """Run the distributed 2-D FFT (``n`` must be a power of two)."""
     marked = marked if marked is not None else marked_speed_of(cluster)
     tracer = _resolve_tracer(tracer, f"fft N={n} on {cluster.name}")
-    if log is not None:
-        log = log.bind(app="fft", n=n, cluster=cluster.name)
     options = FFTOptions(
         n=n, speeds=tuple(marked.speeds), numeric=numeric, seed=seed
     )
@@ -314,8 +298,6 @@ def run_fft(
         program,
         config=collectives,
         tracer=tracer,
-        metrics=metrics,
-        log=log,
         **({"flight": flight} if flight is not None else {}),
     )
     measurement = Measurement(
@@ -347,8 +329,6 @@ def run_stencil(
     collectives: CollectiveConfig | None = None,
     marked: SystemMarkedSpeed | None = None,
     tracer: Tracer | None = None,
-    metrics: Any = None,
-    log: Any = None,
     seed: int = 0,
     launcher: Any = None,
     flight: Any = None,
@@ -356,8 +336,6 @@ def run_stencil(
     """Run the Jacobi stencil on an ``n x n`` grid for ``sweeps`` sweeps."""
     marked = marked if marked is not None else marked_speed_of(cluster)
     tracer = _resolve_tracer(tracer, f"stencil N={n} on {cluster.name}")
-    if log is not None:
-        log = log.bind(app="stencil", n=n, cluster=cluster.name)
     sweeps = default_stencil_sweeps(n) if sweeps is None else sweeps
     options = StencilOptions(
         n=n, sweeps=sweeps, speeds=tuple(marked.speeds),
@@ -372,8 +350,6 @@ def run_stencil(
         program,
         config=collectives,
         tracer=tracer,
-        metrics=metrics,
-        log=log,
         **({"flight": flight} if flight is not None else {}),
     )
     measurement = Measurement(

@@ -40,7 +40,7 @@ from .schedule import FaultSchedule, LinkDegradation, NodeSlowdown
 
 
 class FaultTraceEvent:
-    """One fault occurrence, for the fault track of traces and logs."""
+    """One fault occurrence, for the fault track of traces."""
 
     __slots__ = ("time", "rank", "kind", "detail")
 
@@ -66,9 +66,8 @@ class FaultInjector:
     to compute availabilities and the effective marked speed.
     """
 
-    def __init__(self, schedule: FaultSchedule, log: Any = None):
+    def __init__(self, schedule: FaultSchedule):
         self.schedule = schedule
-        self.log = log
         self.events: list[FaultTraceEvent] = []
         self.downtime: dict[int, float] = {}
         self.failed_at: dict[int, float] = {}
@@ -92,8 +91,6 @@ class FaultInjector:
     # -- reporting ---------------------------------------------------------
     def record(self, time: float, rank: int, kind: str, detail: str = "") -> None:
         self.events.append(FaultTraceEvent(time, rank, kind, detail))
-        if self.log is not None:
-            self.log.event(f"fault.{kind}", rank=rank, t=time, detail=detail)
 
     def record_loss(self, src: int, dst: int, nbytes: float, start: float) -> None:
         self.messages_dropped += 1

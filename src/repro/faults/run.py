@@ -65,8 +65,6 @@ def faulty_mpi_run(
     config: CollectiveConfig | None = None,
     injector: FaultInjector | None = None,
     tracer: Tracer | None = None,
-    metrics: Any = None,
-    log: Any = None,
     max_events: int = 50_000_000,
     flight: Any = None,
 ) -> RunResult:
@@ -79,9 +77,7 @@ def faulty_mpi_run(
     """
     schedule.validate_for(nranks)
     if injector is None:
-        injector = FaultInjector(schedule, log=log)
-    elif injector.log is None:
-        injector.log = log
+        injector = FaultInjector(schedule)
     speeds = [float(s) for s in flops_per_second]
 
     def factory(rank: int):
@@ -98,8 +94,6 @@ def faulty_mpi_run(
         network=net,
         flops_per_second=speeds,
         tracer=tracer,
-        metrics=metrics,
-        log=log,
         max_events=max_events,
         flight=flight,
     )
@@ -129,16 +123,13 @@ def make_fault_launcher(
         program: Any,
         config: CollectiveConfig | None = None,
         tracer: Tracer | None = None,
-        metrics: Any = None,
-        log: Any = None,
         max_events: int = 50_000_000,
         flight: Any = flight,
     ) -> RunResult:
         return faulty_mpi_run(
             nranks, network, flops_per_second, program, schedule,
             config=config, injector=injector, tracer=tracer,
-            metrics=metrics, log=log, max_events=max_events,
-            flight=flight,
+            max_events=max_events, flight=flight,
         )
 
     return launch
@@ -261,8 +252,6 @@ def run_app_under_faults(
     schedule: FaultSchedule,
     baseline: RunRecord | bool = True,
     tracer: Tracer | None = None,
-    metrics: Any = None,
-    log: Any = None,
     seed: int = 0,
     flight: Any = None,
     **run_kwargs: Any,
@@ -277,11 +266,11 @@ def run_app_under_faults(
     app = resolve_app(app)
     schedule.validate_for(cluster.nranks)
     marked = marked_speed_of(cluster)
-    injector = FaultInjector(schedule, log=log)
+    injector = FaultInjector(schedule)
     base_record: RunRecord | None
     if baseline is True:
         base_record = run_app(
-            app, cluster, n, marked=marked, log=log, seed=seed, **run_kwargs
+            app, cluster, n, marked=marked, seed=seed, **run_kwargs
         )
     elif baseline is False:
         base_record = None
@@ -289,7 +278,7 @@ def run_app_under_faults(
         base_record = baseline
     faulted = run_app(
         app, cluster, n,
-        marked=marked, tracer=tracer, metrics=metrics, log=log, seed=seed,
+        marked=marked, tracer=tracer, seed=seed,
         launcher=make_fault_launcher(schedule, injector, flight=flight),
         **run_kwargs,
     )
@@ -312,7 +301,6 @@ def slowdown_sweep(
     severities: Sequence[float] = (0.0, 0.2, 0.4, 0.6),
     onset: float = 0.0,
     duration: float | None = None,
-    log: Any = None,
     seed: int = 0,
     executor: Any = None,
 ) -> list[FaultSweepRow]:
@@ -341,11 +329,11 @@ def slowdown_sweep(
         )
         for severity in severities
     ]
-    points = [SweepPoint.make(app, cluster, n, log=log, seed=seed)]
+    points = [SweepPoint.make(app, cluster, n, seed=seed)]
     points += [
         SweepPoint.make(
             app, cluster, n, schedule=schedule,
-            marked=marked, log=log, seed=seed,
+            marked=marked, seed=seed,
         )
         for schedule in schedules
     ]

@@ -108,13 +108,12 @@ def _wrapping_launcher(schedule, injector, wrap, flight=None):
 
     def launch(
         nranks, network, flops_per_second, program,
-        config=None, tracer=None, metrics=None, log=None,
-        max_events=50_000_000, flight=flight,
+        config=None, tracer=None, max_events=50_000_000, flight=flight,
     ):
         return faulty_mpi_run(
             nranks, wrap(network), flops_per_second, program, schedule,
             config=config, injector=injector, tracer=tracer,
-            metrics=metrics, log=log, max_events=max_events, flight=flight,
+            max_events=max_events, flight=flight,
         )
 
     return launch
@@ -126,7 +125,6 @@ def run_scenario(
     executor: Any = None,
     baseline: bool = True,
     tracer: Tracer | None = None,
-    log: Any = None,
     flight: Any = None,
 ) -> FaultyRun:
     """Execute one scenario; returns the full :class:`FaultyRun` surface.
@@ -143,21 +141,21 @@ def run_scenario(
             return _run_via_executor(scenario, cluster, executor, baseline)
         return run_app_under_faults(
             scenario.app, cluster, scenario.n, scenario.schedule,
-            baseline=baseline, tracer=tracer, log=log,
+            baseline=baseline, tracer=tracer,
             seed=scenario.seed, flight=flight,
         )
     wrap = resolve_network_wrapper(scenario.network_wrapper)
     marked = marked_speed_of(cluster)
-    injector = FaultInjector(scenario.schedule, log=log)
+    injector = FaultInjector(scenario.schedule)
     base = None
     if baseline:
         base = run_app(
             scenario.app, cluster, scenario.n,
-            marked=marked, log=log, seed=scenario.seed,
+            marked=marked, seed=scenario.seed,
         )
     faulted = run_app(
         scenario.app, cluster, scenario.n,
-        marked=marked, tracer=tracer, log=log, seed=scenario.seed,
+        marked=marked, tracer=tracer, seed=scenario.seed,
         launcher=_wrapping_launcher(
             scenario.schedule, injector, wrap, flight=flight
         ),

@@ -352,9 +352,8 @@ def attack(
             faulty = evaluate(candidate)
         except SimulationError as exc:
             if log is not None:
-                log.warn(
+                log.warning(
                     "fuzz.attack.candidate_crashed",
-                    "attack candidate crashed",
                     move=move, error=str(exc),
                 )
             continue
@@ -424,7 +423,7 @@ def attack_to_ledger(
     the attack metric block: budget, injected cost and the degradation
     score.  Returns the run id.
     """
-    faulty = run_scenario(result.scenario, executor=executor, log=log)
+    faulty = run_scenario(result.scenario, executor=executor)
     return faulty.to_ledger(
         ledger,
         log=log,

@@ -254,17 +254,13 @@ def mpi_run(
     program: MPIProgram,
     config: CollectiveConfig | None = None,
     tracer: Tracer | None = None,
-    metrics: Any = None,
-    log: Any = None,
     max_events: int = 50_000_000,
     flight: Any = None,
 ) -> RunResult:
     """Run an SPMD program on the simulated machine and network.
 
-    ``metrics`` is an optional metrics sink and ``log`` an optional
-    structured logger (both duck-typed, e.g.
-    :class:`repro.obs.MetricsRegistry` / :class:`repro.obs.StructLogger`)
-    forwarded to the engine; ``flight`` an optional
+    ``tracer`` and ``flight`` are the engine's record stores: a
+    :class:`repro.sim.Tracer` (first-K records) and a
     :class:`repro.sim.FlightRecorder` (last-K ring with crash dumps).
     """
 
@@ -276,8 +272,6 @@ def mpi_run(
         network=network,
         flops_per_second=flops_per_second,
         tracer=tracer,
-        metrics=metrics,
-        log=log,
         max_events=max_events,
         flight=flight,
     )

@@ -180,8 +180,6 @@ def resilient_run(
     max_restarts: int = 16,
     config: CollectiveConfig | None = None,
     tracer: Tracer | None = None,
-    metrics: Any = None,
-    log: Any = None,
     max_events: int = 50_000_000,
 ) -> ResilientRunResult:
     """Run with job-level restart-from-checkpoint under a fault schedule.
@@ -225,8 +223,7 @@ def resilient_run(
     noncrash = schedule.without_crashes()
     base = faulty_mpi_run(
         nranks, network, flops_per_second, program, noncrash,
-        config=config, tracer=tracer, metrics=metrics, log=log,
-        max_events=max_events,
+        config=config, tracer=tracer, max_events=max_events,
     )
     total = base.makespan
 
@@ -261,23 +258,11 @@ def resilient_run(
         downtime += delay
         wall = crash.at + delay
         progress = durable
-        if log is not None:
-            log.event(
-                "resilient.restart",
-                at=crash.at, rank=crash.rank, restarts=restarts,
-                rolled_back_to=durable, lost_work=progress_at_crash - durable,
-            )
     to_finish, final_ckpts = _time_to_finish(
         progress, total, checkpoint_interval, ckpt
     )
     ckpts += final_ckpts
     makespan = wall + to_finish
-    if log is not None:
-        log.event(
-            "resilient.complete",
-            makespan=makespan, base_makespan=total, restarts=restarts,
-            checkpoints=ckpts, lost_work=lost,
-        )
     return ResilientRunResult(
         result=base,
         base_makespan=total,

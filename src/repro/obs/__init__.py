@@ -5,17 +5,18 @@ terms ``(t0 + To)``; this package makes those terms *visible* for any
 simulated run:
 
 * :mod:`repro.obs.metrics` — a labelled Counter / Gauge / Histogram
-  registry the engine populates through its ``metrics=`` hook, including
-  wall-clock self-profiling of the engine itself.
+  registry; :func:`run_metrics` fills one after a run from its tracer's
+  records (per-op counters and histograms) and its result (wall-clock
+  self-profile of the engine).
 * :mod:`repro.obs.chrome_trace` — export :class:`~repro.sim.trace.Tracer`
   records as Chrome trace-event JSON (``chrome://tracing`` / Perfetto).
 * :mod:`repro.obs.analysis` — per-rank utilization, load-imbalance index,
   Theorem-1 overhead decomposition and a critical-path walk over the
   trace's compute/send/recv dependencies.
 * :mod:`repro.obs.profiler` — the ``repro profile <app>`` engine room:
-  one traced+metered run, every analyzer, three artifacts on disk.
+  one traced run, its metrics, every analyzer, three artifacts on disk.
 * :mod:`repro.obs.structlog` — run-scoped structured JSONL event logging
-  (rank/op/phase fields), attachable to the engine and the runners.
+  for sweep, ledger and trace-collector warnings.
 * :mod:`repro.obs.ledger` — the persistent run ledger: every recorded run
   becomes a versioned JSON document plus an append-only index line, with
   git SHA / platform / cluster-hash provenance (``repro history``).
@@ -29,9 +30,12 @@ simulated run:
   rank summaries (exact p50/p90/p99 of per-rank utilization, idle time
   and flops), a windowed :class:`RateMeter` and the
   :class:`ProgressReporter` sweep heartbeat (``--progress``).
-* :mod:`repro.obs.flight` — the read side of the
-  :class:`~repro.sim.flight.FlightRecorder` black box: list and render
-  crash/watchdog dumps (``repro flight list|show``).
+
+The engine itself is observed only through its two record stores,
+:class:`~repro.sim.trace.Tracer` and
+:class:`~repro.sim.flight.FlightRecorder` (which also lists, loads and
+renders its crash/watchdog dumps); everything here is derived from them
+or from a run's result after the run.
 """
 
 from .analysis import (
@@ -50,7 +54,6 @@ from .chrome_trace import (
     write_chrome_trace,
     write_telemetry_trace,
 )
-from .flight import describe_reason, format_dump, list_dumps, load_dump
 from .spans import Span, SpanRecorder, wall_now
 from .streaming import ProgressReporter, RateMeter, summarize_rank_stats
 from .telemetry import (
@@ -68,6 +71,7 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    run_metrics,
 )
 from .ledger import (
     LedgerEntry,
@@ -107,18 +111,15 @@ __all__ = [
     "cluster_spec_hash",
     "critical_path",
     "default_ledger_root",
-    "describe_reason",
     "environment_info",
-    "format_dump",
     "git_sha",
     "imbalance_index",
     "init_worker_telemetry",
-    "list_dumps",
-    "load_dump",
     "merged_length",
     "overhead_decomposition",
     "profile_app",
     "rank_utilization",
+    "run_metrics",
     "stderr_logger",
     "summarize_rank_stats",
     "telemetry_trace_events",

@@ -133,7 +133,7 @@ def chrome_trace_events(
                 # Machine-readable mirror of the name, so tooling can
                 # detect truncated traces without string parsing.
                 "args": {"dropped": tracer.dropped,
-                         "stored": len(tracer.records)},
+                         "stored": len(tracer)},
             })
     return events
 

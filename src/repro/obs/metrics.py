@@ -1,8 +1,7 @@
 """Lightweight labelled metrics: counters, gauges and fixed-bucket histograms.
 
-The registry is the engine-facing half of the observability layer: attach a
-:class:`MetricsRegistry` to an :class:`~repro.sim.engine.Engine` (or any
-``run_*`` driver) via the ``metrics=`` keyword and it accumulates
+:func:`run_metrics` builds a :class:`MetricsRegistry` once, after a run,
+from its tracer's records and its :class:`~repro.sim.engine.RunResult`:
 
 * per-rank, per-kind operation counters (``sim_ops_total``, ``sim_bytes_total``,
   ``sim_flops_total``),
@@ -136,10 +135,7 @@ class MetricsRegistry:
     """Get-or-create store of labelled counters, gauges and histograms.
 
     Instruments are identified by ``(name, labels)``; labels are arbitrary
-    keyword arguments (the engine uses ``rank=`` and ``kind=``).  The
-    registry also implements the engine's sink contract (:meth:`append`,
-    :meth:`run_complete`), so it can be passed directly as
-    ``Engine(metrics=...)`` / ``run_app(..., metrics=...)``.
+    keyword arguments (:func:`run_metrics` uses ``rank=`` and ``kind=``).
     """
 
     def __init__(self) -> None:
@@ -181,40 +177,6 @@ class MetricsRegistry:
             inst = self._histograms[key] = Histogram(buckets)
         return inst
 
-    # -- engine sink contract ---------------------------------------------
-    def append(self, rec: tuple) -> None:
-        """Account one raw engine record ``(rank, kind, start, end, ...)``.
-
-        Populates ``sim_ops_total{rank,kind}``, ``sim_op_seconds{rank,kind}``
-        and, when applicable, ``sim_bytes_total{rank,kind}``,
-        ``sim_message_bytes{kind}`` and ``sim_flops_total{rank}``.
-        """
-        rank, kind = rec[0], rec[1]
-        nbytes, flops = record_volume(rec)
-        self.counter("sim_ops_total", rank=rank, kind=kind).inc()
-        self.histogram("sim_op_seconds", rank=rank, kind=kind).observe(
-            rec[3] - rec[2]
-        )
-        if nbytes:
-            self.counter("sim_bytes_total", rank=rank, kind=kind).inc(nbytes)
-            self.histogram(
-                "sim_message_bytes", buckets=BYTES_BUCKETS, kind=kind
-            ).observe(nbytes)
-        if flops:
-            self.counter("sim_flops_total", rank=rank).inc(flops)
-
-    def run_complete(self, result: Any) -> None:
-        """Record a :class:`~repro.sim.engine.RunResult`'s wall-clock
-        self-profile gauges."""
-        self.gauge("engine_events").set(result.events)
-        self.gauge("engine_wall_seconds").set(result.wall_seconds)
-        self.gauge("engine_events_per_second").set(result.events_per_second)
-        self.gauge("engine_heap_pushes").set(result.heap_pushes)
-        self.gauge("engine_stale_pops").set(result.stale_pops)
-        self.gauge("engine_heap_pops").set(result.heap_pops)
-        self.gauge("engine_stale_pop_ratio").set(result.stale_pop_ratio)
-        self.gauge("engine_makespan_seconds").set(result.makespan)
-
     # -- introspection -----------------------------------------------------
     def __iter__(self) -> Iterator[tuple[str, dict[str, Any], Any]]:
         """Yield ``(name, labels, instrument)`` for every instrument."""
@@ -252,3 +214,45 @@ class MetricsRegistry:
     def to_json(self, indent: int = 2) -> str:
         """The :meth:`to_dict` snapshot serialized as JSON."""
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+
+
+def run_metrics(tracer: Any, result: Any) -> MetricsRegistry:
+    """The per-op metrics and engine gauges of a finished run.
+
+    Walks the tracer's stored engine records once (``fault`` annotations
+    are not engine operations and are skipped) and reads the wall-clock
+    self-profile off the :class:`~repro.sim.engine.RunResult`.  Records
+    past the tracer's limit are not counted; ``tracer.dropped`` says how
+    many.
+    """
+    registry = MetricsRegistry()
+    for rec in tracer.raw_records():
+        rank, kind = rec[0], rec[1]
+        if kind == "fault":
+            continue
+        nbytes, flops = record_volume(rec)
+        registry.counter("sim_ops_total", rank=rank, kind=kind).inc()
+        registry.histogram("sim_op_seconds", rank=rank, kind=kind).observe(
+            rec[3] - rec[2]
+        )
+        if nbytes:
+            registry.counter(
+                "sim_bytes_total", rank=rank, kind=kind
+            ).inc(nbytes)
+            registry.histogram(
+                "sim_message_bytes", buckets=BYTES_BUCKETS, kind=kind
+            ).observe(nbytes)
+        if flops:
+            registry.counter("sim_flops_total", rank=rank).inc(flops)
+    for name, value in (
+        ("engine_events", result.events),
+        ("engine_wall_seconds", result.wall_seconds),
+        ("engine_events_per_second", result.events_per_second),
+        ("engine_heap_pushes", result.heap_pushes),
+        ("engine_stale_pops", result.stale_pops),
+        ("engine_heap_pops", result.heap_pops),
+        ("engine_stale_pop_ratio", result.stale_pop_ratio),
+        ("engine_makespan_seconds", result.makespan),
+    ):
+        registry.gauge(name).set(value)
+    return registry

@@ -1,14 +1,15 @@
 """One-shot run profiling: trace + metrics + analyzer summary for any app.
 
 This is the engine room of the ``repro profile <app>`` CLI command: it runs
-a registered application with tracing and metrics enabled, applies every
-analyzer in :mod:`repro.obs.analysis`, and (optionally) writes three
-artifacts into an output directory:
+a registered application with a tracer attached, derives the per-op metrics
+from the trace once the run is over (:func:`~repro.obs.metrics.run_metrics`),
+applies every analyzer in :mod:`repro.obs.analysis`, and (optionally) writes
+three artifacts into an output directory:
 
 * ``trace.json`` — Chrome trace-event JSON (load in ``chrome://tracing`` or
   Perfetto),
 * ``metrics.json`` — the metrics-registry snapshot plus exact per-rank
-  timing, and
+  timing and the tracer's dropped-record count, and
 * ``summary.txt`` — the human-readable report also printed by the CLI.
 """
 
@@ -28,7 +29,7 @@ from .analysis import (
     rank_utilization,
 )
 from .chrome_trace import write_chrome_trace
-from .metrics import MetricsRegistry
+from .metrics import MetricsRegistry, run_metrics
 from .streaming import summarize_rank_stats
 from ..sim.trace import Tracer
 
@@ -80,17 +81,17 @@ def build_report(
     app: str,
     record: "RunRecord",
     tracer: Tracer,
-    metrics: MetricsRegistry | None = None,
     compute_efficiency: float = 1.0,
     cluster_name: str = "",
 ) -> ProfileReport:
-    """Apply every analyzer to an already-executed traced run."""
+    """Derive the metrics of an already-executed traced run and apply
+    every analyzer to it."""
     from ..experiments.report import format_table
 
     m = record.measurement
     run = record.run
     makespan = run.makespan
-    metrics = metrics if metrics is not None else MetricsRegistry()
+    metrics = run_metrics(tracer, run)
     util = rank_utilization(run.stats, makespan)
     decomp = overhead_decomposition(
         work=m.work,
@@ -113,7 +114,7 @@ def build_report(
         f"{m.speed_efficiency:.4f}",
         f"events = {run.events}, undelivered messages = "
         f"{run.undelivered_messages}, trace records = "
-        f"{len(tracer.records)} (dropped {tracer.dropped})",
+        f"{len(tracer)} (dropped {tracer.dropped})",
         f"engine: {run.events_per_second:,.0f} events/s over "
         f"{run.wall_seconds:.3f} s wall, {run.heap_pushes} heap pushes, "
         f"stale-pop ratio {run.stale_pop_ratio:.3f}",
@@ -225,6 +226,8 @@ def write_report(report: ProfileReport, out_dir: str | Path) -> Path:
                 "makespan": run.makespan,
                 "events": run.events,
                 "undelivered_messages": run.undelivered_messages,
+                # Per-op counters come from the stored records only.
+                "trace_dropped": report.tracer.dropped,
                 "per_rank": [
                     {
                         "rank": u.rank,
@@ -264,14 +267,11 @@ def profile_app(
 
     app = resolve_app(app)
     tracer = Tracer(limit=tracer_limit)
-    metrics = MetricsRegistry()
-    record = run_app(app, cluster, n, tracer=tracer, metrics=metrics,
-                     **run_kwargs)
+    record = run_app(app, cluster, n, tracer=tracer, **run_kwargs)
     report = build_report(
         app,
         record,
         tracer,
-        metrics=metrics,
         compute_efficiency=run_kwargs.get(
             "compute_efficiency", app_compute_efficiency(app)
         ),

@@ -8,11 +8,10 @@ ledger and CI both consume them).  A :class:`StructLogger` is run-scoped:
 extra fields (``app=``, ``rank=``, ``phase=``, ...) attached to every
 subsequent event.
 
-The logger implements the engine's sink contract (:meth:`append` /
-:meth:`run_complete`), so it can be attached to an
-:class:`~repro.sim.engine.Engine` either through the dedicated ``log=``
-keyword (run-level events only) or as a per-operation ``metrics=`` sink
-when a full JSONL op log is wanted.
+Loggers carry the sweep, ledger and trace-collector warnings (``log=``
+on :class:`~repro.experiments.executor.SweepExecutor`,
+:class:`~repro.obs.ledger.RunLedger` and friends); the engine itself is
+observed only through its record stores (:mod:`repro.sim.trace`).
 """
 
 from __future__ import annotations
@@ -23,8 +22,6 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Mapping
-
-from ..sim.trace import record_volume
 
 
 def _utc_now() -> str:
@@ -147,36 +144,6 @@ class StructLogger:
 
     def __exit__(self, *exc: Any) -> None:
         self.close()
-
-    # -- engine sink contract ---------------------------------------------
-    def append(self, rec: tuple) -> None:
-        """Log one raw engine record as a ``sim.op`` event.
-
-        Attach the logger as ``Engine(metrics=...)`` to get a full
-        per-operation JSONL trace; beware that large runs emit millions of
-        events.
-        """
-        fields: dict[str, Any] = {
-            "rank": rec[0], "op": rec[1], "start": rec[2], "end": rec[3],
-        }
-        nbytes, flops = record_volume(rec)
-        if nbytes:
-            fields["nbytes"] = nbytes
-        if flops:
-            fields["flops"] = flops
-        self.event("sim.op", **fields)
-
-    def run_complete(self, result: Any) -> None:
-        """Log a :class:`~repro.sim.engine.RunResult`'s self-profile."""
-        self.event(
-            "engine.self_profile",
-            events=result.events,
-            wall_seconds=result.wall_seconds,
-            heap_pushes=result.heap_pushes,
-            stale_pops=result.stale_pops,
-            makespan=result.makespan,
-            heap_pops=result.heap_pops,
-        )
 
 
 def stderr_logger(**bound: Any) -> StructLogger:

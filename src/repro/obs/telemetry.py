@@ -40,12 +40,9 @@ documents never grows surprise keys.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from .spans import Span, SpanRecorder, wall_now
-
-if TYPE_CHECKING:
-    from .metrics import MetricsRegistry
 
 #: Canonical overhead phases, in pipeline order.
 PHASES: tuple[str, ...] = (
@@ -320,16 +317,6 @@ class SweepTimeline:
         for name, seconds in self.setup_totals().items():
             metrics[f"setup_{name}_seconds"] = seconds
         return metrics
-
-    def observe_metrics(self, registry: "MetricsRegistry") -> None:
-        """Feed every phase span into per-phase wall-time histograms
-        (``sweep_phase_seconds{phase=...}``) for regression gating."""
-        for span in self.all_spans():
-            if span.name == ROOT_SPAN:
-                continue
-            registry.histogram(
-                "sweep_phase_seconds", phase=span.name
-            ).observe(span.duration)
 
     # -- reporting ---------------------------------------------------------
     def format_report(

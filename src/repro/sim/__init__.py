@@ -13,7 +13,10 @@ The engine itself is layered: a :class:`~repro.sim.scheduler.Scheduler`
 :class:`~repro.sim.dispatch.DispatchTable` (op-type handler registry and
 the extension point for new primitives), and one observation stream:
 handlers pass each raw record tuple ``(rank, kind, start, end, *extras)``
-to the attached sinks' ``append`` (layout in :mod:`repro.sim.trace`).
+(layout in :mod:`repro.sim.trace`) to the engine's two record stores, a
+first-K :class:`~repro.sim.trace.Tracer` and a last-K
+:class:`~repro.sim.flight.FlightRecorder`.  Metrics, Chrome traces and
+the critical path are derived from the stored records after the run.
 """
 
 from .dispatch import (

@@ -25,7 +25,8 @@ architecture"):
 
 Observation is one stream: each handler passes the raw record tuple
 ``(rank, kind, start, end, *extras)`` (layout in :mod:`repro.sim.trace`)
-to the run's prebound ``emit``, which is ``None`` when no sink is
+to the run's prebound ``emit``, which appends it to the attached record
+stores (``tracer=``, ``flight=``) and is ``None`` when neither is
 attached.
 
 Timing semantics:
@@ -182,8 +183,8 @@ class RunContext:
     need from it into their handler closures (see
     :mod:`repro.sim.dispatch` for the registration contract).
 
-    ``emit(rec)`` hands one raw record tuple to every attached sink, or
-    is ``None`` when nothing listens.  ``complete_recv(proc, msg,
+    ``emit(rec)`` hands one raw record tuple to every attached record
+    store, or is ``None`` when none is attached.  ``complete_recv(proc, msg,
     posted_at)`` only accounts a matched receive; whoever completes
     another rank's receive queues that rank.  ``deliver(msg)`` routes a
     just-arrived message to an eligible waiting receive (and queues that
@@ -281,32 +282,26 @@ class Engine:
     flops_per_second:
         Effective compute speed of each rank for this program, in flops/s.
     tracer:
-        Optional :class:`Tracer` collecting full event records.
-    metrics:
-        Optional metrics sink (e.g. :class:`repro.obs.MetricsRegistry`).
-        Duck-typed like every sink: the engine calls ``metrics.append(rec)``
-        with each raw record tuple ``(rank, kind, start, end, *extras)``
-        and, if the sink defines it, ``metrics.run_complete(result)``
-        once with the run's :class:`RunResult`.  With no sink attached
-        the hot loop pays a single ``None`` test per primitive.
-    log:
-        Optional structured logger (e.g. :class:`repro.obs.StructLogger`).
-        Duck-typed: the engine calls ``log.event(name, **fields)`` at run
-        start and completion (run-level events only; attach the logger as
-        ``metrics=`` instead for per-operation JSONL).
+        Optional :class:`Tracer`: keeps the first ``limit`` raw records
+        of the run.
+    flight:
+        Optional :class:`~repro.sim.flight.FlightRecorder`: a tracer that
+        keeps the most recent K records in a bounded ring and auto-dumps
+        them to ``.repro/flight/`` when an error escapes the run loop or
+        the run-completion watchdog trips.
+
+    These two record stores are the engine's only observers: each is
+    read-only (attaching it never changes results; bit-identity is
+    pinned by ``tests/sim/test_bit_identity.py``), and everything else a
+    run reports -- per-op metrics, Chrome traces, the critical path --
+    is derived from their records after the run.  With neither attached
+    the hot loop pays a single ``None`` test per primitive.
     max_events:
         Safety limit on primitive operations processed.
     dispatch:
         Optional :class:`~repro.sim.dispatch.DispatchTable`; defaults to
         the shared table carrying the built-in primitives plus anything
         registered via :func:`~repro.sim.dispatch.register_handler`.
-    flight:
-        Optional :class:`~repro.sim.flight.FlightRecorder`.  Keeps the
-        most recent K trace records in a bounded ring and auto-dumps
-        them to ``.repro/flight/`` when an error escapes the run loop
-        or the run-completion watchdog trips.  Read-only: attaching it
-        never changes results (bit-identity is pinned by
-        ``tests/sim/test_bit_identity.py``).
     """
 
     def __init__(
@@ -315,8 +310,6 @@ class Engine:
         network: Any,
         flops_per_second: Sequence[float],
         tracer: Tracer | None = None,
-        metrics: Any = None,
-        log: Any = None,
         max_events: int = 50_000_000,
         dispatch: DispatchTable | None = None,
         flight: Any = None,
@@ -350,8 +343,6 @@ class Engine:
         self.network = network
         self.flops_per_second = [float(s) for s in flops_per_second]
         self.tracer = tracer
-        self.metrics = metrics
-        self.log = log
         self.max_events = max_events
         self.dispatch = dispatch if dispatch is not None else default_dispatch()
         self.flight = flight
@@ -370,17 +361,12 @@ class Engine:
         if hasattr(self.network, "reset"):
             self.network.reset()
 
-        if self.log is not None:
-            self.log.event("engine.run_start", nranks=self.nranks)
-
         procs = [_Proc(rank, gen) for rank, gen in enumerate(gens)]
         stats = RankStatsArray(self.nranks)
         scheduler = Scheduler()
         mailboxes = MailboxSet(self.nranks)
         flight = self.flight
-        sinks = [s for s in (flight, self.tracer, self.metrics)
-                 if s is not None]
-        emit = _bind_emit(sinks)
+        emit = _bind_emit([s for s in (flight, self.tracer) if s is not None])
         ctx = RunContext(self, procs, stats, scheduler, mailboxes, emit)
         handlers = self.dispatch.build(ctx)
 
@@ -490,56 +476,22 @@ class Engine:
                 )
             raise
 
-        wall = time.perf_counter() - wall_start
-        undelivered = len(mailboxes)
         result = RunResult(
             finish_times=[p.time for p in procs],
             stats=stats,
             events=events,
             tracer=self.tracer,
             return_values=[p.value for p in procs],
-            undelivered_messages=undelivered,
-            wall_seconds=wall,
+            undelivered_messages=len(mailboxes),
+            wall_seconds=time.perf_counter() - wall_start,
             heap_pushes=scheduler.pushes,
             stale_pops=stale,
             heap_pops=pops,
         )
-        # Run-level hook (metrics gauges, the flight watchdog): a pure
-        # side effect that never alters the result.
-        for sink in sinks:
-            run_complete = getattr(sink, "run_complete", None)
-            if run_complete is not None:
-                run_complete(result)
-        if undelivered and self.log is not None:
-            # Messages still sitting in mailboxes at exit usually indicate a
-            # protocol bug (mismatched tags, a receive that never ran).
-            # Surface it once per logger rather than only under profiling.
-            warn_once = getattr(self.log, "warn_once", None)
-            if warn_once is not None:
-                warn_once(
-                    "engine.undelivered_messages",
-                    "engine.undelivered_messages",
-                    undelivered_messages=undelivered,
-                    nranks=self.nranks,
-                )
-            else:
-                self.log.event(
-                    "engine.undelivered_messages",
-                    undelivered_messages=undelivered,
-                    nranks=self.nranks,
-                )
-        if self.log is not None:
-            self.log.event(
-                "engine.run_complete",
-                nranks=self.nranks,
-                events=events,
-                makespan=result.makespan,
-                wall_seconds=wall,
-                heap_pushes=scheduler.pushes,
-                heap_pops=pops,
-                stale_pops=stale,
-                undelivered_messages=undelivered,
-            )
+        if flight is not None:
+            # The run-completion watchdog: a pure side effect that never
+            # alters the result.
+            flight.run_complete(result)
         return result
 
     def _reject_op(self, rank: int, op: Any) -> None:
@@ -554,15 +506,15 @@ class Engine:
         ) from None
 
 
-def _bind_emit(sinks: list[Any]) -> Callable[[tuple], None] | None:
-    """The run's one observation callback: ``None`` with no sink, the
-    sink's own bound ``append`` with one (a flight-only run binds the
-    ring's C-level ``deque.append``), else an in-order fan-out."""
-    if not sinks:
+def _bind_emit(stores: list[Any]) -> Callable[[tuple], None] | None:
+    """The run's one observation callback: ``None`` with no record store,
+    the store's own bound ``append`` with one (a flight-only run binds
+    the ring's C-level ``deque.append``), else an in-order fan-out."""
+    if not stores:
         return None
-    if len(sinks) == 1:
-        return sinks[0].append
-    appends = tuple(sink.append for sink in sinks)
+    if len(stores) == 1:
+        return stores[0].append
+    appends = tuple(store.append for store in stores)
 
     def emit(rec: tuple) -> None:
         for append in appends:

@@ -1,32 +1,28 @@
-"""Flight recorder: a last-K ring of trace records with crash dumps.
+"""Flight recorder: a last-K record tracer with crash dumps, and its reader.
 
 :class:`~repro.sim.trace.Tracer` keeps the *oldest* records and drops
 the tail once its limit is hit — the right shape for building complete
 traces, and exactly the wrong one for post-mortem debugging, where the
 interesting records are the ones immediately *before* the failure.
-:class:`FlightRecorder` is the complement: a bounded ring
-(``collections.deque(maxlen=K)``) that always holds the most recent K
-records and costs O(K) memory regardless of run length.
+:class:`FlightRecorder` is the complement: a tracer whose store is a
+bounded ring (``collections.deque(maxlen=K)``) that always holds the
+most recent K records and costs O(K) memory regardless of run length.
 
 Recording is the engine's one observation stream with nothing in
 between: :meth:`FlightRecorder.append` *is* the ring's C-level
-``deque.append``, so when the recorder is the only sink attached the
-engine's handlers call it directly with the raw record tuple
+``deque.append``, so when the recorder is the only record store attached
+the engine's handlers call it directly with the raw record tuple
 ``(rank, kind, start, end, *extras)`` (~40 ns per event, where a Python
 method call costs ~200 ns).  Detail strings are only formatted at dump
 time (:func:`~repro.sim.trace.record_detail`), never on the hot path.
 
-The dominant recording cost is not the append but the *ring's cache
-footprint*: every append at steady state evicts the record inserted K
-events earlier, whose cache lines have long gone cold, so each eviction
-is a cache-miss-bound deallocation and the overhead grows with K.
-Earlier best-of-5 measurements on GE read roughly free at K=128, ~5 %
-at K=1024 and ~8 % at K=4096.  At the default K=512,
-``benchmarks/bench_flight_overhead.py`` (GE, 8 nodes, N=300, 60 paired
-blocks) measured a median of 4.9 % with a 95 % CI of [3.4 %, 8.3 %] on
-a 2-vCPU host, against a 5 % budget; hence 512 rather than something
-roomier.  Raise it explicitly when a deeper post-mortem window is worth
-the throughput.
+``benchmarks/bench_flight_overhead.py`` gates the overhead against a
+bare run (GE, 8 nodes, N=300, paired blocks, median with a 95% CI) at a
+5% budget.  On a 2-vCPU host the medians read 5-8% at K=128 and K=512
+alike, and 3-4% at K=0, where the ring keeps nothing (EXPERIMENTS.md,
+"Flight-recorder capacity"): about half the cost is building the record
+tuples, and K=128 against K=512 makes no measurable difference, so the
+default stays K=512.
 
 Dumps are written to ``.repro/flight/`` (``$REPRO_FLIGHT_DIR``) when
 
@@ -38,9 +34,11 @@ Dumps are written to ``.repro/flight/`` (``$REPRO_FLIGHT_DIR``) when
   fail-stopped rank), or a stale-pop-ratio spike (scheduler waste).
 
 Each dump is a self-contained JSON envelope that doubles as a Chrome
-trace: the ``traceEvents`` key loads directly in Perfetto /
-``chrome://tracing``.  ``repro flight list|show`` reads them back (see
-:mod:`repro.obs.flight`).
+trace: the ``traceEvents`` key (built by
+:func:`~repro.obs.chrome_trace.chrome_trace_events`) loads directly in
+Perfetto / ``chrome://tracing``.  The read side, :func:`list_dumps`,
+:func:`load_dump` and :func:`format_dump`, backs ``repro flight
+list|show``.
 """
 
 from __future__ import annotations
@@ -54,12 +52,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence
 
-from .trace import record_detail
+from .trace import Tracer, TraceRecord, record_detail, record_view
 
 #: Default ring capacity: enough context to see the collective or
-#: protocol exchange leading into a failure, small enough that the ring
-#: stays cache-resident (the overhead is eviction-time cache misses and
-#: grows with K — see the module docstring for measured numbers).
+#: protocol exchange leading into a failure (measured cost: see the
+#: module docstring).
 DEFAULT_CAPACITY = 512
 
 #: Default dump directory (overridden by ``$REPRO_FLIGHT_DIR``).
@@ -94,13 +91,15 @@ class WatchdogConfig:
     min_events: int = 256
 
 
-class FlightRecorder:
-    """Bounded most-recent-K record ring with crash/watchdog dumps.
+class FlightRecorder(Tracer):
+    """A :class:`~repro.sim.trace.Tracer` keeping the most recent K
+    records, with crash/watchdog dumps.
 
     Parameters
     ----------
     capacity:
-        Ring size K (``0`` records nothing but still dumps reasons).
+        Ring size K (``0`` records nothing but still dumps reasons; a
+        negative K raises :class:`ValueError`).
     out_dir:
         Dump directory; defaults to ``$REPRO_FLIGHT_DIR`` or
         ``.repro/flight`` resolved at dump time.
@@ -109,42 +108,45 @@ class FlightRecorder:
         run-completion health checks (error dumps still fire).
     """
 
-    __slots__ = ("capacity", "out_dir", "watchdog", "_buf", "append",
-                 "dumps", "last_reason")
-
     def __init__(
         self,
         capacity: int = DEFAULT_CAPACITY,
         out_dir: str | os.PathLike | None = None,
         watchdog: WatchdogConfig | None = WatchdogConfig(),
     ):
-        if capacity < 0:
-            raise ValueError(f"capacity must be >= 0, got {capacity}")
-        self.capacity = int(capacity)
+        super().__init__(limit=capacity)
         self.out_dir = Path(out_dir) if out_dir is not None else None
         self.watchdog = watchdog
-        self._buf: deque[tuple] = deque(maxlen=self.capacity)
+        self._raw = deque(maxlen=self.limit)
         #: The hot-path entry point: the engine's handlers call this
         #: prebound C-level append with raw ``(rank, kind, start, end,
         #: *extras)`` tuples.  Never wrap it in Python.
-        self.append = self._buf.append
+        self.append = self._raw.append
         self.dumps: list[Path] = []
         self.last_reason: dict[str, Any] | None = None
 
-    # -- ring access -----------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._buf)
+    @property
+    def capacity(self) -> int:
+        """Ring size K (the store's ``limit``)."""
+        return self.limit
 
-    def records(self) -> list[tuple]:
-        """Retained raw tuples, oldest first."""
-        return list(self._buf)
+    @property
+    def records(self) -> list[TraceRecord]:
+        """The retained records as :class:`TraceRecord` views, oldest
+        first (rebuilt on each read: the ring evicts)."""
+        return [record_view(rec) for rec in self._raw]
 
     def render(self) -> list[dict[str, Any]]:
-        """Retained records as dicts with lazily formatted detail."""
-        return [_render_record(rec) for rec in self._buf]
+        """Retained records as dicts with formatted detail (the dump's
+        ``records``)."""
+        return [
+            {"rank": rec[0], "kind": rec[1], "start": rec[2], "end": rec[3],
+             "detail": record_detail(rec)}
+            for rec in self._raw
+        ]
 
     def clear(self) -> None:
-        self._buf.clear()
+        self._raw.clear()
 
     # -- engine-facing triggers ------------------------------------------
     def dump_error(self, exc: BaseException, **context: Any) -> Path:
@@ -157,7 +159,7 @@ class FlightRecorder:
         return self.dump(reason, context)
 
     def run_complete(self, result: Any) -> Path | None:
-        """Sink contract: run the watchdog over a completed
+        """Run the watchdog over a completed
         :class:`~repro.sim.engine.RunResult`; dump and return the path if
         any check trips, else ``None``."""
         engine = {
@@ -193,7 +195,7 @@ class FlightRecorder:
         # any regression is a causality bug in a network model or
         # handler extension.
         last_end: dict[int, float] = {}
-        for rec in self._buf:
+        for rec in self._raw:
             rank, kind, start, end = rec[0], rec[1], rec[2], rec[3]
             prev = last_end.get(rank)
             if prev is not None and start < prev:
@@ -229,8 +231,15 @@ class FlightRecorder:
         self, reason: dict[str, Any], context: dict[str, Any] | None = None
     ) -> Path:
         """Write the ring tail as a Chrome-trace-compatible envelope."""
+        from ..obs.chrome_trace import chrome_trace_events
+
         self.last_reason = reason
         records = self.render()
+        trace_events = chrome_trace_events([("flight recorder", self)])
+        trace_events.append({
+            "name": "flight_dump", "ph": "i", "s": "g", "ts": 0, "dur": 0,
+            "pid": 1, "tid": 0, "args": dict(reason),
+        })
         payload = {
             "kind": "flight-dump",
             "version": 1,
@@ -242,7 +251,7 @@ class FlightRecorder:
             "capacity": self.capacity,
             "retained": len(records),
             "records": records,
-            "traceEvents": _trace_events(records, reason),
+            "traceEvents": trace_events,
         }
         out_dir = self.out_dir if self.out_dir is not None else flight_dir()
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -261,72 +270,113 @@ class FlightRecorder:
         return path
 
 
-# -- record rendering (dump time only, never on the hot path) ------------
+# -- read side: list, load and render dumps (``repro flight list|show``) --
 
-def _render_record(rec: tuple) -> dict[str, Any]:
-    return {
-        "rank": rec[0],
-        "kind": rec[1],
-        "start": rec[2],
-        "end": rec[3],
-        "detail": record_detail(rec),
-    }
+def list_dumps(directory: str | Path | None = None) -> list[Path]:
+    """Flight-dump files in ``directory`` (default: active flight dir),
+    newest first.
+
+    Sorting is by file name, which embeds a UTC timestamp plus a
+    monotonic sequence number — stable even when several dumps land
+    within the same second.
+    """
+    root = Path(directory) if directory is not None else flight_dir()
+    if not root.is_dir():
+        return []
+    return sorted(root.glob("flight-*.json"), reverse=True)
 
 
-def _trace_events(
-    records: list[dict[str, Any]], reason: dict[str, Any]
-) -> list[dict[str, Any]]:
-    """Chrome trace-event array for the dump (microsecond timebase)."""
-    events: list[dict[str, Any]] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": 0,
-            "tid": 0,
-            "args": {"name": "flight recorder"},
-        },
-        {
-            "name": "flight_dump",
-            "ph": "i",
-            "s": "g",
-            "ts": 0,
-            "pid": 0,
-            "tid": 0,
-            "args": dict(reason),
-        },
+#: Field types of one rendered record in a dump's ``records`` list.
+_RECORD_FIELDS = {
+    "rank": int, "kind": str, "start": (int, float), "end": (int, float),
+    "detail": str,
+}
+
+
+def _is_record(rec: Any) -> bool:
+    return isinstance(rec, dict) and all(
+        isinstance(rec.get(key), kind) for key, kind in _RECORD_FIELDS.items()
+    )
+
+
+def load_dump(path: str | Path) -> dict[str, Any]:
+    """Load and validate one dump envelope.
+
+    Raises :class:`ValueError` unless the document is a ``flight-dump``
+    whose ``reason`` and ``engine`` are objects and whose ``records`` is
+    a list of records carrying ``rank``/``kind``/``start``/``end``/
+    ``detail``.
+    """
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict) or doc.get("kind") != "flight-dump":
+        raise ValueError(f"{path} is not a flight dump")
+    for key in ("reason", "engine"):
+        if not isinstance(doc.get(key), dict):
+            raise ValueError(f"{path}: flight dump {key!r} is not an object")
+    records = doc.get("records")
+    if not isinstance(records, list) or not all(map(_is_record, records)):
+        raise ValueError(
+            f"{path}: flight dump 'records' is not a list of "
+            f"{'/'.join(_RECORD_FIELDS)} records"
+        )
+    return doc
+
+
+def describe_reason(reason: dict[str, Any]) -> str:
+    """One-line human summary of a dump's trigger."""
+    trigger = reason.get("trigger", "unknown")
+    if trigger == "error":
+        return (
+            f"error: {reason.get('error_type', '?')}: "
+            f"{reason.get('message', '')}"
+        )
+    if trigger == "watchdog":
+        checks = reason.get("checks") or []
+        return "watchdog: " + ("; ".join(checks) if checks else "(no detail)")
+    return trigger
+
+
+def format_dump_line(path: Path, doc: dict[str, Any]) -> str:
+    """A one-line ``repro flight list`` entry for ``doc``."""
+    return (
+        f"{path.name}  {doc.get('created_utc', '?')}  "
+        f"retained {doc.get('retained', '?')}/{doc.get('capacity', '?')}  "
+        f"{describe_reason(doc.get('reason', {}))}"
+    )
+
+
+def format_dump(doc: dict[str, Any], tail: int | None = None) -> str:
+    """Render a dump as the readable tail of a trace.
+
+    ``tail`` limits output to the most recent N records (the ones
+    closest to the failure; ``0`` shows none); ``None`` shows the whole
+    retained window.  A negative ``tail`` raises :class:`ValueError`.
+    """
+    if tail is not None and tail < 0:
+        raise ValueError(f"tail must be >= 0, got {tail}")
+    lines = [
+        f"flight dump ({doc.get('created_utc', '?')})",
+        f"reason: {describe_reason(doc.get('reason', {}))}",
+        f"retained {doc.get('retained', 0)} of capacity "
+        f"{doc.get('capacity', 0)} records",
     ]
-    seen_ranks: set[int] = set()
-    for rec in records:
-        rank = rec["rank"]
-        if rank not in seen_ranks:
-            seen_ranks.add(rank)
-            events.append({
-                "name": "thread_name",
-                "ph": "M",
-                "pid": 0,
-                "tid": rank,
-                "args": {"name": f"rank {rank}"},
-            })
-        ts = rec["start"] * 1e6
-        if rec["kind"] == "log":
-            events.append({
-                "name": rec["detail"] or "log",
-                "cat": "flight",
-                "ph": "i",
-                "s": "t",
-                "ts": ts,
-                "pid": 0,
-                "tid": rank,
-            })
-        else:
-            events.append({
-                "name": rec["kind"],
-                "cat": "flight",
-                "ph": "X",
-                "ts": ts,
-                "dur": (rec["end"] - rec["start"]) * 1e6,
-                "pid": 0,
-                "tid": rank,
-                "args": {"detail": rec["detail"]} if rec["detail"] else {},
-            })
-    return events
+    engine = doc.get("engine") or {}
+    if engine:
+        parts = ", ".join(f"{k}={v}" for k, v in sorted(engine.items()))
+        lines.append(f"engine: {parts}")
+    records = doc.get("records") or []
+    elided = 0 if tail is None else max(0, len(records) - tail)
+    if elided:
+        lines.append(f"... {elided} earlier records elided ...")
+    for rec in records[elided:]:
+        detail = rec.get("detail") or ""
+        span = rec.get("end", 0.0) - rec.get("start", 0.0)
+        lines.append(
+            f"  [{rec.get('start', 0.0):>12.6f}s +{span:.6f}s] "
+            f"rank {rec.get('rank', '?'):>3} {rec.get('kind', '?'):<12} "
+            f"{detail}"
+        )
+    if not records:
+        lines.append("  (ring was empty at dump time)")
+    return "\n".join(lines)

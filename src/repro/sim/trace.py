@@ -1,19 +1,23 @@
 """Execution tracing and per-rank accounting for simulation runs.
 
 The engine always keeps cheap aggregate counters (:class:`RankStats`); full
-event records (:class:`TraceRecord`) are collected only when a
-:class:`Tracer` is attached, because large experiments generate millions of
-events and record objects would dominate memory.
+event records are collected only when a record store is attached, because
+large experiments generate millions of events.
 
-Between those two extremes sits the :class:`~repro.sim.flight.FlightRecorder`:
-a bounded ring that keeps only the *last K* records, cheap enough to stay
-attached everywhere and dumped as a post-mortem when a run dies.  A tracer
-that hits its per-run record limit keeps counting drops (:attr:`Tracer.dropped`)
-so truncated traces are detectable downstream.
+There are two record stores, and they are the engine's only observers
+(``Engine(tracer=..., flight=...)``).  A :class:`Tracer` keeps the
+*first* ``limit`` records and counts the rest in :attr:`Tracer.dropped`,
+so a truncated trace stays detectable.  A
+:class:`~repro.sim.flight.FlightRecorder` is a tracer that keeps the
+*last* K records in a ring, cheap enough to stay attached everywhere and
+dumped as a post-mortem when a run dies.  Everything else a run reports
+(per-op metrics, Chrome traces, the critical path) is derived from the
+stored records after the run.
 
-Every sink sees the engine's one observation format, the raw record tuple
-``(rank, kind, start, end, *extras)``, through ``sink.append(rec)``.  The
-extras per kind are:
+Both stores receive the engine's one observation format, the raw record
+tuple ``(rank, kind, start, end, *extras)``, through ``append(rec)``, and
+keep it raw; :class:`TraceRecord` views are built when read.  The extras
+per kind are:
 
 ==================  ==========================
 ``compute``         ``flops`` (``None`` for ``Compute(seconds=)``)
@@ -31,7 +35,7 @@ extras per kind are:
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterator
 
 
@@ -225,7 +229,7 @@ def record_detail(rec: tuple) -> str:
 
 
 def record_volume(rec: tuple) -> tuple[float, float]:
-    """The ``(nbytes, flops)`` a raw record accounts to the metrics sinks."""
+    """The ``(nbytes, flops)`` a raw record accounts (per-op metrics)."""
     kind = rec[1]
     if kind == "compute":
         flops = rec[4]
@@ -235,30 +239,56 @@ def record_volume(rec: tuple) -> tuple[float, float]:
     return 0.0, 0.0
 
 
-@dataclass
-class Tracer:
-    """Collects :class:`TraceRecord` objects during a run.
+def record_view(rec: tuple) -> TraceRecord:
+    """The :class:`TraceRecord` view of a raw record.  ``compute`` views
+    carry no detail string (Chrome traces show their duration alone)."""
+    kind = rec[1]
+    return TraceRecord(
+        rec[0], kind, rec[2], rec[3],
+        "" if kind == "compute" else record_detail(rec),
+    )
 
-    ``limit`` bounds memory use; once reached, further records are counted
-    in ``dropped`` instead of stored, so a truncated trace stays
-    detectable.  ``compute`` records carry no detail string (Chrome traces
-    show their duration alone).
+
+class Tracer:
+    """Record store: keeps the first ``limit`` raw records of a run.
+
+    Records are stored as the engine hands them over, raw tuples, and
+    :attr:`records` builds the :class:`TraceRecord` views when it is
+    read.  Once ``limit`` records are stored, further records are
+    counted in ``dropped`` instead, so a truncated trace stays
+    detectable.  A negative limit raises :class:`ValueError`.
     """
 
-    limit: int = 1_000_000
-    records: list[TraceRecord] = field(default_factory=list)
-    dropped: int = 0
+    def __init__(self, limit: int = 1_000_000):
+        if limit < 0:
+            raise ValueError(f"limit must be >= 0, got {limit}")
+        self.limit = int(limit)
+        self.dropped = 0
+        self._raw: Any = []
+        self._views: list[TraceRecord] = []
 
     def append(self, rec: tuple) -> None:
-        """Sink contract: store one raw record as a :class:`TraceRecord`."""
-        if len(self.records) >= self.limit:
+        """Store one raw record, or count it as dropped past the limit."""
+        if len(self._raw) >= self.limit:
             self.dropped += 1
             return
-        kind = rec[1]
-        self.records.append(TraceRecord(
-            rec[0], kind, rec[2], rec[3],
-            "" if kind == "compute" else record_detail(rec),
-        ))
+        self._raw.append(rec)
+
+    def __len__(self) -> int:
+        return len(self._raw)
+
+    def raw_records(self) -> list[tuple]:
+        """The stored raw tuples, oldest first."""
+        return list(self._raw)
+
+    @property
+    def records(self) -> list[TraceRecord]:
+        """The stored records as :class:`TraceRecord` views, oldest first
+        (built once per record: the store only grows)."""
+        views = self._views
+        if len(views) < len(self._raw):
+            views.extend(map(record_view, self._raw[len(views):]))
+        return views
 
     def by_kind(self, kind: str) -> list[TraceRecord]:
         """All records of one kind ('compute', 'send', 'recv', 'multicast',

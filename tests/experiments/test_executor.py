@@ -253,9 +253,9 @@ class TestProfileHash:
         assert with_marked is not None and with_marked != without
 
     def test_side_effect_kwargs_disable_caching(self, ge2_cluster):
-        from repro.obs.structlog import StructLogger
+        from repro.sim.trace import Tracer
 
-        p = SweepPoint.make("ge", ge2_cluster, 100, log=StructLogger())
+        p = SweepPoint.make("ge", ge2_cluster, 100, tracer=Tracer())
         assert p.local  # captured as a local (in-process-only) kwarg
         assert point_profile_hash(p) is None
 
@@ -324,18 +324,14 @@ class TestExecutorModes:
         ]
         assert cache_hits == [0.0, 0.0, 1.0, 1.0]
 
-    def test_hit_and_miss_counters_in_metrics_registry(self, ge2_cluster,
-                                                       tmp_path):
-        from repro.obs.metrics import MetricsRegistry
-
-        cache = fresh_cache(tmp_path)
-        registry = MetricsRegistry()
-        exe = SweepExecutor(cache=cache, metrics=registry)
+    def test_hit_and_miss_counters(self, ge2_cluster, tmp_path):
+        exe = SweepExecutor(cache=fresh_cache(tmp_path))
         point = SweepPoint.make("ge", ge2_cluster, 80)
         exe.run_points([point])
         exe.run_points([point])
-        assert registry.value("sweep_cache_misses_total") == 1.0
-        assert registry.value("sweep_cache_hits_total") == 1.0
+        stats = exe.cache_stats()
+        assert stats == {"hits": 1, "misses": 1}
+        assert all(type(n) is int for n in stats.values())
 
     def test_active_trace_collector_bypasses_cache(self, ge2_cluster,
                                                    tmp_path):

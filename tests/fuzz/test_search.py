@@ -87,6 +87,33 @@ class TestAttack:
                         seed=0)
         assert result.psi < 1.0
 
+    def test_crashing_candidate_is_logged_and_skipped(self, tiny_cluster,
+                                                       monkeypatch):
+        from repro.fuzz import search
+        from repro.obs.structlog import StructLogger
+        from repro.sim.errors import ProtocolError
+
+        real = search.run_scenario
+        calls = []
+
+        def second_call_crashes(scenario, **kwargs):
+            calls.append(scenario)
+            if len(calls) == 2:  # the first candidate after the seed point
+                raise ProtocolError("candidate blew up")
+            return real(scenario, **kwargs)
+
+        monkeypatch.setattr(search, "run_scenario", second_call_crashes)
+        log = StructLogger()
+        result = attack("ge", tiny_cluster, 64, budget=0.4, iterations=6,
+                        seed=2, log=log)
+        assert len(calls) >= 3  # the search went on past the crash
+        assert result.evaluations == len(calls)
+        (event,) = [e for e in log.events
+                    if e["event"] == "fuzz.attack.candidate_crashed"]
+        assert event["level"] == "warning"
+        assert event["error"] == "candidate blew up"
+        assert event["move"]
+
     def test_rejects_bad_arguments(self, tiny_cluster):
         with pytest.raises(FuzzError):
             attack("ge", tiny_cluster, 64, budget=0.0)

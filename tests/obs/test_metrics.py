@@ -1,4 +1,4 @@
-"""Tests for the metrics registry and its engine integration."""
+"""Tests for the metrics registry and the post-run metrics of a traced run."""
 
 import json
 
@@ -11,9 +11,11 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    run_metrics,
 )
 from repro.sim.engine import Engine
 from repro.sim.events import Compute, Log, Multicast, Recv, Send
+from repro.sim.trace import Tracer
 
 
 class TestInstruments:
@@ -162,10 +164,11 @@ class TestRegistry:
 
 class TestEngineIntegration:
     def run_program(self, program, nranks=2, network=None):
-        reg = MetricsRegistry()
+        tracer = Tracer()
         net = network if network is not None else UniformCostNetwork(0.01)
-        result = Engine(nranks, net, [1e6] * nranks, metrics=reg).run(program)
-        return reg, result
+        engine = Engine(nranks, net, [1e6] * nranks, tracer=tracer)
+        result = engine.run(program)
+        return run_metrics(tracer, result), result
 
     def test_ops_counted_per_rank_and_kind(self):
         def program(rank):
@@ -232,3 +235,30 @@ class TestEngineIntegration:
         hist = reg.histogram("sim_op_seconds", rank=0, kind="compute")
         assert hist.count == 1
         assert hist.sum == pytest.approx(0.5)
+
+    def test_fault_annotations_are_not_counted(self):
+        def program(rank):
+            yield Compute(seconds=0.5)
+
+        tracer = Tracer()
+        result = Engine(1, ZeroCostNetwork(), [1e6], tracer=tracer).run(
+            program
+        )
+        tracer.append((0, "fault", 0.1, 0.1, "slowdown severity=0.5"))
+        reg = run_metrics(tracer, result)
+        assert reg.value("sim_ops_total", rank=0, kind="compute") == 1
+        assert reg.value("sim_ops_total", rank=0, kind="fault") == 0
+
+    def test_records_past_the_tracer_limit_are_not_counted(self):
+        def program(rank):
+            for _ in range(5):
+                yield Compute(seconds=0.01)
+
+        tracer = Tracer(limit=2)
+        result = Engine(1, ZeroCostNetwork(), [1e6], tracer=tracer).run(
+            program
+        )
+        reg = run_metrics(tracer, result)
+        assert reg.value("sim_ops_total", rank=0, kind="compute") == 2
+        assert tracer.dropped == 3
+        assert reg.value("engine_events") == 5

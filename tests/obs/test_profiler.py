@@ -100,6 +100,26 @@ class TestProfileApp:
         assert doc["run"]["rank_summary"] == summary
 
 
+    def test_truncated_trace_is_declared_in_metrics(self, tmp_path):
+        rep = profile_app("ge", ge_configuration(2), 40, out_dir=tmp_path,
+                          tracer_limit=50)
+        doc = json.loads((tmp_path / "metrics.json").read_text())
+        dropped = doc["run"]["trace_dropped"]
+        assert dropped == rep.tracer.dropped > 0
+        # Per-op counters cover the stored records only; the dropped
+        # count accounts for the rest of the run's records.
+        ops = sum(c["value"] for c in doc["counters"]
+                  if c["name"] == "sim_ops_total")
+        assert ops == 50
+        full = profile_app("ge", ge_configuration(2), 40)
+        assert ops + dropped == len(full.tracer)
+
+    def test_untruncated_trace_declares_zero_dropped(self, report):
+        _, out = report
+        doc = json.loads((out / "metrics.json").read_text())
+        assert doc["run"]["trace_dropped"] == 0
+
+
 class TestBuildReport:
     def make_record(self, program, nranks, tracer):
         engine = Engine(nranks, UniformCostNetwork(0.01), [1e6] * nranks,

@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.machine import ge_configuration
 from repro.obs.structlog import StructLogger, stderr_logger
 
 
@@ -103,48 +102,3 @@ class TestWarnOnce:
         child = log.bind(rank=1)
         assert log.warn_once("k", "warned") is True
         assert child.warn_once("k", "warned") is False
-
-
-class TestEngineHooks:
-    def test_append_and_run_complete(self):
-        from repro.sim.engine import RunResult
-
-        log = StructLogger()
-        log.append((2, "send", 0.0, 1.5, 0, 3, 64.0))
-        log.append((0, "compute", 0.0, 2.0, 100.0))
-        log.run_complete(RunResult(
-            finish_times=[2.0], stats=[], events=5, wall_seconds=0.1,
-            heap_pushes=7, stale_pops=1, heap_pops=7,
-        ))
-        ops = [e for e in log.events if e["event"] == "sim.op"]
-        assert ops[0]["op"] == "send" and ops[0]["nbytes"] == 64.0
-        assert ops[1]["op"] == "compute" and ops[1]["flops"] == 100.0
-        (profile,) = [
-            e for e in log.events if e["event"] == "engine.self_profile"
-        ]
-        assert profile["events"] == 5 and profile["makespan"] == 2.0
-
-    def test_runner_emits_run_events_with_bound_fields(self):
-        from repro.experiments import run_ge
-
-        log = StructLogger()
-        run_ge(ge_configuration(2), 40, log=log)
-        names = [e["event"] for e in log.events]
-        assert "engine.run_start" in names
-        assert "engine.run_complete" in names
-        complete = [
-            e for e in log.events if e["event"] == "engine.run_complete"
-        ][-1]
-        assert complete["app"] == "ge"
-        assert complete["n"] == 40
-        assert complete["cluster"] == "sunwulf-ge-2"
-        assert complete["makespan"] > 0
-        assert complete["events"] > 0
-
-    def test_logger_as_metrics_sink_logs_every_op(self):
-        from repro.experiments import run_ge
-
-        log = StructLogger()
-        record = run_ge(ge_configuration(2), 30, metrics=log)
-        ops = [e for e in log.events if e["event"] == "sim.op"]
-        assert len(ops) == record.run.events

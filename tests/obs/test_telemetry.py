@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import (
     PHASES,
     ROOT_SPAN,
@@ -166,15 +165,6 @@ class TestSweepTimeline:
             assert f"phase_{phase}_seconds" in metrics
         assert metrics["telemetry_coverage"] == pytest.approx(1.0)
         assert metrics["jobs"] == 2.0
-
-    def test_observe_metrics_histograms(self):
-        registry = MetricsRegistry()
-        synthetic_timeline().observe_metrics(registry)
-        hist = registry.histogram("sweep_phase_seconds", phase="engine_run")
-        assert hist.count == 2
-        assert hist.sum == pytest.approx(9.0)
-        root = registry.histogram("sweep_phase_seconds", phase=ROOT_SPAN)
-        assert root.count == 0
 
     def test_format_report_mentions_phases_and_coverage(self):
         report = synthetic_timeline().format_report(title="T")

@@ -32,7 +32,7 @@ from repro.faults import (
 from repro.experiments.runner import run_app
 from repro.machine.presets import mixed_pairs
 from repro.machine.sunwulf import ge_configuration
-from repro.obs import MetricsRegistry
+from repro.obs import run_metrics
 from repro.sim.flight import FlightRecorder
 from repro.sim.trace import Tracer
 
@@ -77,14 +77,22 @@ _STAT_FIELDS = (
 )
 
 
-def _collect(
-    app: str, cluster_factory, n: int, faulted: bool, **sinks
-) -> dict:
-    """Run one case and flatten every identity-relevant observation."""
+def _run(app: str, cluster_factory, n: int, faulted: bool, **sinks):
+    """Run one case with ``sinks`` attached; returns its record."""
     kwargs = dict(sinks)
     if faulted:
         kwargs["launcher"] = make_fault_launcher(_SCHEDULE)
-    record = run_app(app, cluster_factory(), n, **kwargs)
+    return run_app(app, cluster_factory(), n, **kwargs)
+
+
+def _collect(
+    app: str, cluster_factory, n: int, faulted: bool, **sinks
+) -> dict:
+    return _flatten(_run(app, cluster_factory, n, faulted, **sinks))
+
+
+def _flatten(record) -> dict:
+    """Every identity-relevant observation of a run record, flattened."""
     run = record.run
     return {
         "makespan": run.makespan,
@@ -120,13 +128,14 @@ def test_engine_matches_golden_fixture(case_id, app, cluster_factory, n, faulted
 
 #: Sink sets attached in the identity-neutrality test.  The flight-only
 #: set keeps the bare case id; the others suffix it with the set name.
+#: The ``metrics`` set is what ``repro profile`` attaches: a tracer whose
+#: records feed :func:`~repro.obs.run_metrics` after the run.
 SINK_SETS = {
     "flight": lambda: {"flight": FlightRecorder(capacity=64)},
     "tracer": lambda: {"tracer": Tracer()},
-    "metrics": lambda: {"metrics": MetricsRegistry()},
+    "metrics": lambda: {"tracer": Tracer()},
     "all": lambda: {
         "tracer": Tracer(),
-        "metrics": MetricsRegistry(),
         "flight": FlightRecorder(capacity=1 << 20),
     },
 }
@@ -135,14 +144,10 @@ SINK_SETS = {
 def _records_seen(sink) -> int:
     """How many engine records ``sink`` received (a flight ring retains
     at most its capacity; fault-track records are not engine records)."""
-    if isinstance(sink, Tracer):
-        engine_records = [r for r in sink.records if r.kind != "fault"]
-        return len(engine_records) + sink.dropped
     if isinstance(sink, FlightRecorder):
         return len(sink)
-    return int(sum(
-        inst.value for name, _, inst in sink if name == "sim_ops_total"
-    ))
+    engine_records = [r for r in sink.records if r.kind != "fault"]
+    return len(engine_records) + sink.dropped
 
 
 @lru_cache(maxsize=None)
@@ -170,18 +175,24 @@ def test_flight_recorder_is_identity_neutral(
     case_id, app, cluster_factory, n, faulted, sink_set
 ):
     """Every sink set -- the flight recorder (ring + watchdog), a tracer,
-    either metrics sink, or all of them at once -- must be read-only.
+    or both at once -- must be read-only.
 
     Sinks are called from inside the engine's handler closures, so this
     is the contract that keeps observation always-on-able: same golden
     values, byte for byte, with the sinks attached, and every attached
-    sink sees every engine record.
+    sink sees every engine record (and the post-run metrics count each
+    of them once, fault annotations excluded).
     """
     golden = json.loads(FIXTURE.read_text())
     sinks = SINK_SETS[sink_set]()
-    observed = _collect(app, cluster_factory, n, faulted, **sinks)
-    assert observed == golden[case_id]
+    record = _run(app, cluster_factory, n, faulted, **sinks)
+    assert _flatten(record) == golden[case_id]
     expected = _engine_records(case_id)
+    if sink_set == "metrics":
+        metrics = run_metrics(sinks["tracer"], record.run)
+        assert sum(
+            inst.value for name, _, inst in metrics if name == "sim_ops_total"
+        ) == expected
     for sink in sinks.values():
         if isinstance(sink, FlightRecorder):
             assert sink.dumps == []  # healthy runs: the watchdog stays quiet

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.network.model import ZeroCostNetwork
+from repro.obs.chrome_trace import chrome_trace_events
 from repro.sim.engine import Engine, RunResult
 from repro.sim.errors import DeadlockError, EventLimitExceeded
 from repro.sim.events import Compute, Log, Recv, Send
@@ -16,7 +17,7 @@ from repro.sim.flight import (
     WatchdogConfig,
     flight_dir,
 )
-from repro.sim.trace import RankStats
+from repro.sim.trace import RankStats, Tracer
 
 
 def make_engine(nranks=2, flight=None, **kwargs):
@@ -33,14 +34,14 @@ class TestRing:
         for i in range(10):
             flight.append((0, "compute", float(i), float(i) + 0.5, None))
         assert len(flight) == 4
-        starts = [rec[2] for rec in flight.records()]
+        starts = [rec[2] for rec in flight.raw_records()]
         assert starts == [6.0, 7.0, 8.0, 9.0]
 
     def test_capacity_one(self):
         flight = FlightRecorder(capacity=1, watchdog=None)
         flight.append((0, "compute", 0.0, 1.0, None))
         flight.append((1, "compute", 1.0, 2.0, None))
-        assert flight.records() == [(1, "compute", 1.0, 2.0, None)]
+        assert flight.raw_records() == [(1, "compute", 1.0, 2.0, None)]
 
     def test_capacity_zero_records_nothing_but_dumps_reason(self, tmp_path):
         flight = FlightRecorder(capacity=0, out_dir=tmp_path, watchdog=None)
@@ -55,6 +56,20 @@ class TestRing:
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
             FlightRecorder(capacity=-1)
+
+    def test_is_a_last_k_tracer(self):
+        flight = FlightRecorder(capacity=2, watchdog=None)
+        assert isinstance(flight, Tracer)
+        flight.append((0, "compute", 0.0, 1.0, 250.0))
+        flight.append((0, "send", 1.0, 1.5, 1, 7, 64.0))
+        flight.append((1, "recv", 0.5, 1.5, 0, 7, 64.0))
+        # The views match a first-K tracer's for the same records.
+        tracer = Tracer()
+        for rec in flight.raw_records():
+            tracer.append(rec)
+        assert flight.records == tracer.records
+        assert [r.kind for r in flight.records] == ["send", "recv"]
+        assert flight.dropped == 0
 
     def test_default_capacity(self):
         assert FlightRecorder().capacity == DEFAULT_CAPACITY
@@ -94,10 +109,14 @@ class TestDump:
             "flops=250", "dst=1 tag=7 nbytes=64", "src=0 tag=7 nbytes=64",
             "checkpoint",
         ]
-        # The envelope doubles as a Chrome trace: the instant event
-        # carrying the reason plus one slice per non-log record.
-        names = [e["name"] for e in doc["traceEvents"]]
-        assert "flight_dump" in names
+        # The envelope doubles as a Chrome trace: the retained records
+        # through the one Chrome encoder, plus the instant event carrying
+        # the reason.
+        *events, marker = doc["traceEvents"]
+        assert events == chrome_trace_events([("flight recorder", flight)])
+        assert marker["name"] == "flight_dump"
+        assert marker["args"] == doc["reason"]
+        names = [e["name"] for e in events]
         assert names.count("compute") == 1 and names.count("send") == 1
 
     def test_sequential_dumps_get_distinct_paths(self, tmp_path):
@@ -225,7 +244,7 @@ class TestEngineIntegration:
                 yield Recv(src=0, tag=1)
 
         result = make_engine(2, flight=flight).run(program)
-        kinds = [rec[1] for rec in flight.records()]
+        kinds = [rec[1] for rec in flight.raw_records()]
         assert kinds.count("compute") == 1
         assert kinds.count("send") == 1
         assert kinds.count("recv") == 1

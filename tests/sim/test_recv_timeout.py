@@ -3,7 +3,6 @@
 import pytest
 
 from repro.network.model import UniformCostNetwork, ZeroCostNetwork
-from repro.obs.structlog import StructLogger
 from repro.sim.engine import Engine
 from repro.sim.events import Compute, Recv, Send
 from repro.sim.trace import Tracer
@@ -200,8 +199,8 @@ class TestTimeoutSemantics:
         assert result.finish_times[1] == pytest.approx(0.25)
 
 
-class TestUndeliveredWarning:
-    def run_with_log(self, log):
+class TestUndeliveredCount:
+    def test_unreceived_message_is_counted(self):
         # Rank 0 sends a message nobody ever receives.
         def sender():
             yield Send(dst=1, nbytes=8.0)
@@ -209,36 +208,17 @@ class TestUndeliveredWarning:
         def other():
             yield Compute(seconds=0.1)
 
-        engine = Engine(2, ZeroCostNetwork(), [1e6, 1e6], log=log)
-        return engine.run([sender(), other()])
-
-    def test_warn_once_through_struct_logger(self):
-        log = StructLogger()
-        result = self.run_with_log(log)
+        engine = Engine(2, ZeroCostNetwork(), [1e6, 1e6])
+        result = engine.run([sender(), other()])
         assert result.undelivered_messages == 1
-        warnings = [e for e in log.events
-                    if e["event"] == "engine.undelivered_messages"]
-        assert len(warnings) == 1
-        assert warnings[0]["undelivered_messages"] == 1
 
-    def test_deduped_across_runs_on_same_sink(self):
-        log = StructLogger()
-        self.run_with_log(log)
-        self.run_with_log(log)
-        warnings = [e for e in log.events
-                    if e["event"] == "engine.undelivered_messages"]
-        assert len(warnings) == 1  # warn_once key is sink-wide
-
-    def test_clean_run_does_not_warn(self):
+    def test_clean_run_counts_none(self):
         def sender():
             yield Send(dst=1, nbytes=8.0)
 
         def receiver():
             yield Recv(src=0)
 
-        log = StructLogger()
-        engine = Engine(2, ZeroCostNetwork(), [1e6, 1e6], log=log)
+        engine = Engine(2, ZeroCostNetwork(), [1e6, 1e6])
         result = engine.run([sender(), receiver()])
         assert result.undelivered_messages == 0
-        assert not [e for e in log.events
-                    if e["event"] == "engine.undelivered_messages"]

@@ -1,24 +1,22 @@
-"""Byte-for-byte pins of what every observation sink records.
+"""Byte-for-byte pins of what the record stores record and what is derived.
 
 The golden fixtures (``golden_runs.json``) pin what a run *computes*; this
-module pins what the attached sinks *see*.  For two programs -- a GE run
-on a heterogeneous cluster (its native Ethernet broadcast exercises
+module pins what the attached record stores *see*.  For two programs -- a
+GE run on a heterogeneous cluster (its native Ethernet broadcast exercises
 multicast) and a hand-written 3-rank program yielding every record kind
 (compute with and without ``seconds=``, send, recv, an expiring timed
 receive, ``Log`` and a message lost in transit) plus a fault track -- the
-committed fixture
-``sink_outputs.json`` stores per-kind record counts and a sha256 of each
-sink's output:
+committed fixture ``sink_outputs.json`` stores per-kind record counts and
+a sha256 of each output:
 
 * the Chrome trace events (:func:`repro.obs.chrome_trace_events`);
-* ``MetricsRegistry.to_dict()`` minus the two wall-clock gauges;
-* the ``StructLogger`` ``sim.op`` events and its ``engine.self_profile``
-  event (timestamps and wall-clock fields removed);
+* the post-run metrics (:func:`repro.obs.run_metrics` over the tracer's
+  records, ``to_dict()`` minus the two wall-clock gauges);
 * ``FlightRecorder.render()``.
 
-Each sink is also attached alone, and must see exactly what it sees when
-attached together with the others.  Regenerate only on an intentional
-change to sink output::
+Each store is also attached alone, and must see exactly what it sees when
+attached together with the other.  Regenerate only on an intentional
+change to store or derived output::
 
     PYTHONPATH=src python tests/sim/test_sink_outputs.py --regen
 """
@@ -37,7 +35,7 @@ from repro.experiments.runner import run_app
 from repro.faults import FaultInjector, FaultSchedule, LinkDegradation, NodeSlowdown
 from repro.machine.presets import mixed_pairs
 from repro.mpi import CollectiveConfig
-from repro.obs import MetricsRegistry, StructLogger, chrome_trace_events
+from repro.obs import MetricsRegistry, chrome_trace_events, run_metrics
 from repro.sim import Compute, Engine, Log, Recv, Send, Tracer
 from repro.sim.flight import FlightRecorder
 
@@ -111,54 +109,35 @@ def _metrics_doc(registry: MetricsRegistry) -> dict:
     return doc
 
 
-def _structlog_docs(log: StructLogger) -> tuple[list, dict]:
-    ops = [
-        {k: v for k, v in e.items() if k != "ts_utc"}
-        for e in log.events if e["event"] == "sim.op"
-    ]
-    (profile,) = [e for e in log.events if e["event"] == "engine.self_profile"]
-    profile = {
-        k: v for k, v in profile.items() if k not in ("ts_utc", "wall_seconds")
-    }
-    return ops, profile
-
-
 def _observe(name: str) -> dict:
-    """Run program ``name`` under every sink set; return the pinned
-    observations (and check each lone sink against the fan-out)."""
+    """Run program ``name`` with both record stores; return the pinned
+    observations (and check each lone store against the fan-out)."""
     run = PROGRAMS[name]
     tracer = Tracer()
-    registry = MetricsRegistry()
     flight = FlightRecorder(capacity=100_000)
-    run(tracer=tracer, metrics=registry, flight=flight)
+    result = run(tracer=tracer, flight=flight)
     assert flight.dumps == []
     counts = dict(Counter(rec.kind for rec in tracer.records))
-    assert len(flight) == len(tracer.records)
+    assert len(flight) == len(tracer)
+    metrics = _metrics_doc(run_metrics(tracer, result))
     if name == "every-kind":
         _fault_track(tracer)
-        counts["fault"] = len(tracer.records) - len(flight)
+        counts["fault"] = len(tracer) - len(flight)
+        # Fault annotations are not engine operations.
+        assert _metrics_doc(run_metrics(tracer, result)) == metrics
 
     lone_tracer = Tracer()
     run(tracer=lone_tracer)
     if name == "every-kind":
         _fault_track(lone_tracer)
     assert lone_tracer.records == tracer.records
-    lone_registry = MetricsRegistry()
-    run(metrics=lone_registry)
-    assert _metrics_doc(lone_registry) == _metrics_doc(registry)
     lone_flight = FlightRecorder(capacity=100_000)
     run(flight=lone_flight)
-    assert lone_flight.records() == flight.records()
-
-    log = StructLogger()
-    run(metrics=log)
-    ops, profile = _structlog_docs(log)
+    assert lone_flight.raw_records() == flight.raw_records()
     return {
         "counts": counts,
         "chrome_trace": _sha(chrome_trace_events(tracer)),
-        "metrics": _sha(_metrics_doc(registry)),
-        "structlog_ops": _sha(ops),
-        "structlog_profile": _sha(profile),
+        "metrics": _sha(metrics),
         "flight": _sha(flight.render()),
     }
 

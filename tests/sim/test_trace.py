@@ -60,6 +60,25 @@ def test_tracer_limit_drops_excess():
     assert tracer.dropped == 7
 
 
+def test_tracer_negative_limit_rejected():
+    with pytest.raises(ValueError):
+        Tracer(limit=-5)
+    assert Tracer(limit=0).limit == 0  # zero stays valid: count drops only
+
+
+def test_tracer_keeps_raw_records_and_builds_views_on_read():
+    tracer = Tracer()
+    tracer.append((0, "compute", 0.0, 1.0, 250.0))
+    tracer.append((0, "send", 1.0, 1.5, 1, 7, 64.0))
+    # The raw tuple keeps what the detail string does not: flops, nbytes.
+    assert tracer.raw_records() == [
+        (0, "compute", 0.0, 1.0, 250.0), (0, "send", 1.0, 1.5, 1, 7, 64.0),
+    ]
+    assert [r.detail for r in tracer.records] == ["", "dst=1 tag=7 nbytes=64"]
+    tracer.append((1, "recv", 0.5, 1.5, 0, 7, 64.0))
+    assert [r.kind for r in tracer.records] == ["compute", "send", "recv"]
+
+
 def test_recv_trace_detail_includes_source():
     tracer = Tracer()
     engine = Engine(2, ZeroCostNetwork(), [1e6] * 2, tracer=tracer)

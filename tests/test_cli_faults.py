@@ -189,7 +189,7 @@ class TestFlightFlag:
         return path
 
     def test_fail_stop_leaves_loadable_dump(self, capsys, tmp_path):
-        from repro.obs.flight import list_dumps, load_dump
+        from repro.sim.flight import list_dumps, load_dump
 
         sched = self.fail_stop_schedule(tmp_path)
         code = main(["faults", "run", "--app", "ge", "--size", "120",
@@ -211,8 +211,38 @@ class TestFlightFlag:
         assert "error: DeadlockError" in out
         assert f"source: {dump}" in out
 
+    def test_flight_and_trace_out_together(self, capsys, tmp_path):
+        """Both record stores on one faulted run: each writes its file,
+        and neither changes what the other records."""
+        import json
+
+        from repro.sim.flight import list_dumps, load_dump
+
+        sched = self.fail_stop_schedule(tmp_path)
+        args = ["faults", "run", "--app", "ge", "--size", "120",
+                "--schedule", str(sched), "--no-baseline"]
+        both = tmp_path / "both.json"
+        assert main(args + ["--flight", "--trace-out", str(both)]) == 1
+        (dump,) = list_dumps(tmp_path / "flight")
+        alone = tmp_path / "alone.json"
+        assert main(args + ["--trace-out", str(alone)]) == 1
+        assert list_dumps(tmp_path / "flight") == [dump]
+        capsys.readouterr()
+
+        trace = json.loads(both.read_text())
+        assert trace == json.loads(alone.read_text())
+        # The dump's records are the last `retained` records of the
+        # trace, through the same Chrome encoder.
+        doc = load_dump(dump)
+        retained = doc["retained"]
+        assert 0 < retained < len(trace)
+        records = [e for e in trace if e["ph"] != "M"]
+        ring = [e for e in doc["traceEvents"]
+                if e["ph"] != "M" and e["name"] != "flight_dump"]
+        assert ring == records[-retained:]
+
     def test_fail_stop_without_flight_leaves_no_dump(self, capsys, tmp_path):
-        from repro.obs.flight import list_dumps
+        from repro.sim.flight import list_dumps
 
         sched = self.fail_stop_schedule(tmp_path)
         code = main(["faults", "run", "--app", "ge", "--size", "120",
@@ -222,7 +252,7 @@ class TestFlightFlag:
         assert list_dumps(tmp_path / "flight") == []
 
     def test_healthy_run_with_flight_stays_quiet(self, capsys, tmp_path):
-        from repro.obs.flight import list_dumps
+        from repro.sim.flight import list_dumps
 
         code = main(["faults", "run", "--size", "120", "--slowdown", "0.3",
                      "--flight", "--no-baseline"])

@@ -90,6 +90,27 @@ class TestFlightShow:
         assert "... 2 earlier records elided ..." in out
         assert "recv" in out and "flops=250" not in out
 
+    def test_tail_zero_shows_no_records(self, capsys, dump_dir):
+        root, _, _ = dump_dir
+        assert main(["flight", "show", "--dir", str(root), "--tail", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "... 3 earlier records elided ..." in out
+        assert not [ln for ln in out.splitlines() if ln.startswith("  [")]
+
+    def test_tail_longer_than_ring_elides_nothing(self, capsys, dump_dir):
+        root, _, _ = dump_dir
+        assert main(["flight", "show", "--dir", str(root), "--tail", "9"]) == 0
+        out = capsys.readouterr().out
+        assert "elided" not in out
+        assert "flops=250" in out and "recv" in out
+
+    def test_negative_tail_is_a_usage_error(self, capsys, dump_dir):
+        root, _, _ = dump_dir
+        with pytest.raises(SystemExit) as exc:
+            main(["flight", "show", "--dir", str(root), "--tail", "-1"])
+        assert exc.value.code == 2
+        assert "must be >= 0" in capsys.readouterr().err
+
     def test_missing_dump_exits_with_error(self, tmp_path):
         with pytest.raises(SystemExit, match="no flight dumps"):
             main(["flight", "show", "--dir", str(tmp_path / "nothing")])
