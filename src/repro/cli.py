@@ -16,7 +16,10 @@ Examples::
     repro version
 
 (``repro`` and ``repro-scalability`` are the same program; ``python -m
-repro`` works too.)
+repro`` works too.)  Every command is a leaf of the one argparse tree
+:func:`build_parser` builds; the options several commands share are
+defined once, in :data:`OPTIONS`, and may also be given before the
+command name.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ def _print(text: str) -> None:
 
 
 def cmd_table1(args: argparse.Namespace) -> None:
+    """Table 1: marked speed of the Sunwulf node types."""
     rows = tables.table1_marked_speeds()
     _print(
         format_table(
@@ -52,7 +56,8 @@ def cmd_table1(args: argparse.Namespace) -> None:
 
 
 def cmd_table2(args: argparse.Namespace) -> None:
-    rows = tables.table2_ge_two_nodes(network_kind=_network_kind(args))
+    """Table 2: GE on two nodes."""
+    rows = tables.table2_ge_two_nodes(network_kind=args.network)
     _print(
         format_table(
             ["rank N", "workload W (flops)", "time T (s)",
@@ -76,8 +81,9 @@ def _node_counts(args: argparse.Namespace) -> tuple[int, ...]:
 
 
 def cmd_table3(args: argparse.Namespace) -> list[tables.RequiredRankRow]:
+    """Table 3: required GE rank for 0.3 speed-efficiency."""
     rows = tables.table3_required_rank(
-        node_counts=_node_counts(args), network_kind=_network_kind(args)
+        node_counts=_node_counts(args), network_kind=args.network
     )
     _print(
         format_table(
@@ -94,41 +100,38 @@ def cmd_table3(args: argparse.Namespace) -> list[tables.RequiredRankRow]:
     return rows
 
 
-def cmd_table4(args: argparse.Namespace) -> None:
-    rows = cmd_table3(args)
-    curve = tables.table4_ge_scalability(rows)
+def _print_psi(points, header: str, title: str) -> None:
+    """A ``transition | psi`` table of scalability points."""
     _print(
         format_table(
-            ["transition", "psi"],
-            [
-                (f"{p.label_from} -> {p.label_to}", p.psi)
-                for p in curve.points
-            ],
-            title="Table 4: measured scalability of GE on Sunwulf",
+            ["transition", header],
+            [(f"{p.label_from} -> {p.label_to}", p.psi) for p in points],
+            title=title,
         )
     )
+
+
+def cmd_table4(args: argparse.Namespace) -> None:
+    """Table 4: measured scalability of GE (prints Table 3 first)."""
+    curve = tables.table4_ge_scalability(cmd_table3(args))
+    _print_psi(curve.points, "psi",
+               "Table 4: measured scalability of GE on Sunwulf")
 
 
 def cmd_table5(args: argparse.Namespace) -> None:
+    """Table 5: measured scalability of MM."""
     rows = tables.table5_mm_required_rank(
-        node_counts=_node_counts(args), network_kind=_network_kind(args)
+        node_counts=_node_counts(args), network_kind=args.network
     )
     curve = tables.table5_mm_scalability(rows)
-    _print(
-        format_table(
-            ["transition", "psi"],
-            [
-                (f"{p.label_from} -> {p.label_to}", p.psi)
-                for p in curve.points
-            ],
-            title="Table 5: measured scalability of MM on Sunwulf",
-        )
-    )
+    _print_psi(curve.points, "psi",
+               "Table 5: measured scalability of MM on Sunwulf")
 
 
 def cmd_table6(args: argparse.Namespace) -> list[tables.PredictedRankRow]:
+    """Table 6: predicted required GE rank."""
     rows = tables.table6_predicted_rank(
-        node_counts=_node_counts(args), network_kind=_network_kind(args)
+        node_counts=_node_counts(args), network_kind=args.network
     )
     _print(
         format_table(
@@ -141,19 +144,15 @@ def cmd_table6(args: argparse.Namespace) -> list[tables.PredictedRankRow]:
 
 
 def cmd_table7(args: argparse.Namespace) -> None:
-    rows = cmd_table6(args)
-    points = tables.table7_predicted_scalability(rows)
-    _print(
-        format_table(
-            ["transition", "psi (predicted)"],
-            [(f"{p.label_from} -> {p.label_to}", p.psi) for p in points],
-            title="Table 7: predicted scalability of GE on Sunwulf",
-        )
-    )
+    """Table 7: predicted scalability of GE (prints Table 6 first)."""
+    points = tables.table7_predicted_scalability(cmd_table6(args))
+    _print_psi(points, "psi (predicted)",
+               "Table 7: predicted scalability of GE on Sunwulf")
 
 
 def cmd_fig1(args: argparse.Namespace) -> None:
-    fig = figures.figure1_ge_two_nodes(network_kind=_network_kind(args))
+    """Figure 1: speed-efficiency of GE on two nodes."""
+    fig = figures.figure1_ge_two_nodes(network_kind=args.network)
     _print(
         format_series(
             "rank N", "speed-efficiency", fig.series.points,
@@ -169,9 +168,10 @@ def cmd_fig1(args: argparse.Namespace) -> None:
 
 
 def cmd_fig2(args: argparse.Namespace) -> None:
+    """Figure 2: MM speed-efficiency curves."""
     fig = figures.figure2_mm_curves(
         node_counts=_node_counts(args), samples=args.samples,
-        network_kind=_network_kind(args),
+        network_kind=args.network,
     )
     for series in fig.series:
         _print(
@@ -190,29 +190,16 @@ def cmd_fig2(args: argparse.Namespace) -> None:
     )
 
 
-def _network_kind(args: argparse.Namespace) -> str:
-    """Validated network spec from ``--network``."""
-    from .network.ethernet import parse_network_spec
-    from .sim.errors import InvalidOperationError
-
-    try:
-        parse_network_spec(args.network)
-    except InvalidOperationError as err:
-        raise SystemExit(f"error: {err}") from None
-    return args.network
-
-
-def _cluster_for(app: str, nodes: int, network_kind: str = "bus"):
-    """App-specific Sunwulf configuration (canonical app name)."""
+def _cluster(args: argparse.Namespace, nodes: int | None = None):
+    """The app-specific Sunwulf configuration on ``nodes`` nodes
+    (default: the first ``--nodes`` count)."""
     from .machine import ge_configuration, mm_configuration
 
-    if app == "mm":
-        return mm_configuration(nodes, network_kind)
-    return ge_configuration(nodes, network_kind)
-
-
-def _app_cluster(args: argparse.Namespace, nodes: int):
-    return _cluster_for(args.app, nodes, _network_kind(args))
+    if nodes is None:
+        nodes = _node_counts(args)[0]
+    if args.app == "mm":
+        return mm_configuration(nodes, args.network)
+    return ge_configuration(nodes, args.network)
 
 
 def cmd_predict(args: argparse.Namespace) -> None:
@@ -220,10 +207,10 @@ def cmd_predict(args: argparse.Namespace) -> None:
     from .experiments.autopredict import AutoPredictor
 
     counts = _node_counts(args)
-    predictor = AutoPredictor(args.app, _app_cluster(args, counts[0]))
+    predictor = AutoPredictor(args.app, _cluster(args, counts[0]))
     rows = []
     for nodes in counts:
-        cluster = _app_cluster(args, nodes)
+        cluster = _cluster(args, nodes)
         n_pred = predictor.required_size(cluster, args.target)
         rows.append((nodes, round(n_pred)))
     _print(
@@ -236,7 +223,7 @@ def cmd_predict(args: argparse.Namespace) -> None:
     transitions = []
     for a, b in zip(counts, counts[1:]):
         point = predictor.scalability(
-            _app_cluster(args, a), _app_cluster(args, b), args.target
+            _cluster(args, a), _cluster(args, b), args.target
         )
         transitions.append((f"{a} -> {b} nodes", point.psi))
     _print(
@@ -254,7 +241,7 @@ def cmd_breakdown(args: argparse.Namespace) -> None:
     from .experiments.runner import run_app
     from .sim.trace import Tracer
 
-    cluster = _app_cluster(args, (_node_counts(args))[0])
+    cluster = _cluster(args)
     tracer = Tracer()
     record = run_app(args.app, cluster, args.size, tracer=tracer)
     m = record.measurement
@@ -267,19 +254,39 @@ def cmd_breakdown(args: argparse.Namespace) -> None:
     print()
 
 
-def cmd_profile(args: argparse.Namespace) -> None:
-    """Profile one run: trace + metrics + analyzers (``repro profile <app>``)."""
-    from .experiments.runner import resolve_app
+def _record(args: argparse.Namespace, write) -> None:
+    """Record one run with ``write(ledger)`` in the ``--ledger`` ledger
+    and say where; an unwritable ledger is a warning, not a failure."""
     from .obs.ledger import RunLedger
+
+    ledger = RunLedger(args.ledger)
+    try:
+        run_id = write(ledger)
+    except OSError as err:
+        print(f"warning: could not record run in ledger {ledger.root}: {err}")
+    else:
+        print(f"ledger: recorded run {run_id} in {ledger.root}")
+    print()
+
+
+def _recording(args: argparse.Namespace):
+    """Context recording every simulated run in the ``--ledger`` ledger."""
+    from .experiments.runner import ledger_recording
+    from .obs.ledger import RunLedger
+
+    return ledger_recording(RunLedger(args.ledger))
+
+
+def cmd_profile(args: argparse.Namespace) -> None:
+    """Profile one run: trace, metrics, analyzers and a ledger record."""
+    from .experiments.runner import resolve_app
     from .obs.profiler import profile_app
 
+    if args.app_name:
+        args.app = resolve_app(args.app_name)
+    cluster = _cluster(args)
     try:
-        app = resolve_app(args.app_name if args.app_name else args.app)
-    except KeyError as err:
-        raise SystemExit(f"error: {err.args[0]}") from None
-    cluster = _cluster_for(app, _node_counts(args)[0], _network_kind(args))
-    try:
-        report = profile_app(app, cluster, args.size, out_dir=args.out)
+        report = profile_app(args.app, cluster, args.size, out_dir=args.out)
     except OSError as err:
         raise SystemExit(
             f"error: cannot write profile artifacts to {args.out!r}: {err}"
@@ -293,21 +300,14 @@ def cmd_profile(args: argparse.Namespace) -> None:
             "summary.txt"
         )
         print()
-    ledger = RunLedger(getattr(args, "ledger", None))
-    try:
-        run_id = ledger.record_report(report, cluster=cluster)
-    except OSError as err:
-        print(f"warning: could not record run in ledger {ledger.root}: {err}")
-    else:
-        print(f"ledger: recorded run {run_id} in {ledger.root}")
-    print()
+    _record(args, lambda ledger: ledger.record_report(report, cluster=cluster))
 
 
 def cmd_memory(args: argparse.Namespace) -> None:
     """Memory-feasibility report for one (app, configuration, N)."""
     from .machine.memory import distributed_feasibility, sequential_reference_feasible
 
-    cluster = _app_cluster(args, (_node_counts(args))[0])
+    cluster = _cluster(args)
     report = distributed_feasibility(cluster, args.app, args.size)
     _print(
         format_table(
@@ -330,7 +330,7 @@ def cmd_memory(args: argparse.Namespace) -> None:
 # -- run-ledger history (repro history) --------------------------------------
 
 def cmd_history(args: argparse.Namespace) -> int:
-    """List the run ledger (``repro history``)."""
+    """List the runs recorded in the run ledger, newest first."""
     from .obs.ledger import RunLedger
 
     ledger = RunLedger(args.ledger)
@@ -362,54 +362,6 @@ def cmd_history(args: argparse.Namespace) -> int:
         )
     )
     return 0
-
-
-# -- shared options (executor and workload flags) ----------------------------
-
-#: Application names and aliases accepted by ``--app``.
-APP_CHOICES = ("ge", "gaussian", "mm", "matmul", "stencil", "jacobi", "fft")
-
-
-def _executor_options() -> argparse.ArgumentParser:
-    """Parent parser of every command that runs a sweep executor.
-
-    Read back by :func:`_build_executor`.  Each command gets a fresh
-    parent, so one command's ``set_defaults`` (``sweep profile``'s
-    ``jobs=2``) never leaks into another's.
-    """
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(
-        "--jobs", type=int, default=1, metavar="J",
-        help="fan independent simulation points over J worker processes "
-             "(default %(default)s; 1 runs them serially in-process)",
-    )
-    parent.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the persistent run cache ($REPRO_CACHE_DIR or "
-             ".repro/cache) and re-simulate every point",
-    )
-    parent.add_argument(
-        "--progress", action="store_true",
-        help="live sweep heartbeat on stderr: points done/total, ETA, "
-             "cache hit-rate and worker utilization",
-    )
-    return parent
-
-
-def _workload_options(app_help: str) -> argparse.ArgumentParser:
-    """Parent parser of the ``--app``/``--network`` pair."""
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(
-        "--app", choices=APP_CHOICES, default="ge",
-        help=f"{app_help} (default: ge)",
-    )
-    parent.add_argument(
-        "--network", default="bus", metavar="SPEC",
-        help="interconnect model: bus (the paper's, default), switch, or "
-             "a hierarchical spec such as fat-tree:8:2, torus:16:8, "
-             "tiered:8:4:2",
-    )
-    return parent
 
 
 def _build_executor(
@@ -459,54 +411,39 @@ def _print_cache_stats(executor) -> None:
         print()
 
 
-# -- fault-injection commands (faults run / faults sweep) ---------------------
-
-def _load_or_build_schedule(args: argparse.Namespace, nranks: int):
-    """Resolve the schedule source flags of ``repro faults run``."""
-    from .core.types import MetricError
-    from .faults import FaultSchedule, FaultScheduleError, uniform_slowdown
-
-    if args.schedule:
-        try:
-            return FaultSchedule.load(args.schedule)
-        except (MetricError, FaultScheduleError) as err:
-            raise SystemExit(f"error: {err}") from None
-    if args.slowdown is not None:
-        if not 0.0 <= args.slowdown < 1.0:
-            raise SystemExit(
-                f"error: --slowdown must be in [0, 1), got {args.slowdown}"
-            )
-        return uniform_slowdown(nranks, args.slowdown)
-    raise SystemExit(
-        "error: give a fault source: --schedule PATH, --slowdown SEV, "
-        "or --smoke"
-    )
-
+# -- fault-injection commands (faults run / sweep / attack) -------------------
 
 def cmd_faults_run(args: argparse.Namespace) -> int:
-    """Run one application under a fault schedule (``repro faults run``)."""
-    from .experiments.runner import RunRecord, resolve_app, run_app
-    from .faults import FaultSchedule, NodeCrash, run_app_under_faults
+    """Run one application under a fault schedule."""
+    from .experiments.runner import RunRecord, run_app
+    from .faults import (FaultSchedule, NodeCrash, run_app_under_faults,
+                         uniform_slowdown)
     from .sim.errors import SimulationError
     from .sim.trace import Tracer
 
-    app = resolve_app(args.app)
-    cluster = _cluster_for(app, args.nodes, _network_kind(args))
+    cluster = _cluster(args)
 
     baseline: RunRecord | bool = not args.no_baseline
     if args.smoke:
         # Canned crash+restart scenario: crash the last rank at 30% of the
         # fault-free makespan, bring it back after 10% + 5% recompute.  The
         # baseline run doubles as the degraded-psi anchor.
-        base = run_app(app, cluster, args.size, seed=args.seed)
+        base = run_app(args.app, cluster, args.size, seed=args.seed)
         t = base.run.makespan
         schedule = FaultSchedule((
             NodeCrash(rank=cluster.nranks - 1, at=0.3 * t,
                       restart_delay=0.1 * t, recompute_seconds=0.05 * t),
         ))
         baseline = base
+    elif args.schedule:
+        schedule = FaultSchedule.load(args.schedule)
+    elif args.slowdown is not None:
+        schedule = uniform_slowdown(cluster.nranks, args.slowdown)
     else:
-        schedule = _load_or_build_schedule(args, cluster.nranks)
+        raise SystemExit(
+            "error: give a fault source: --schedule PATH, --slowdown SEV, "
+            "or --smoke"
+        )
 
     flight = None
     if args.flight:
@@ -529,7 +466,7 @@ def cmd_faults_run(args: argparse.Namespace) -> int:
 
     try:
         faulty = run_app_under_faults(
-            app, cluster, args.size, schedule,
+            args.app, cluster, args.size, schedule,
             baseline=baseline, tracer=tracer, seed=args.seed, flight=flight,
         )
     except SimulationError as err:
@@ -555,7 +492,7 @@ def cmd_faults_run(args: argparse.Namespace) -> int:
 
     m = faulty.faulted.measurement
     print(
-        f"{app} at N={args.size} on {cluster.name} under "
+        f"{args.app} at N={args.size} on {cluster.name} under "
         f"{len(schedule)} fault event(s) "
         f"[profile {faulty.fault_profile_hash}]"
     )
@@ -588,52 +525,27 @@ def cmd_faults_run(args: argparse.Namespace) -> int:
     if tracer is not None:
         write_trace()
     if args.smoke or args.ledger is not None:
-        from .obs.ledger import RunLedger
-
-        ledger = RunLedger(args.ledger)
-        try:
-            run_id = faulty.to_ledger(ledger)
-        except OSError as err:
-            print(
-                f"warning: could not record run in ledger {ledger.root}: "
-                f"{err}"
-            )
-        else:
-            print(f"ledger: recorded run {run_id} in {ledger.root}")
-        print()
+        _record(args, faulty.to_ledger)
     return 0
 
 
 def cmd_faults_sweep(args: argparse.Namespace) -> int:
-    """psi-vs-fault-intensity table (``repro faults sweep``)."""
-    from .experiments.runner import resolve_app
+    """psi-vs-fault-intensity table (uniform slowdown scan)."""
     from .faults import (
         psi_is_monotone_nonincreasing,
         render_sweep,
         slowdown_sweep,
     )
 
-    app = resolve_app(args.app)
-    for severity in args.severities:
-        if not 0.0 <= severity < 1.0:
-            raise SystemExit(
-                f"error: severities must be in [0, 1), got {severity}"
-            )
-    cluster = _cluster_for(app, args.nodes, _network_kind(args))
+    cluster = _cluster(args)
     executor = _build_executor(args, telemetry=args.profile)
-    with ExitStack() as stack:
-        if args.ledger is not None:
-            from .experiments.runner import ledger_recording
-            from .obs.ledger import RunLedger
-
-            stack.enter_context(ledger_recording(RunLedger(args.ledger)))
-        rows = slowdown_sweep(
-            app, cluster, args.size, severities=args.severities,
-            seed=args.seed, executor=executor,
-        )
+    rows = slowdown_sweep(
+        args.app, cluster, args.size, severities=args.severities,
+        seed=args.seed, executor=executor,
+    )
     _print(render_sweep(
         rows,
-        title=f"Scalability under faults ({app}, N={args.size}, "
+        title=f"Scalability under faults ({args.app}, N={args.size}, "
               f"{cluster.name})",
     ))
     monotone = psi_is_monotone_nonincreasing(rows)
@@ -642,14 +554,14 @@ def cmd_faults_sweep(args: argparse.Namespace) -> int:
     _print_cache_stats(executor)
     if args.profile and executor.timeline is not None:
         _print(executor.timeline.format_report(
-            title=f"Sweep overhead attribution ({app} faults sweep, "
+            title=f"Sweep overhead attribution ({args.app} faults sweep, "
                   f"jobs={executor.jobs})",
         ))
     if args.out:
         from dataclasses import asdict
 
         payload = {
-            "app": app,
+            "app": args.app,
             "cluster": cluster.name,
             "problem_size": args.size,
             "rows": [asdict(r) for r in sorted(rows, key=lambda r: r.severity)],
@@ -663,10 +575,8 @@ def cmd_faults_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_cluster_model(spec: str, network: str):
-    """``GROUP:COUNT[,GROUP:COUNT...]`` -> fuzz :class:`ClusterModel`."""
-    from .fuzz import ClusterModel, ScenarioError
-
+def _cluster_groups(spec: str) -> tuple[tuple[str, int], ...]:
+    """argparse type: ``GROUP:COUNT[,GROUP:COUNT...]`` node groups."""
     groups = []
     for part in spec.split(","):
         part = part.strip()
@@ -676,22 +586,16 @@ def _parse_cluster_model(spec: str, network: str):
         try:
             groups.append((name.strip(), int(count) if count else 1))
         except ValueError:
-            raise SystemExit(
-                f"error: bad cluster group {part!r} "
-                f"(expected GROUP:COUNT)"
+            raise argparse.ArgumentTypeError(
+                f"bad cluster group {part!r} (expected GROUP:COUNT)"
             ) from None
-    try:
-        return ClusterModel(groups=tuple(groups), network=network)
-    except ScenarioError as err:
-        raise SystemExit(f"error: {err}") from None
+    return tuple(groups)
 
 
 def cmd_faults_attack(args: argparse.Namespace) -> int:
-    """Worst-case resilience curve via adversarial search
-    (``repro faults attack``)."""
-    from .experiments.runner import resolve_app
+    """Worst-case resilience curve via adversarial search."""
     from .fuzz import (
-        FuzzError,
+        ClusterModel,
         attack_to_ledger,
         load_case,
         make_case,
@@ -702,7 +606,6 @@ def cmd_faults_attack(args: argparse.Namespace) -> int:
     )
     from .obs.ledger import RunLedger
 
-    app = resolve_app(args.app)
     if args.smoke:
         # Fast fixed-seed CI shape: small problem, few iterations, the
         # curve recorded to the ledger and the optimum replayed from a
@@ -718,18 +621,15 @@ def cmd_faults_attack(args: argparse.Namespace) -> int:
         iterations = args.iterations
         corpus_dir = args.corpus
         record = args.ledger is not None
-    cluster = _parse_cluster_model(args.cluster, args.network)
+    cluster = ClusterModel(groups=args.cluster, network=args.network)
     executor = _build_executor(args)
-    try:
-        results = resilience_curve(
-            app, cluster, size, budgets,
-            iterations=iterations, seed=args.seed, executor=executor,
-        )
-    except FuzzError as err:
-        raise SystemExit(f"error: {err}") from None
+    results = resilience_curve(
+        args.app, cluster, size, budgets,
+        iterations=iterations, seed=args.seed, executor=executor,
+    )
     _print(render_attack_curve(
         results,
-        title=f"Worst-case resilience curve ({app}, N={size}, "
+        title=f"Worst-case resilience curve ({args.app}, N={size}, "
               f"{cluster.name}[{cluster.network}])",
     ))
     worst = min(results, key=lambda r: r.psi)
@@ -753,7 +653,7 @@ def cmd_faults_attack(args: argparse.Namespace) -> int:
             worst.scenario, executor=executor,
             provenance={
                 "origin": "faults-attack",
-                "app": app, "budget": worst.budget, "seed": args.seed,
+                "app": args.app, "budget": worst.budget, "seed": args.seed,
                 "psi": worst.psi, "score": worst.score,
             },
         )
@@ -773,7 +673,7 @@ def cmd_faults_attack(args: argparse.Namespace) -> int:
     _print_cache_stats(executor)
     if args.out:
         payload = {
-            "app": app,
+            "app": args.app,
             "cluster": cluster.to_payload(),
             "problem_size": size,
             "seed": args.seed,
@@ -784,155 +684,10 @@ def cmd_faults_attack(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_faults_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro faults",
-        description=(
-            "Fault injection: run applications under deterministic fault "
-            "schedules and measure scalability under faults."
-        ),
-    )
-    sub = parser.add_subparsers(dest="faults_command", required=True)
-
-    run = sub.add_parser(
-        "run", help="run one application under a fault schedule",
-        parents=[_workload_options("application to run")],
-    )
-    run.add_argument("--nodes", type=int, default=2,
-                     help="Sunwulf node count (default 2)")
-    run.add_argument("--size", type=int, default=300,
-                     help="problem size N (default 300)")
-    run.add_argument(
-        "--schedule", default=None, metavar="PATH",
-        help="fault-schedule JSON document to inject "
-             "(see repro.faults.FaultSchedule.save)",
-    )
-    run.add_argument(
-        "--slowdown", type=float, default=None, metavar="SEV",
-        help="uniform whole-run slowdown of the given severity on every rank",
-    )
-    run.add_argument(
-        "--smoke", action="store_true",
-        help="canned crash+restart scenario (crash at 30%% of the fault-free "
-             "makespan, restart after 10%% + 5%% recompute) recorded to the "
-             "ledger; the CI smoke step",
-    )
-    run.add_argument("--seed", type=int, default=0,
-                     help="workload seed (default 0)")
-    run.add_argument(
-        "--no-baseline", action="store_true",
-        help="skip the fault-free baseline run (degraded psi unavailable)",
-    )
-    run.add_argument(
-        "--trace-out", default=None, metavar="PATH",
-        help="write a Chrome trace of the faulted run (fault track "
-             "included; a failed run writes the records up to the failure)",
-    )
-    run.add_argument(
-        "--flight", action="store_true",
-        help="attach a flight recorder to the faulted engine: on a crash "
-             "(or watchdog trip) the last-K trace records are dumped to "
-             ".repro/flight/ for `repro flight show`",
-    )
-    run.add_argument(
-        "--ledger", default=None, metavar="DIR",
-        help="record the run in this ledger (default ledger with --smoke)",
-    )
-    run.set_defaults(func=cmd_faults_run)
-
-    sweep = sub.add_parser(
-        "sweep", help="psi-vs-fault-intensity table (uniform slowdown scan)",
-        parents=[_workload_options("application to sweep"),
-                 _executor_options()],
-    )
-    sweep.add_argument("--nodes", type=int, default=2,
-                       help="Sunwulf node count (default 2)")
-    sweep.add_argument("--size", type=int, default=300,
-                       help="problem size N (default 300)")
-    sweep.add_argument(
-        "--severities", type=float, nargs="+",
-        default=[0.0, 0.2, 0.4, 0.6],
-        help="slowdown severities to scan (default: 0.0 0.2 0.4 0.6)",
-    )
-    sweep.add_argument("--seed", type=int, default=0,
-                       help="workload seed (default 0)")
-    sweep.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="also write the sweep rows as JSON (includes cache hit/miss "
-             "counts)",
-    )
-    sweep.add_argument(
-        "--ledger", default=None, metavar="DIR",
-        help="record every run of the sweep in this ledger (with a "
-             "cache_hit metric per record)",
-    )
-    sweep.add_argument(
-        "--profile", action="store_true",
-        help="collect cross-process telemetry and print the "
-             "overhead-attribution phase table (also lands in --out "
-             "as a `telemetry` block)",
-    )
-    sweep.set_defaults(func=cmd_faults_sweep)
-
-    attack = sub.add_parser(
-        "attack",
-        help="adversarial search for worst-case resilience curves",
-        parents=[_workload_options("application to attack"),
-                 _executor_options()],
-    )
-    attack.add_argument(
-        "--cluster", default="blade:2,v210:1", metavar="SPEC",
-        help="heterogeneous cluster as GROUP:COUNT[,GROUP:COUNT...] over "
-             "the fuzz node palette (blade, v210, generic, server); "
-             "default: blade:2,v210:1",
-    )
-    attack.add_argument("--size", type=int, default=None,
-                        help="problem size N (default 96; 64 with --smoke)")
-    attack.add_argument(
-        "--budgets", type=float, nargs="+", default=None, metavar="B",
-        help="injected-cost budgets for the resilience curve "
-             "(default: 0.1 0.25 0.5 1.0; 0.2 0.5 with --smoke)",
-    )
-    attack.add_argument(
-        "--iterations", type=int, default=40,
-        help="hill-climbing iterations per budget (default 40, "
-             "capped at 8 with --smoke)",
-    )
-    attack.add_argument("--seed", type=int, default=0,
-                        help="search seed (default 0)")
-    attack.add_argument(
-        "--smoke", action="store_true",
-        help="fast fixed-seed shape for CI: small problem, few "
-             "iterations, curve recorded to the ledger and the worst "
-             "case saved to a corpus entry + replayed bit-identically",
-    )
-    attack.add_argument(
-        "--ledger", default=None, metavar="DIR",
-        help="record each budget optimum as a source=attack ledger run "
-             "(default ledger with --smoke)",
-    )
-    attack.add_argument(
-        "--corpus", default=None, metavar="DIR",
-        help="save the worst-case scenario as a replayable corpus case "
-             "here (.repro/fuzz/corpus with --smoke)",
-    )
-    attack.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="also write the resilience curve as JSON",
-    )
-    attack.set_defaults(func=cmd_faults_attack)
-    return parser
-
-
-def faults_main(argv: Sequence[str]) -> int:
-    args = build_faults_parser().parse_args(argv)
-    return args.func(args)
-
-
 # -- fuzz commands (repro fuzz) -----------------------------------------------
 
 def cmd_fuzz_run(args: argparse.Namespace) -> int:
-    """Seeded invariant-fuzzing campaign (``repro fuzz run``)."""
+    """Run a seeded fuzz campaign against the invariant oracle."""
     from .fuzz import fuzz_campaign, violation_kinds
 
     executor = _build_executor(args)
@@ -959,7 +714,7 @@ def cmd_fuzz_run(args: argparse.Namespace) -> int:
 
 
 def cmd_fuzz_replay(args: argparse.Namespace) -> int:
-    """Re-run every minimized corpus case (``repro fuzz replay``)."""
+    """Re-run every minimized corpus case as a regression."""
     from .fuzz import (
         CorpusError,
         corpus_paths,
@@ -997,93 +752,23 @@ def cmd_fuzz_replay(args: argparse.Namespace) -> int:
     return 0 if failures == 0 else 1
 
 
-def build_fuzz_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro fuzz",
-        description=(
-            "Property-based scenario fuzzing: generate adversarial "
-            "(cluster x app x N x fault schedule) scenarios, check "
-            "simulator invariants, shrink violations to minimal "
-            "replayable corpus cases."
-        ),
-    )
-    sub = parser.add_subparsers(dest="fuzz_command", required=True)
-
-    run = sub.add_parser(
-        "run", help="run a seeded fuzz campaign against the invariant oracle",
-        parents=[_executor_options()],
-    )
-    run.add_argument("--count", type=int, default=20,
-                     help="scenarios to generate (default 20)")
-    run.add_argument("--seed", type=int, default=0,
-                     help="campaign seed; same seed => same scenarios "
-                          "(default 0)")
-    run.add_argument(
-        "--bit-identity-every", type=int, default=0, metavar="K",
-        help="run the serial==pool==cached bit-identity probe on every "
-             "K-th scenario (0: off; the probe spawns a process pool)",
-    )
-    run.add_argument(
-        "--network-wrapper", default=None, metavar="NAME",
-        help="apply a registered network wrapper to every scenario "
-             "(fuzz an experimental network model)",
-    )
-    run.add_argument(
-        "--corpus", default=None, metavar="DIR",
-        help="where violating scenarios land as corpus cases "
-             "(default: $REPRO_FUZZ_CORPUS_DIR or tests/fuzz/corpus)",
-    )
-    run.add_argument(
-        "--artifacts", default=".repro/fuzz", metavar="DIR",
-        help="violation artifacts: scenario+violations JSON and flight "
-             "ring dumps (default .repro/fuzz)",
-    )
-    run.add_argument(
-        "--no-shrink", action="store_true",
-        help="skip delta-debugging violating scenarios before persisting",
-    )
-    run.set_defaults(func=cmd_fuzz_run)
-
-    replay = sub.add_parser(
-        "replay", help="re-run every minimized corpus case as a regression",
-        parents=[_executor_options()],
-    )
-    replay.add_argument(
-        "--corpus", default=None, metavar="DIR",
-        help="corpus directory (default: $REPRO_FUZZ_CORPUS_DIR or "
-             "tests/fuzz/corpus)",
-    )
-    replay.set_defaults(func=cmd_fuzz_replay)
-    return parser
-
-
-def fuzz_main(argv: Sequence[str]) -> int:
-    args = build_fuzz_parser().parse_args(argv)
-    return args.func(args)
-
-
 # -- sweep telemetry commands (sweep profile) ---------------------------------
 
 def cmd_sweep_profile(args: argparse.Namespace) -> int:
-    """Cold-sweep overhead attribution (``repro sweep profile``).
+    """Run one cache-cold telemetered sweep and attribute its wall time
+    to spawn/queue/cache/engine phases.
 
-    Runs one cache-cold parallel efficiency sweep with cross-process
-    telemetry enabled and prints the phase table that explains where
-    the wall time went -- the tool that makes a <1x cold "speedup"
-    (perfbench ``sweep_mix``: ``experiments.speedup_vs_serial``)
-    diagnosable.  A serial reference sweep is
-    timed first (skip with ``--no-serial``) so the report can state the
-    measured serial-vs-parallel comparison directly.
+    The tool that makes a <1x cold "speedup" (perfbench ``sweep_mix``:
+    ``experiments.speedup_vs_serial``) diagnosable.  A serial reference
+    sweep is timed first (skip with ``--no-serial``) so the report can
+    state the measured serial-vs-parallel comparison directly.
     """
     import tempfile
 
     from .experiments.executor import SweepExecutor
-    from .experiments.runner import resolve_app
     from .experiments.sweep import efficiency_curve
 
-    app = resolve_app(args.app)
-    cluster = _cluster_for(app, args.nodes, _network_kind(args))
-    sizes = [int(n) for n in args.sizes]
+    cluster = _cluster(args)
 
     with ExitStack() as stack:
         cache_root = args.cache
@@ -1099,24 +784,23 @@ def cmd_sweep_profile(args: argparse.Namespace) -> int:
         serial_seconds = None
         if not args.no_serial:
             start = time.perf_counter()
-            efficiency_curve(app, cluster, sizes, executor=SweepExecutor())
+            efficiency_curve(args.app, cluster, args.sizes,
+                             executor=SweepExecutor())
             serial_seconds = time.perf_counter() - start
         if args.ledger is not None:
-            from .experiments.runner import ledger_recording
-            from .obs.ledger import RunLedger
-
-            stack.enter_context(ledger_recording(RunLedger(args.ledger)))
+            # Only the profiled sweep is recorded, not the reference.
+            stack.enter_context(_recording(args))
         if args.warm_pool:
             # Pay the one-off worker spawn before the profiled window,
             # so the report shows the steady-state (warm-pool) sweep.
             from .experiments.pool import shared_pool
 
             shared_pool(args.jobs).warm_up()
-        efficiency_curve(app, cluster, sizes, executor=executor)
+        efficiency_curve(args.app, cluster, args.sizes, executor=executor)
         timeline = executor.timeline
     _print(timeline.format_report(
-        title=f"Sweep overhead attribution ({app}, "
-              f"sizes {' '.join(map(str, sizes))}, jobs={args.jobs}, "
+        title=f"Sweep overhead attribution ({args.app}, "
+              f"sizes {' '.join(map(str, args.sizes))}, jobs={args.jobs}, "
               f"{cluster.name})",
         serial_seconds=serial_seconds,
     ))
@@ -1132,9 +816,9 @@ def cmd_sweep_profile(args: argparse.Namespace) -> int:
     if args.out:
         wall = timeline.wall_seconds
         payload = {
-            "app": app,
+            "app": args.app,
             "cluster": cluster.name,
-            "sizes": sizes,
+            "sizes": args.sizes,
             "jobs": args.jobs,
             "serial_seconds": serial_seconds,
             "parallel_seconds": wall,
@@ -1148,81 +832,10 @@ def cmd_sweep_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_sweep_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro sweep",
-        description=(
-            "Sweep-executor tooling: cross-process telemetry and "
-            "overhead attribution of the parallel sweep path."
-        ),
-    )
-    sub = parser.add_subparsers(dest="sweep_command", required=True)
-
-    profile = sub.add_parser(
-        "profile",
-        help="run one cache-cold telemetered sweep and attribute its "
-             "wall time to spawn/queue/cache/engine phases",
-        parents=[_workload_options("application to sweep"),
-                 _executor_options()],
-    )
-    profile.add_argument("--nodes", type=int, default=2,
-                         help="Sunwulf node count (default 2)")
-    profile.add_argument(
-        "--sizes", type=int, nargs="+", default=[120, 160, 200, 240],
-        help="problem sizes of the sweep (default: 120 160 200 240)",
-    )
-    profile.add_argument(
-        "--no-serial", action="store_true",
-        help="skip the serial reference sweep (no speedup comparison "
-             "in the report)",
-    )
-    profile.add_argument(
-        "--warm-pool", action="store_true",
-        help="pre-spawn the shared worker pool before the profiled "
-             "sweep, so the report shows the steady-state warm-pool "
-             "phase table (no spawn cost in the window)",
-    )
-    profile.add_argument(
-        "--cache", default=None, metavar="DIR",
-        help="run-cache directory to use (default: a throwaway "
-             "directory, so the profiled sweep is cache-cold)",
-    )
-    profile.add_argument(
-        "--trace-out", default=None, metavar="PATH",
-        help="write the merged worker timeline as Chrome trace JSON "
-             "(one labeled track per worker process)",
-    )
-    profile.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="write the overhead report as JSON (phases, coverage, "
-             "worker utilization, serial-vs-parallel speedup)",
-    )
-    profile.add_argument(
-        "--ledger", default=None, metavar="DIR",
-        help="record the profiled runs plus a sweep-level telemetry "
-             "record (source=sweep) in this ledger",
-    )
-    profile.set_defaults(func=cmd_sweep_profile, jobs=2)
-    return parser
-
-
-def sweep_main(argv: Sequence[str]) -> int:
-    args = build_sweep_parser().parse_args(argv)
-    return args.func(args)
-
-
 # -- flight-recorder commands (flight list / flight show) ---------------------
 
-def _non_negative_int(text: str) -> int:
-    """argparse type: an integer >= 0 (a bad value exits 2)."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
 def cmd_flight_list(args: argparse.Namespace) -> int:
-    """Enumerate flight dumps, newest first (``repro flight list``)."""
+    """List dumps, newest first."""
     from .sim.flight import flight_dir, format_dump_line, list_dumps, load_dump
 
     root = Path(args.dir) if args.dir else flight_dir()
@@ -1244,7 +857,7 @@ def cmd_flight_list(args: argparse.Namespace) -> int:
 
 
 def cmd_flight_show(args: argparse.Namespace) -> int:
-    """Render one flight dump (``repro flight show [DUMP]``)."""
+    """Render one dump as a readable trace tail."""
     from .sim.flight import flight_dir, format_dump, list_dumps, load_dump
 
     root = Path(args.dir) if args.dir else flight_dir()
@@ -1270,85 +883,6 @@ def cmd_flight_show(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_flight_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro flight",
-        description=(
-            "Flight-recorder post-mortems: list and render the last-K "
-            "record dumps written when a run dies or the watchdog trips."
-        ),
-    )
-    parser.add_argument(
-        "--dir", default=None, metavar="DIR",
-        help="dump directory (default: $REPRO_FLIGHT_DIR or .repro/flight)",
-    )
-    # Also accepted after the subcommand; SUPPRESS keeps a pre-subcommand
-    # value from being overwritten by the subparser's default.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--dir", default=argparse.SUPPRESS, metavar="DIR",
-        help=argparse.SUPPRESS,
-    )
-    sub = parser.add_subparsers(dest="flight_command", required=True)
-
-    lst = sub.add_parser("list", help="list dumps, newest first",
-                         parents=[common])
-    lst.set_defaults(func=cmd_flight_list)
-
-    show = sub.add_parser("show", help="render one dump as a readable trace "
-                                       "tail", parents=[common])
-    show.add_argument(
-        "dump", nargs="?", default=None,
-        help="dump file (path or bare name from `flight list`; default: "
-             "the newest dump)",
-    )
-    show.add_argument(
-        "--tail", type=_non_negative_int, default=None, metavar="N",
-        help="only the last N records before the failure (default: all "
-             "retained records)",
-    )
-    show.set_defaults(func=cmd_flight_show)
-    return parser
-
-
-def flight_main(argv: Sequence[str]) -> int:
-    args = build_flight_parser().parse_args(argv)
-    return args.func(args)
-
-
-def build_history_parser() -> argparse.ArgumentParser:
-    from .obs.ledger import LEDGER_SOURCES
-
-    parser = argparse.ArgumentParser(
-        prog="repro history",
-        description="List the runs recorded in the run ledger, newest first.",
-    )
-    parser.add_argument(
-        "--ledger", default=None, metavar="DIR",
-        help="ledger directory (default: $REPRO_LEDGER_DIR or .repro/ledger)",
-    )
-    parser.add_argument("--app", default=None,
-                        help="only runs of this application")
-    parser.add_argument("--source", default=None,
-                        choices=LEDGER_SOURCES + ("engine",),
-                        help="only runs recorded by this source (`run` = "
-                             "one simulation each, from run_app or a "
-                             "sweep; `engine` is an alias of `run`; "
-                             "`sweep` = sweep-level telemetry records; "
-                             "`attack` = worst-case search optima)")
-    parser.add_argument("--limit", type=int, default=20,
-                        help="show at most this many runs (default 20)")
-    return parser
-
-
-def history_main(argv: Sequence[str]) -> int:
-    parser = build_history_parser()
-    args = parser.parse_args(argv)
-    if args.limit < 1:
-        parser.error(f"--limit must be at least 1, got {args.limit}")
-    return cmd_history(args)
-
-
 COMMANDS = {
     "table1": cmd_table1,
     "table2": cmd_table2,
@@ -1361,16 +895,9 @@ COMMANDS = {
     "fig2": cmd_fig2,
 }
 
-#: Tool commands excluded from `all` (they take app/size arguments).
-TOOL_COMMANDS = {
-    "predict": cmd_predict,
-    "breakdown": cmd_breakdown,
-    "memory": cmd_memory,
-    "profile": cmd_profile,
-}
-
 
 def cmd_all(args: argparse.Namespace) -> None:
+    """Every table and figure in turn."""
     for name, command in COMMANDS.items():
         start = time.time()
         command(args)
@@ -1378,130 +905,449 @@ def cmd_all(args: argparse.Namespace) -> None:
         print()
 
 
+def cmd_version(args: argparse.Namespace) -> int:
+    """Print the package version."""
+    from . import __version__
+
+    # The same string write_json_document stamps into every document.
+    print(f"repro {__version__}")
+    return 0
+
+
+# -- the command tree ---------------------------------------------------------
+
+#: Application names and aliases accepted by ``--app``.
+APP_CHOICES = ("ge", "gaussian", "mm", "matmul", "stencil", "jacobi", "fft")
+
+
+def _int_at_least(k: int):
+    """argparse type: an integer >= ``k`` (a smaller one exits 2)."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < k:
+            raise argparse.ArgumentTypeError(f"must be >= {k}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse's "invalid int value" message
+    return parse
+
+
+def _severity(text: str) -> float:
+    """argparse type: a slowdown severity in [0, 1)."""
+    value = float(text)
+    if not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1), got {value}")
+    return value
+
+
+def _network_spec(spec: str) -> str:
+    """argparse type: a spec :func:`parse_network_spec` accepts."""
+    from .network.ethernet import parse_network_spec
+    from .sim.errors import InvalidOperationError
+
+    try:
+        parse_network_spec(spec)
+    except InvalidOperationError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+    return spec
+
+
+#: Every option more than one command takes, defined once.  A command
+#: names the ones it takes (:func:`_command`); the root takes them all,
+#: so each may also come before the command name.
+OPTIONS = {
+    "--app": dict(
+        choices=APP_CHOICES, default="ge",
+        help="application (default: ge); `history` lists only this "
+             "application's runs (default: all)",
+    ),
+    "--network": dict(
+        type=_network_spec, default="bus", metavar="SPEC",
+        help="interconnect model: bus (the paper's, default), switch, or "
+             "a hierarchical spec such as fat-tree:8:2, torus:16:8, "
+             "tiered:8:4:2",
+    ),
+    "--jobs": dict(
+        type=int, default=1, metavar="J",
+        help="fan independent simulation points over J worker processes "
+             "(default 1, which runs them serially in-process; "
+             "2 for `sweep profile`)",
+    ),
+    "--no-cache": dict(
+        action="store_true",
+        help="bypass the persistent run cache ($REPRO_CACHE_DIR or "
+             ".repro/cache) and re-simulate every point",
+    ),
+    "--progress": dict(
+        action="store_true",
+        help="live sweep heartbeat on stderr: points done/total, ETA, "
+             "cache hit-rate and worker utilization",
+    ),
+    "--nodes": dict(
+        type=int, nargs="+", default=None, metavar="K",
+        help="node counts of the study (default: the paper's 2..32); a "
+             "command that builds one cluster uses the first (default 2)",
+    ),
+    "--quick": dict(
+        action="store_true",
+        help="restrict studies to 2-8 nodes (fast smoke run)",
+    ),
+    "--samples": dict(
+        type=_int_at_least(2), default=6,
+        help="samples per efficiency curve for figures (default 6)",
+    ),
+    "--size": dict(
+        type=int, default=300,
+        help="problem size N (default 300; fft needs a power of two; "
+             "`faults attack`: 96, 64 with --smoke)",
+    ),
+    "--target": dict(
+        type=float, default=0.3,
+        help="target speed-efficiency for predict (default 0.3)",
+    ),
+    "--seed": dict(
+        type=int, default=0,
+        help="seed (default 0): of the workload for `faults run|sweep`, "
+             "of the search for `faults attack`, of the campaign for "
+             "`fuzz run` (same seed, same scenarios)",
+    ),
+    "--smoke": dict(
+        action="store_true",
+        help="the fixed CI shape, recorded to the ledger: `faults run` "
+             "injects a canned crash+restart (at 30%% of the fault-free "
+             "makespan, back after 10%% + 5%% recompute); `faults attack` "
+             "runs a small problem with few iterations and saves the "
+             "worst case to a corpus entry and replays it bit-identically",
+    ),
+    "--out": dict(
+        default=None, metavar="PATH",
+        help="`profile`: artifact directory (trace.json, metrics.json, "
+             "summary.txt); `faults sweep|attack`, `sweep profile`: JSON "
+             "report (sweep rows with cache hit/miss counts, the "
+             "resilience curve, the overhead phases and speedup)",
+    ),
+    "--trace-out": dict(
+        default=None, metavar="PATH",
+        help="write Chrome trace-event JSON (chrome://tracing or "
+             "Perfetto): every simulated run of a table, figure or tool "
+             "command (run-cache reads off, so each run is really "
+             "simulated); the faulted run of `faults run`, fault track "
+             "included (a failed run writes the records up to the "
+             "failure); the merged worker timeline of `sweep profile`, "
+             "one track per worker process",
+    ),
+    "--ledger": dict(
+        default=None, metavar="DIR",
+        help="run-ledger directory (default: $REPRO_LEDGER_DIR or "
+             ".repro/ledger), which `history` lists.  `profile` and "
+             "--smoke always record there; otherwise the flag records "
+             "every simulated run of a table, figure or tool command or "
+             "of `faults sweep` (with a cache_hit metric), the faulted "
+             "run of `faults run`, each budget optimum of `faults attack` "
+             "(source=attack), and the profiled runs of `sweep profile` "
+             "plus a source=sweep telemetry record",
+    ),
+    "--corpus": dict(
+        default=None, metavar="DIR",
+        help="fuzz corpus directory: where `fuzz run` saves violating "
+             "scenarios and `fuzz replay` reads them (default: "
+             "$REPRO_FUZZ_CORPUS_DIR or tests/fuzz/corpus); where "
+             "`faults attack` saves its worst case (default: none; "
+             ".repro/fuzz/corpus with --smoke)",
+    ),
+    "--dir": dict(
+        default=None, metavar="DIR",
+        help="flight dump directory (default: $REPRO_FLIGHT_DIR or "
+             ".repro/flight)",
+    ),
+}
+
+EXECUTOR = ("--jobs", "--no-cache", "--progress")
+WORKLOAD = ("--app", "--network")
+#: The options of the table, figure and tool commands.
+STUDY = (*WORKLOAD, *EXECUTOR, "--nodes", "--quick", "--samples", "--size",
+         "--target", "--out", "--trace-out", "--ledger")
+
+
+def _options(*flags: str, root: bool = False) -> argparse.ArgumentParser:
+    """Parent parser of the named :data:`OPTIONS`.
+
+    ``root=True`` builds the copy a parser takes before its sub-command
+    name: every default is SUPPRESS, so an option given there is kept
+    and one left out gets the sub-command's default (see
+    :class:`_SubCommands`).  Each call builds fresh actions, so one
+    command's ``set_defaults`` never leaks into another's.
+    """
+    parent = argparse.ArgumentParser(add_help=False)
+    for flag in flags:
+        spec = OPTIONS[flag]
+        if root:
+            spec = {**spec, "default": argparse.SUPPRESS}
+        parent.add_argument(flag, **spec)
+    return parent
+
+
+class _SubCommands(argparse._SubParsersAction):
+    """Sub-command action that parses into the caller's namespace.
+
+    Stock argparse parses a sub-command into a fresh namespace and
+    copies it back, so the sub-command's defaults overwrite options
+    given before its name.  Parsing into the one namespace keeps them.
+    (argparse's own action class is private; ``add_subparsers(action=)``
+    is the public hook that takes this one.)
+    """
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        name, *rest = values
+        if self.dest is not argparse.SUPPRESS:
+            setattr(namespace, self.dest, name)
+        self.choices[name].parse_args(rest, namespace)
+
+
+def _subcommands(parser: argparse.ArgumentParser, **kwargs):
+    return parser.add_subparsers(metavar="COMMAND", action=_SubCommands,
+                                 **kwargs)
+
+
+def _command(group, name: str, func, *flags: str, study: bool = False,
+             record: bool = False, **defaults) -> argparse.ArgumentParser:
+    """Add the leaf ``name`` taking the shared options ``flags``.
+
+    Its help is the first paragraph of ``func``'s docstring.  The
+    contexts :func:`main` enters around ``func``: ``study``, the trace
+    collector of ``--trace-out`` and the ambient sweep executor;
+    ``record``, ledger recording when ``--ledger`` is given.
+    """
+    about = func.__doc__.split("\n\n")[0]
+    parser = group.add_parser(name, help=about, description=about,
+                              parents=[_options(*flags)])
+    parser.set_defaults(func=func, study=study, record=record, **defaults)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The one command tree of ``repro``."""
+    from .obs.ledger import LEDGER_SOURCES
+
     parser = argparse.ArgumentParser(
-        prog="repro-scalability",
-        parents=[_workload_options("application for the tool commands"),
-                 _executor_options()],
+        prog="repro",
+        parents=[_options(*OPTIONS, root=True)],
         description=(
             "Regenerate the evaluation tables/figures of 'Scalability of "
             "Heterogeneous Computing' (Sun, Chen, Wu; ICPP 2005) on the "
-            "simulated Sunwulf cluster."
-        ),
-        epilog=(
-            "Run ledger: `repro history [--app A]` "
-            "(see `repro history --help`). "
-            "Fault injection: `repro faults run|sweep|attack` "
-            "(see `repro faults --help`). Scenario fuzzing: "
-            "`repro fuzz run|replay` (see `repro fuzz --help`). "
-            "Sweep overhead attribution: "
-            "`repro sweep profile` (see `repro sweep --help`)."
+            "simulated Sunwulf cluster.  The options below are the ones "
+            "several commands share; each may also follow the command "
+            "name (see `repro COMMAND --help`)."
         ),
     )
     parser.add_argument(
-        "what",
-        choices=[*COMMANDS, *TOOL_COMMANDS, "all"],
-        help="which table/figure to regenerate, or a tool command "
-             "(predict/breakdown/memory/profile)",
+        "-V", "--version", dest="func", action="store_const",
+        const=cmd_version, default=argparse.SUPPRESS,
+        help="print the version and exit",
     )
-    parser.add_argument(
-        "app_name", nargs="?", default=None,
-        help="application name for `profile` (ge/gaussian, mm/matmul, "
-             "stencil/jacobi, fft); other commands take --app",
+    commands = _subcommands(parser, dest="what")
+    for name, func in {**COMMANDS, "all": cmd_all, "predict": cmd_predict,
+                       "breakdown": cmd_breakdown,
+                       "memory": cmd_memory}.items():
+        _command(commands, name, func, *STUDY, study=True, record=True)
+    # `profile` records its full analyzer report itself.
+    profile = _command(commands, "profile", cmd_profile, *STUDY, study=True)
+    profile.add_argument(
+        "app_name", nargs="?", default=None, choices=APP_CHOICES,
+        metavar="APP", help="application (default: --app)",
     )
-    parser.add_argument(
-        "--nodes", type=int, nargs="+", default=None,
-        help="override the node counts of the study (default: paper's 2..32)",
+
+    faults = commands.add_parser(
+        "faults", help="Fault injection: run, sweep, attack.",
+        description="Run applications under deterministic fault "
+                    "schedules and measure scalability under faults.",
     )
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="restrict studies to 2-8 nodes (fast smoke run)",
+    group = _subcommands(faults, required=True)
+    run = _command(group, "run", cmd_faults_run, *WORKLOAD, "--nodes",
+                   "--size", "--seed", "--smoke", "--trace-out", "--ledger")
+    run.add_argument(
+        "--schedule", default=None, metavar="PATH",
+        help="fault-schedule JSON document to inject "
+             "(see repro.faults.FaultSchedule.save)",
     )
-    parser.add_argument(
-        "--samples", type=int, default=6,
-        help="samples per efficiency curve for figures (default 6)",
+    run.add_argument(
+        "--slowdown", type=_severity, default=None, metavar="SEV",
+        help="uniform whole-run slowdown of the given severity on every rank",
     )
-    parser.add_argument(
-        "--size", type=int, default=300,
-        help="problem size N for breakdown/memory/profile (default 300; "
-             "fft needs a power of two)",
+    run.add_argument(
+        "--no-baseline", action="store_true",
+        help="skip the fault-free baseline run (degraded psi unavailable)",
     )
-    parser.add_argument(
-        "--target", type=float, default=0.3,
-        help="target speed-efficiency for predict (default 0.3)",
+    run.add_argument(
+        "--flight", action="store_true",
+        help="attach a flight recorder to the faulted engine: on a crash "
+             "(or watchdog trip) the last-K trace records are dumped to "
+             ".repro/flight/ for `repro flight show`",
     )
-    parser.add_argument(
-        "--out", default=None, metavar="DIR",
-        help="output directory for `profile` artifacts "
-             "(trace.json, metrics.json, summary.txt)",
+    sweep = _command(group, "sweep", cmd_faults_sweep, *WORKLOAD, *EXECUTOR,
+                     "--nodes", "--size", "--seed", "--out", "--ledger",
+                     record=True)
+    sweep.add_argument(
+        "--severities", type=_severity, nargs="+",
+        default=[0.0, 0.2, 0.4, 0.6],
+        help="slowdown severities to scan (default: 0.0 0.2 0.4 0.6)",
     )
-    parser.add_argument(
-        "--trace-out", default=None, metavar="PATH",
-        help="export a Chrome trace-event JSON of every simulated run the "
-             "command executes (open in chrome://tracing or Perfetto; "
-             "disables run-cache reads so every run is really simulated)",
+    sweep.add_argument(
+        "--profile", action="store_true",
+        help="collect cross-process telemetry and print the "
+             "overhead-attribution phase table (also lands in --out "
+             "as a `telemetry` block)",
     )
-    parser.add_argument(
-        "--ledger", default=None, metavar="DIR",
-        help="run-ledger directory (default: $REPRO_LEDGER_DIR or "
-             ".repro/ledger); `profile` always records there, and giving "
-             "the flag on any other command records every simulated run "
-             "it executes (inspect with `repro history`)",
+    attack = _command(group, "attack", cmd_faults_attack, *WORKLOAD,
+                      *EXECUTOR, "--size", "--seed", "--smoke", "--ledger",
+                      "--corpus", "--out", size=None)
+    attack.add_argument(
+        "--cluster", type=_cluster_groups, default="blade:2,v210:1",
+        metavar="SPEC",
+        help="heterogeneous cluster as GROUP:COUNT[,GROUP:COUNT...] over "
+             "the fuzz node palette (blade, v210, generic, server); "
+             "default: blade:2,v210:1",
     )
+    attack.add_argument(
+        "--budgets", type=float, nargs="+", default=None, metavar="B",
+        help="injected-cost budgets for the resilience curve "
+             "(default: 0.1 0.25 0.5 1.0; 0.2 0.5 with --smoke)",
+    )
+    attack.add_argument(
+        "--iterations", type=int, default=40,
+        help="hill-climbing iterations per budget (default 40, "
+             "capped at 8 with --smoke)",
+    )
+
+    fuzz = commands.add_parser(
+        "fuzz", help="Scenario fuzzing: run, replay.",
+        description="Property-based scenario fuzzing: generate adversarial "
+                    "(cluster x app x N x fault schedule) scenarios, check "
+                    "simulator invariants, shrink violations to minimal "
+                    "replayable corpus cases.",
+    )
+    group = _subcommands(fuzz, required=True)
+    run = _command(group, "run", cmd_fuzz_run, *EXECUTOR, "--seed",
+                   "--corpus")
+    run.add_argument("--count", type=_int_at_least(1), default=20,
+                     help="scenarios to generate (default 20)")
+    run.add_argument(
+        "--bit-identity-every", type=int, default=0, metavar="K",
+        help="run the serial==pool==cached bit-identity probe on every "
+             "K-th scenario (0: off; the probe spawns a process pool)",
+    )
+    run.add_argument(
+        "--network-wrapper", default=None, metavar="NAME",
+        help="apply a registered network wrapper to every scenario "
+             "(fuzz an experimental network model)",
+    )
+    run.add_argument(
+        "--artifacts", default=".repro/fuzz", metavar="DIR",
+        help="violation artifacts: scenario+violations JSON and flight "
+             "ring dumps (default .repro/fuzz)",
+    )
+    run.add_argument(
+        "--no-shrink", action="store_true",
+        help="skip delta-debugging violating scenarios before persisting",
+    )
+    _command(group, "replay", cmd_fuzz_replay, *EXECUTOR, "--corpus")
+
+    sweep = commands.add_parser(
+        "sweep", help="Sweep overhead attribution: profile.",
+        description="Sweep-executor tooling: cross-process telemetry and "
+                    "overhead attribution of the parallel sweep path.",
+    )
+    profile = _command(_subcommands(sweep, required=True), "profile",
+                       cmd_sweep_profile, *WORKLOAD, *EXECUTOR, "--nodes",
+                       "--trace-out", "--out", "--ledger", jobs=2)
+    profile.add_argument(
+        "--sizes", type=int, nargs="+", default=[120, 160, 200, 240],
+        help="problem sizes of the sweep (default: 120 160 200 240)",
+    )
+    profile.add_argument(
+        "--no-serial", action="store_true",
+        help="skip the serial reference sweep (no speedup comparison "
+             "in the report)",
+    )
+    profile.add_argument(
+        "--warm-pool", action="store_true",
+        help="pre-spawn the shared worker pool before the profiled "
+             "sweep, so the report shows the steady-state warm-pool "
+             "phase table (no spawn cost in the window)",
+    )
+    profile.add_argument(
+        "--cache", default=None, metavar="DIR",
+        help="run-cache directory to use (default: a throwaway "
+             "directory, so the profiled sweep is cache-cold)",
+    )
+
+    flight = commands.add_parser(
+        "flight", help="Flight-recorder post-mortems: list, show.",
+        description="List and render the last-K record dumps written "
+                    "when a run dies or the watchdog trips.",
+        parents=[_options("--dir", root=True)],
+    )
+    group = _subcommands(flight, required=True)
+    _command(group, "list", cmd_flight_list, "--dir")
+    show = _command(group, "show", cmd_flight_show, "--dir")
+    show.add_argument(
+        "dump", nargs="?", default=None,
+        help="dump file (path or bare name from `flight list`; default: "
+             "the newest dump)",
+    )
+    show.add_argument(
+        "--tail", type=_int_at_least(0), default=None, metavar="N",
+        help="only the last N records before the failure (default: all "
+             "retained records)",
+    )
+
+    history = _command(commands, "history", cmd_history, "--app",
+                       "--ledger", app=None)
+    history.add_argument(
+        "--source", default=None, choices=LEDGER_SOURCES + ("engine",),
+        help="only runs recorded by this source (`run` = one simulation "
+             "each, from run_app or a sweep; `engine` is an alias of "
+             "`run`; `sweep` = sweep-level telemetry records; `attack` = "
+             "worst-case search optima)",
+    )
+    history.add_argument("--limit", type=_int_at_least(1), default=20,
+                         help="show at most this many runs (default 20)")
+    _command(commands, "version", cmd_version)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    argv = list(argv) if argv is not None else sys.argv[1:]
-    if argv and argv[0] in ("version", "--version", "-V"):
-        from . import __version__
-
-        # The same string write_json_document stamps into every document.
-        print(f"repro {__version__}")
-        return 0
-    if argv and argv[0] == "faults":
-        return faults_main(argv[1:])
-    if argv and argv[0] == "fuzz":
-        return fuzz_main(argv[1:])
-    if argv and argv[0] == "sweep":
-        return sweep_main(argv[1:])
-    if argv and argv[0] == "flight":
-        return flight_main(argv[1:])
-    if argv and argv[0] == "history":
-        return history_main(argv[1:])
-    args = build_parser().parse_args(argv)
+    from .core.types import MetricError
     from .experiments.runner import resolve_app
+    from .fuzz.errors import FuzzError
+    from .sim.errors import SimulationError
 
-    args.app = resolve_app(args.app)  # normalize aliases once
-
-    def dispatch() -> None:
-        if args.what == "all":
-            cmd_all(args)
-        elif args.what in TOOL_COMMANDS:
-            TOOL_COMMANDS[args.what](args)
-        else:
-            COMMANDS[args.what](args)
-
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if "func" not in args:
+        parser.error("a command is required")
+    if getattr(args, "app", None) is not None:
+        args.app = resolve_app(args.app)  # normalize aliases once
+    study = getattr(args, "study", False)
     executor = None
     collector = None
-    with ExitStack() as stack:
-        if args.trace_out:
-            from .experiments.runner import collect_traces
+    try:
+        with ExitStack() as stack:
+            if study and args.trace_out:
+                from .experiments.runner import collect_traces
 
-            collector = stack.enter_context(collect_traces())
-        if args.ledger and args.what != "profile":
-            # `profile` records its full analyzer report itself.
-            from .experiments.runner import ledger_recording
-            from .obs.ledger import RunLedger
+                collector = stack.enter_context(collect_traces())
+            if getattr(args, "record", False) and args.ledger:
+                stack.enter_context(_recording(args))
+            if study:
+                from .experiments.executor import sweep_execution
 
-            stack.enter_context(ledger_recording(RunLedger(args.ledger)))
-        if args.what != "profile":
-            from .experiments.executor import sweep_execution
-
-            executor = stack.enter_context(
-                sweep_execution(_build_executor(args))
-            )
-        dispatch()
+                executor = stack.enter_context(
+                    sweep_execution(_build_executor(args))
+                )
+            code = args.func(args)
+    except (SimulationError, MetricError, FuzzError) as err:
+        raise SystemExit(f"error: {type(err).__name__}: {err}") from None
     _print_cache_stats(executor)
     if collector is not None:
         from .obs.chrome_trace import write_chrome_trace
@@ -1516,7 +1362,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             f"wrote {count} trace events from {len(collector.runs)} "
             f"simulated run(s) to {args.trace_out}{suffix}"
         )
-    return 0
+    # The table commands return their rows, not an exit code.
+    return code if isinstance(code, int) else 0
 
 
 if __name__ == "__main__":

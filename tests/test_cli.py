@@ -1,8 +1,22 @@
 """Tests for the command-line interface."""
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
+
+
+def _command_paths(parser, path=()):
+    """Every command of the tree as an argv prefix, groups included."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield (*path, name)
+                yield from _command_paths(sub, (*path, name))
+
+
+COMMAND_PATHS = list(_command_paths(build_parser()))
 
 
 class TestParser:
@@ -18,6 +32,91 @@ class TestParser:
     def test_nodes_override(self):
         args = build_parser().parse_args(["table3", "--nodes", "2", "4"])
         assert args.nodes == [2, 4]
+
+
+class TestGrammar:
+    """The one command tree: help everywhere, shared options anywhere."""
+
+    def test_tree_has_every_command(self):
+        assert {p[0] for p in COMMAND_PATHS} == {
+            "table1", "table2", "table3", "table4", "table5", "table6",
+            "table7", "fig1", "fig2", "all", "predict", "breakdown",
+            "memory", "profile", "faults", "fuzz", "sweep", "flight",
+            "history", "version",
+        }
+        assert {p for p in COMMAND_PATHS if len(p) == 2} == {
+            ("faults", "run"), ("faults", "sweep"), ("faults", "attack"),
+            ("fuzz", "run"), ("fuzz", "replay"), ("sweep", "profile"),
+            ("flight", "list"), ("flight", "show"),
+        }
+
+    @pytest.mark.parametrize("path", [(), *COMMAND_PATHS], ids=" ".join)
+    def test_help_exits_zero_and_names_sub_commands(self, path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*path, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(" ".join(("usage: repro", *path)))
+        children = [p[-1] for p in COMMAND_PATHS
+                    if len(p) == len(path) + 1 and p[:-1] == path]
+        for name in children:
+            assert f"\n    {name} " in out, name
+
+    def test_missing_command_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([])
+        assert exc.value.code == 2
+        assert "a command is required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["table2", "--network", "bogus"],
+        ["--network", "bogus", "table2"],
+        ["faults", "sweep", "--network", "fat-tree:x"],
+    ])
+    def test_bad_network_spec_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --network" in err
+        if "bogus" in argv:
+            for kind in ("bus", "switch", "fat-tree", "torus", "tiered"):
+                assert repr(kind) in err
+
+    @pytest.mark.parametrize("samples", ["0", "1"])
+    def test_fig2_needs_two_samples(self, samples, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fig2", "--nodes", "2", "--samples", samples])
+        assert exc.value.code == 2
+        assert f"must be >= 2, got {samples}" in capsys.readouterr().err
+
+    def test_options_before_the_command_name(self, capsys):
+        argv = ["--nodes", "2", "4", "--quick", "--ledger", "L", "table3"]
+        args = build_parser().parse_args(argv)
+        assert (args.nodes, args.quick, args.ledger) == ([2, 4], True, "L")
+        # A sub-command default never overwrites a pre-command value ...
+        args = build_parser().parse_args(["--size", "50", "faults", "attack"])
+        assert args.size == 50
+        # ... but still applies when the option is left out.
+        assert build_parser().parse_args(["faults", "attack"]).size is None
+
+
+class TestErrorBoundary:
+    """Typed library errors end in one `error:` line (exit 1), not a
+    traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["table3", "--nodes", "0"],
+        ["faults", "run", "--nodes", "0", "--slowdown", "0.1"],
+        ["breakdown", "--size", "0", "--nodes", "2"],
+        ["memory", "--size", "-1", "--nodes", "2"],
+        ["sweep", "profile", "--sizes", "0", "--no-serial", "--jobs", "1"],
+        ["predict", "--target", "1.5", "--nodes", "2", "4"],
+    ], ids=" ".join)
+    def test_typed_error_exits_with_error_line(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert str(exc.value).startswith("error: ")
 
 
 class TestCommands:

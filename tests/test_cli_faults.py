@@ -89,6 +89,17 @@ class TestFaultsRun:
         with pytest.raises(SystemExit):
             main(["faults", "run", "--size", "120", "--slowdown", "1.5"])
 
+    @pytest.mark.parametrize("argv", [
+        ["faults", "run", "--slowdown", "1.5"],
+        ["faults", "run", "--slowdown", "-0.1"],
+        ["faults", "sweep", "--severities", "0", "2.0"],
+    ], ids=" ".join)
+    def test_out_of_range_severity_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "must be in [0, 1)" in capsys.readouterr().err
+
     def test_no_baseline_skips_psi(self, capsys):
         code = main(["faults", "run", "--size", "120", "--slowdown", "0.3",
                      "--no-baseline"])

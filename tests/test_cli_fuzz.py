@@ -73,6 +73,12 @@ class TestFaultsAttack:
         with pytest.raises(SystemExit):
             main(["faults", "attack", "--cluster", "cray:2"])
 
+    def test_malformed_cluster_group_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["faults", "attack", "--cluster", "blade:lots"])
+        assert exc.value.code == 2
+        assert "bad cluster group 'blade:lots'" in capsys.readouterr().err
+
 
 class TestFuzzRun:
     def test_clean_campaign_exits_zero(self, capsys, tmp_path, monkeypatch):
@@ -81,6 +87,13 @@ class TestFuzzRun:
         assert code == 0
         out = capsys.readouterr().out
         assert "fuzz campaign: 3 scenario(s), 0 violating -- OK" in out
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_empty_campaign_is_a_usage_error(self, count, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fuzz", "run", "--count", count])
+        assert exc.value.code == 2
+        assert f"must be >= 1, got {count}" in capsys.readouterr().err
 
     def test_violations_exit_nonzero_with_artifacts(self, capsys, tmp_path,
                                                     monkeypatch):

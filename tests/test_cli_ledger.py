@@ -80,6 +80,15 @@ class TestHistory:
         main(["history", "--ledger", str(ledger_dir), "--app", "fft"])
         assert run_id not in capsys.readouterr().out
 
+    def test_app_filter_takes_aliases_before_or_after(self, capsys, tmp_path,
+                                                      ledger_dir):
+        run_id = profile_run(ledger_dir, tmp_path)
+        capsys.readouterr()
+        for argv in (["history", "--app", "gaussian"],
+                     ["--app", "gaussian", "history"]):
+            assert main(argv + ["--ledger", str(ledger_dir)]) == 0
+            assert run_id in capsys.readouterr().out
+
     def test_limit_below_one_is_rejected(self, capsys, ledger_dir):
         for limit in ("0", "-1"):
             with pytest.raises(SystemExit) as exit_info:

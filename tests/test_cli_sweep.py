@@ -206,6 +206,39 @@ class TestSharedExecutorOptions:
         assert exc.value.code == 2
         assert "--no-keep-pool" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["--jobs", "2", "--no-cache", "table1"],
+        ["--jobs", "2", "--no-cache", "faults", "sweep"],
+        ["--jobs", "2", "--no-cache", "sweep", "profile", "--no-serial"],
+    ], ids=" ".join)
+    def test_options_before_the_command_name(self, argv, monkeypatch):
+        built = []
+        real = cli._build_executor
+
+        def spy(args, *rest, **kwargs):
+            built.append(real(args, *rest, **kwargs))
+            raise _Built
+
+        monkeypatch.setattr(cli, "_build_executor", spy)
+        with pytest.raises(_Built):
+            main(argv)
+        (executor,) = built
+        assert (executor.jobs, executor.cache) == (2, None)
+
+    def test_sweep_profile_default_yields_to_given_jobs(self, monkeypatch):
+        built = []
+
+        def spy(args, *rest, **kwargs):
+            built.append(args.jobs)
+            raise _Built
+
+        monkeypatch.setattr(cli, "_build_executor", spy)
+        for argv in (["--jobs", "3", "sweep", "profile"],
+                     ["sweep", "profile", "--jobs", "1"]):
+            with pytest.raises(_Built):
+                main(argv + ["--no-serial"])
+        assert built == [3, 1]
+
     def test_sweep_profile_defaults_to_two_jobs(self, monkeypatch):
         built = []
 

@@ -20,6 +20,10 @@ class TestPredict:
         out = capsys.readouterr().out
         assert "E_S=0.2" in out
 
+    def test_app_before_the_command_name(self, capsys):
+        assert main(["--app", "mm", "predict", "--nodes", "2", "4"]) == 0
+        assert "Automatic prediction (mm)" in capsys.readouterr().out
+
     def test_stencil_app(self, capsys):
         main(["predict", "--app", "stencil", "--nodes", "2", "4"])
         out = capsys.readouterr().out
