@@ -33,6 +33,9 @@ from typing import Sequence
 
 from .experiments import figures, tables
 from .experiments.report import format_series, format_table
+from .experiments.runner import (APP_ALIASES, APPLICATIONS, RunRecord,
+                                 collect_traces, ledger_recording,
+                                 resolve_app, run_app)
 
 #: Node counts used by --quick (skips the expensive 16/32-node searches).
 QUICK_NODE_COUNTS = (2, 4, 8)
@@ -238,7 +241,6 @@ def cmd_predict(args: argparse.Namespace) -> None:
 def cmd_breakdown(args: argparse.Namespace) -> None:
     """Per-rank phase breakdown and utilization timeline of one run."""
     from .experiments.analysis import render_breakdown, render_timeline
-    from .experiments.runner import run_app
     from .sim.trace import Tracer
 
     cluster = _cluster(args)
@@ -271,7 +273,6 @@ def _record(args: argparse.Namespace, write) -> None:
 
 def _recording(args: argparse.Namespace):
     """Context recording every simulated run in the ``--ledger`` ledger."""
-    from .experiments.runner import ledger_recording
     from .obs.ledger import RunLedger
 
     return ledger_recording(RunLedger(args.ledger))
@@ -279,7 +280,6 @@ def _recording(args: argparse.Namespace):
 
 def cmd_profile(args: argparse.Namespace) -> None:
     """Profile one run: trace, metrics, analyzers and a ledger record."""
-    from .experiments.runner import resolve_app
     from .obs.profiler import profile_app
 
     if args.app_name:
@@ -415,7 +415,6 @@ def _print_cache_stats(executor) -> None:
 
 def cmd_faults_run(args: argparse.Namespace) -> int:
     """Run one application under a fault schedule."""
-    from .experiments.runner import RunRecord, run_app
     from .faults import (FaultSchedule, NodeCrash, run_app_under_faults,
                          uniform_slowdown)
     from .sim.errors import SimulationError
@@ -917,7 +916,7 @@ def cmd_version(args: argparse.Namespace) -> int:
 # -- the command tree ---------------------------------------------------------
 
 #: Application names and aliases accepted by ``--app``.
-APP_CHOICES = ("ge", "gaussian", "mm", "matmul", "stencil", "jacobi", "fft")
+APP_CHOICES = (*APPLICATIONS, *APP_ALIASES)
 
 
 def _int_at_least(k: int):
@@ -1318,7 +1317,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     from .core.types import MetricError
-    from .experiments.runner import resolve_app
     from .fuzz.errors import FuzzError
     from .sim.errors import SimulationError
 
@@ -1334,8 +1332,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         with ExitStack() as stack:
             if study and args.trace_out:
-                from .experiments.runner import collect_traces
-
                 collector = stack.enter_context(collect_traces())
             if getattr(args, "record", False) and args.ledger:
                 stack.enter_context(_recording(args))

@@ -22,10 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..apps.gaussian import GE_COMPUTE_EFFICIENCY
-from ..apps.matmul import MM_COMPUTE_EFFICIENCY
-from ..apps.fft import FFT_COMPUTE_EFFICIENCY
-from ..apps.stencil import STENCIL_COMPUTE_EFFICIENCY
 from ..core.prediction import (
     PerformanceModel,
     predict_required_size,
@@ -35,14 +31,14 @@ from ..core.types import MetricError, ScalabilityPoint
 from ..machine.cluster import ClusterSpec
 from ..overhead.fit import fit_machine_parameters
 from ..overhead.model import MachineParameters
-from .runner import marked_speed_of, run_app
+from .runner import APPLICATIONS, marked_speed_of, run_app
 from .tables import _fft_model, _ge_model, _mm_model, _stencil_model
 
 _MODEL_BUILDERS = {
-    "ge": (_ge_model, GE_COMPUTE_EFFICIENCY),
-    "mm": (_mm_model, MM_COMPUTE_EFFICIENCY),
-    "stencil": (_stencil_model, STENCIL_COMPUTE_EFFICIENCY),
-    "fft": (_fft_model, FFT_COMPUTE_EFFICIENCY),
+    "ge": _ge_model,
+    "mm": _mm_model,
+    "stencil": _stencil_model,
+    "fft": _fft_model,
 }
 
 
@@ -73,9 +69,8 @@ class AutoPredictor:
             )
         self.app = app
         self.base_cluster = base_cluster
-        builder, efficiency = _MODEL_BUILDERS[app]
-        self._builder = builder
-        self.compute_efficiency = efficiency
+        self._builder = _MODEL_BUILDERS[app]
+        self.compute_efficiency = APPLICATIONS[app].compute_efficiency
         self._params: MachineParameters | None = None
         self._models: dict[str, PerformanceModel] = {}
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterator
+from functools import partial
+from typing import Any, Callable, Iterator
 
 from ..apps.gaussian import GE_COMPUTE_EFFICIENCY, GEOptions, make_ge_program
 from ..apps.matmul import MM_COMPUTE_EFFICIENCY, MMOptions, make_mm_program
@@ -124,9 +125,9 @@ def collect_traces(
 ) -> Iterator[TraceCollector]:
     """Trace every application run executed inside the ``with`` block.
 
-    Runs that pass an explicit ``tracer=`` keep it; every other
-    ``run_app``/``run_ge``/... call gets a fresh tracer registered on the
-    collector, labelled with app, problem size and cluster name.  Yields
+    Every ``run_app``/``run_ge``/... call registers a tracer on the
+    collector, labelled with app, problem size and cluster name: its own
+    ``tracer=`` when it passes one, a fresh one otherwise.  Yields
     the collector (a new one when none is given).  Reentrant: the previous
     collector is restored on exit.  On exit the collector warns (once,
     via the structured logger) when any run overflowed its trace limit.
@@ -140,13 +141,6 @@ def collect_traces(
     finally:
         _ACTIVE_COLLECTOR = previous
         active.warn_if_dropped()
-
-
-def _resolve_tracer(tracer: Tracer | None, label: str) -> Tracer | None:
-    """Explicit tracer wins; otherwise ask the active collector, if any."""
-    if tracer is not None or _ACTIVE_COLLECTOR is None:
-        return tracer
-    return _ACTIVE_COLLECTOR.tracer_for(label)
 
 
 # -- run-ledger recording ------------------------------------------------------
@@ -176,140 +170,11 @@ def ledger_recording(ledger: Any = None) -> Iterator[Any]:
         _ACTIVE_LEDGER = previous
 
 
-def _ledger_record(app: str, cluster: ClusterSpec, record: "RunRecord") -> None:
-    """Append the run to the active ledger, if one is recording."""
-    if _ACTIVE_LEDGER is not None:
-        _ACTIVE_LEDGER.record_run(app, cluster, record, source="run")
-
-
-def run_ge(
-    cluster: ClusterSpec,
-    n: int,
-    numeric: bool = False,
-    compute_efficiency: float = GE_COMPUTE_EFFICIENCY,
-    collectives: CollectiveConfig | None = None,
-    marked: SystemMarkedSpeed | None = None,
-    tracer: Tracer | None = None,
-    seed: int = 0,
-    launcher: Any = None,
-    flight: Any = None,
-) -> RunRecord:
-    """Run Gaussian elimination of rank ``n`` on a cluster configuration."""
-    marked = marked if marked is not None else marked_speed_of(cluster)
-    tracer = _resolve_tracer(tracer, f"ge N={n} on {cluster.name}")
-    options = GEOptions(
-        n=n, speeds=tuple(marked.speeds), numeric=numeric, seed=seed
-    )
-    program = make_ge_program(options)
-    effective = [s * compute_efficiency for s in marked.speeds]
-    run = (launcher or mpi_run)(
-        cluster.nranks,
-        cluster.build_network(),
-        effective,
-        program,
-        config=collectives,
-        tracer=tracer,
-        **({"flight": flight} if flight is not None else {}),
-    )
-    measurement = Measurement(
-        work=ge_workload(n),
-        time=run.makespan,
-        marked_speed=marked.total,
-        problem_size=n,
-        label=cluster.name,
-    )
-    record = RunRecord(measurement, run, run.return_values[0])
-    _ledger_record("ge", cluster, record)
-    return record
-
-
 #: Default collective algorithms for MM: the bulk B replication uses the
 #: shared medium's native broadcast (one transmission); GE keeps flat
 #: unicast broadcasts, matching the paper's measured T_bcast ~ p (see
 #: DESIGN.md section 2 and the collective-algorithm ablation bench).
 MM_COLLECTIVES = CollectiveConfig(bcast="ethernet")
-
-
-def run_mm(
-    cluster: ClusterSpec,
-    n: int,
-    numeric: bool = False,
-    compute_efficiency: float = MM_COMPUTE_EFFICIENCY,
-    collectives: CollectiveConfig | None = MM_COLLECTIVES,
-    marked: SystemMarkedSpeed | None = None,
-    tracer: Tracer | None = None,
-    seed: int = 0,
-    launcher: Any = None,
-    flight: Any = None,
-) -> RunRecord:
-    """Run matrix multiplication of rank ``n`` on a cluster configuration."""
-    marked = marked if marked is not None else marked_speed_of(cluster)
-    tracer = _resolve_tracer(tracer, f"mm N={n} on {cluster.name}")
-    options = MMOptions(
-        n=n, speeds=tuple(marked.speeds), numeric=numeric, seed=seed
-    )
-    program = make_mm_program(options)
-    effective = [s * compute_efficiency for s in marked.speeds]
-    run = (launcher or mpi_run)(
-        cluster.nranks,
-        cluster.build_network(),
-        effective,
-        program,
-        config=collectives,
-        tracer=tracer,
-        **({"flight": flight} if flight is not None else {}),
-    )
-    measurement = Measurement(
-        work=mm_workload(n),
-        time=run.makespan,
-        marked_speed=marked.total,
-        problem_size=n,
-        label=cluster.name,
-    )
-    record = RunRecord(measurement, run, run.return_values[0])
-    _ledger_record("mm", cluster, record)
-    return record
-
-
-def run_fft(
-    cluster: ClusterSpec,
-    n: int,
-    numeric: bool = False,
-    compute_efficiency: float = FFT_COMPUTE_EFFICIENCY,
-    collectives: CollectiveConfig | None = None,
-    marked: SystemMarkedSpeed | None = None,
-    tracer: Tracer | None = None,
-    seed: int = 0,
-    launcher: Any = None,
-    flight: Any = None,
-) -> RunRecord:
-    """Run the distributed 2-D FFT (``n`` must be a power of two)."""
-    marked = marked if marked is not None else marked_speed_of(cluster)
-    tracer = _resolve_tracer(tracer, f"fft N={n} on {cluster.name}")
-    options = FFTOptions(
-        n=n, speeds=tuple(marked.speeds), numeric=numeric, seed=seed
-    )
-    program = make_fft_program(options)
-    effective = [s * compute_efficiency for s in marked.speeds]
-    run = (launcher or mpi_run)(
-        cluster.nranks,
-        cluster.build_network(),
-        effective,
-        program,
-        config=collectives,
-        tracer=tracer,
-        **({"flight": flight} if flight is not None else {}),
-    )
-    measurement = Measurement(
-        work=fft_workload(n),
-        time=run.makespan,
-        marked_speed=marked.total,
-        problem_size=n,
-        label=cluster.name,
-    )
-    record = RunRecord(measurement, run, run.return_values[0])
-    _ledger_record("fft", cluster, record)
-    return record
 
 
 def default_stencil_sweeps(n: int) -> int:
@@ -319,57 +184,42 @@ def default_stencil_sweeps(n: int) -> int:
     return max(1, n // 4)
 
 
-def run_stencil(
-    cluster: ClusterSpec,
-    n: int,
-    sweeps: int | None = None,
-    residual_every: int = 0,
-    numeric: bool = False,
-    compute_efficiency: float = STENCIL_COMPUTE_EFFICIENCY,
-    collectives: CollectiveConfig | None = None,
-    marked: SystemMarkedSpeed | None = None,
-    tracer: Tracer | None = None,
-    seed: int = 0,
-    launcher: Any = None,
-    flight: Any = None,
-) -> RunRecord:
-    """Run the Jacobi stencil on an ``n x n`` grid for ``sweeps`` sweeps."""
-    marked = marked if marked is not None else marked_speed_of(cluster)
-    tracer = _resolve_tracer(tracer, f"stencil N={n} on {cluster.name}")
-    sweeps = default_stencil_sweeps(n) if sweeps is None else sweeps
-    options = StencilOptions(
-        n=n, sweeps=sweeps, speeds=tuple(marked.speeds),
-        residual_every=residual_every, numeric=numeric, seed=seed,
-    )
-    program = make_stencil_program(options)
-    effective = [s * compute_efficiency for s in marked.speeds]
-    run = (launcher or mpi_run)(
-        cluster.nranks,
-        cluster.build_network(),
-        effective,
-        program,
-        config=collectives,
-        tracer=tracer,
-        **({"flight": flight} if flight is not None else {}),
-    )
-    measurement = Measurement(
-        work=stencil_workload(n, sweeps, residual_every),
-        time=run.makespan,
-        marked_speed=marked.total,
-        problem_size=n,
-        label=cluster.name,
-    )
-    record = RunRecord(measurement, run, run.return_values[0])
-    _ledger_record("stencil", cluster, record)
-    return record
+@dataclass(frozen=True)
+class App:
+    """The per-application facts a run needs, defined once.
+
+    ``options`` is the app's options class and ``program`` builds its SPMD
+    program from an instance; ``workload(options)`` is the flop count W
+    and ``compute_efficiency`` the achievable fraction f of marked speed
+    the runner applies (Theorem 1's ideal compute term divides by it).
+    ``collectives`` is the default :class:`CollectiveConfig`; ``extras``
+    maps N to the app's own runner keywords and their defaults.
+    """
+
+    options: type
+    program: Callable[[Any], Any]
+    workload: Callable[[Any], float]
+    compute_efficiency: float
+    collectives: CollectiveConfig | None = None
+    extras: Callable[[int], dict[str, Any]] = lambda n: {}
 
 
-#: Application registry used by sweeps and the CLI.
-APPLICATIONS = {
-    "ge": run_ge,
-    "mm": run_mm,
-    "stencil": run_stencil,
-    "fft": run_fft,  # problem sizes must be powers of two
+#: Application registry used by runs, sweeps, faults, fuzzing and the CLI.
+APPLICATIONS: dict[str, App] = {
+    "ge": App(GEOptions, make_ge_program, lambda o: ge_workload(o.n),
+              GE_COMPUTE_EFFICIENCY),
+    "mm": App(MMOptions, make_mm_program, lambda o: mm_workload(o.n),
+              MM_COMPUTE_EFFICIENCY, MM_COLLECTIVES),
+    "stencil": App(
+        StencilOptions, make_stencil_program,
+        lambda o: stencil_workload(o.n, o.sweeps, o.residual_every),
+        STENCIL_COMPUTE_EFFICIENCY,
+        extras=lambda n: {"sweeps": default_stencil_sweeps(n),
+                          "residual_every": 0},
+    ),
+    # Problem sizes must be powers of two.
+    "fft": App(FFTOptions, make_fft_program, lambda o: fft_workload(o.n),
+               FFT_COMPUTE_EFFICIENCY),
 }
 
 #: Long-form names accepted anywhere an application name is (CLI, run_app).
@@ -392,7 +242,80 @@ def resolve_app(app: str) -> str:
     return app
 
 
-def run_app(app: str, cluster: ClusterSpec, n: int, **kwargs) -> RunRecord:
-    """Dispatch by application name or alias ('ge'/'gaussian', 'mm'/'matmul',
-    'stencil'/'jacobi', 'fft')."""
-    return APPLICATIONS[resolve_app(app)](cluster, n, **kwargs)
+_APP_DEFAULT: Any = object()
+
+
+def run_app(
+    app: str,
+    cluster: ClusterSpec,
+    n: int,
+    *,
+    numeric: bool = False,
+    seed: int = 0,
+    marked: SystemMarkedSpeed | None = None,
+    tracer: Tracer | None = None,
+    launcher: Any = None,
+    flight: Any = None,
+    collectives: CollectiveConfig | None = _APP_DEFAULT,
+    compute_efficiency: float | None = None,
+    **extras: Any,
+) -> RunRecord:
+    """Run an application, by name or alias, at problem size ``n``.
+
+    ``collectives`` and ``compute_efficiency`` default to the app's
+    registry entry (an explicit ``collectives=None`` means flat
+    collectives); ``extras`` are the app's own keywords (the stencil's
+    ``sweeps`` and ``residual_every``).  ``launcher`` replaces
+    :func:`~repro.mpi.communicator.mpi_run` (e.g. a fault launcher).
+    """
+    name = resolve_app(app)
+    entry = APPLICATIONS[name]
+    app_kwargs = entry.extras(n)
+    unknown = extras.keys() - app_kwargs.keys()
+    if unknown:
+        raise TypeError(f"run_{name}() got an unexpected keyword argument "
+                        f"{min(unknown)!r}")
+    app_kwargs.update((k, v) for k, v in extras.items() if v is not None)
+    if collectives is _APP_DEFAULT:
+        collectives = entry.collectives
+    if compute_efficiency is None:
+        compute_efficiency = entry.compute_efficiency
+    marked = marked if marked is not None else marked_speed_of(cluster)
+    label = f"{name} N={n} on {cluster.name}"
+    collector = _ACTIVE_COLLECTOR
+    if collector is not None:
+        # An explicit tracer is kept and also exported with the others.
+        if tracer is None:
+            tracer = collector.tracer_for(label)
+        else:
+            collector.runs.append(TraceRun(label, tracer))
+    options = entry.options(n=n, speeds=tuple(marked.speeds),
+                            numeric=numeric, seed=seed, **app_kwargs)
+    run = (launcher or mpi_run)(
+        cluster.nranks,
+        cluster.build_network(),
+        [s * compute_efficiency for s in marked.speeds],
+        entry.program(options),
+        config=collectives,
+        tracer=tracer,
+        **({"flight": flight} if flight is not None else {}),
+    )
+    measurement = Measurement(
+        work=entry.workload(options),
+        time=run.makespan,
+        marked_speed=marked.total,
+        problem_size=n,
+        label=cluster.name,
+    )
+    record = RunRecord(measurement, run, run.return_values[0])
+    if _ACTIVE_LEDGER is not None:
+        _ACTIVE_LEDGER.record_run(name, cluster, record, source="run",
+                                  compute_efficiency=compute_efficiency)
+    return record
+
+
+#: Per-application spellings of :func:`run_app`.
+run_ge = partial(run_app, "ge")
+run_mm = partial(run_app, "mm")
+run_fft = partial(run_app, "fft")
+run_stencil = partial(run_app, "stencil")

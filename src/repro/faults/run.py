@@ -18,15 +18,13 @@ scalability-under-faults table.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Sequence
 
-from ..apps.fft import FFT_COMPUTE_EFFICIENCY
-from ..apps.gaussian import GE_COMPUTE_EFFICIENCY
-from ..apps.matmul import MM_COMPUTE_EFFICIENCY
-from ..apps.stencil import STENCIL_COMPUTE_EFFICIENCY
 from ..core.marked_speed import SystemMarkedSpeed
 from ..core.types import MetricError
 from ..experiments.runner import (
+    APPLICATIONS,
     RunRecord,
     marked_speed_of,
     resolve_app,
@@ -46,13 +44,9 @@ from .injection import FaultInjector, faulty_program_factory
 from .network import FaultyNetworkModel
 from .schedule import FaultSchedule, uniform_slowdown
 
-#: The compute-efficiency factor each runner applies to the marked speed
-#: (needed to recover Theorem 1's ideal-compute term for degraded ψ).
+#: The registry's compute efficiency f of each application, by name.
 APP_COMPUTE_EFFICIENCY = {
-    "ge": GE_COMPUTE_EFFICIENCY,
-    "mm": MM_COMPUTE_EFFICIENCY,
-    "fft": FFT_COMPUTE_EFFICIENCY,
-    "stencil": STENCIL_COMPUTE_EFFICIENCY,
+    name: app.compute_efficiency for name, app in APPLICATIONS.items()
 }
 
 
@@ -137,7 +131,11 @@ def make_fault_launcher(
 
 @dataclass
 class FaultyRun:
-    """A faulted execution plus the derived degraded-performance metrics."""
+    """A faulted execution plus the derived degraded-performance metrics.
+
+    ``marked`` and ``compute_efficiency`` derive from ``cluster`` and the
+    application registry entry of ``app``.
+    """
 
     app: str
     cluster: ClusterSpec
@@ -145,8 +143,14 @@ class FaultyRun:
     injector: FaultInjector
     faulted: RunRecord
     baseline: RunRecord | None
-    marked: SystemMarkedSpeed
-    compute_efficiency: float
+
+    @cached_property
+    def marked(self) -> SystemMarkedSpeed:
+        return marked_speed_of(self.cluster)
+
+    @property
+    def compute_efficiency(self) -> float:
+        return APPLICATIONS[self.app].compute_efficiency
 
     @property
     def makespan(self) -> float:
@@ -265,33 +269,20 @@ def run_app_under_faults(
     """
     app = resolve_app(app)
     schedule.validate_for(cluster.nranks)
-    marked = marked_speed_of(cluster)
     injector = FaultInjector(schedule)
     base_record: RunRecord | None
     if baseline is True:
-        base_record = run_app(
-            app, cluster, n, marked=marked, seed=seed, **run_kwargs
-        )
+        base_record = run_app(app, cluster, n, seed=seed, **run_kwargs)
     elif baseline is False:
         base_record = None
     else:
         base_record = baseline
     faulted = run_app(
-        app, cluster, n,
-        marked=marked, tracer=tracer, seed=seed,
+        app, cluster, n, tracer=tracer, seed=seed,
         launcher=make_fault_launcher(schedule, injector, flight=flight),
         **run_kwargs,
     )
-    return FaultyRun(
-        app=app,
-        cluster=cluster,
-        schedule=schedule,
-        injector=injector,
-        faulted=faulted,
-        baseline=base_record,
-        marked=marked,
-        compute_efficiency=APP_COMPUTE_EFFICIENCY[app],
-    )
+    return FaultyRun(app, cluster, schedule, injector, faulted, base_record)
 
 
 def slowdown_sweep(
@@ -343,16 +334,7 @@ def slowdown_sweep(
     for severity, schedule, (faulted, injector) in zip(
         severities, schedules, pairs[1:]
     ):
-        faulty = FaultyRun(
-            app=app,
-            cluster=cluster,
-            schedule=schedule,
-            injector=injector,
-            faulted=faulted,
-            baseline=base,
-            marked=marked,
-            compute_efficiency=APP_COMPUTE_EFFICIENCY[app],
-        )
+        faulty = FaultyRun(app, cluster, schedule, injector, faulted, base)
         rows.append(FaultSweepRow(
             severity=severity,
             baseline_makespan=base.run.makespan,

@@ -20,15 +20,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..apps.fft import fft_workload
-from ..apps.stencil import stencil_workload
-from ..apps.workload import ge_workload, mm_workload
-from ..experiments.runner import (
-    default_stencil_sweeps,
-    marked_speed_of,
-    resolve_app,
-)
-from ..faults.run import APP_COMPUTE_EFFICIENCY
+from ..experiments.runner import APPLICATIONS, marked_speed_of, resolve_app
 from ..faults.schedule import random_schedule
 from .errors import ScenarioError
 from .scenario import (
@@ -52,14 +44,8 @@ APP_SIZES: dict[str, tuple[int, ...]] = {
 
 def app_workload(app: str, n: int) -> float:
     """Total flop workload of ``app`` at size ``n`` (runner defaults)."""
-    app = resolve_app(app)
-    if app == "ge":
-        return ge_workload(n)
-    if app == "mm":
-        return mm_workload(n)
-    if app == "fft":
-        return fft_workload(n)
-    return stencil_workload(n, default_stencil_sweeps(n))
+    entry = APPLICATIONS[resolve_app(app)]
+    return entry.workload(entry.options(n=n, speeds=(1.0,), **entry.extras(n)))
 
 
 @dataclass(frozen=True)
@@ -133,10 +119,9 @@ def estimate_horizon(
     window land during (or plausibly during) the run; precision does not
     matter, only that the window overlaps execution.
     """
-    app = resolve_app(app)
     marked = marked_speed_of(cluster.build())
     ideal = app_workload(app, n) / (
-        marked.total * APP_COMPUTE_EFFICIENCY[app]
+        marked.total * APPLICATIONS[resolve_app(app)].compute_efficiency
     )
     return ideal / max(efficiency_guess, 1e-6)
 

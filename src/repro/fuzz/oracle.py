@@ -41,13 +41,8 @@ from ..faults.analysis import (
     check_trace_invariants,
 )
 from ..faults.injection import FaultInjector
-from ..faults.run import (
-    APP_COMPUTE_EFFICIENCY,
-    FaultyRun,
-    faulty_mpi_run,
-    run_app_under_faults,
-)
-from ..experiments.runner import marked_speed_of, run_app
+from ..faults.run import FaultyRun, faulty_mpi_run, run_app_under_faults
+from ..experiments.runner import run_app
 from ..sim.errors import SimulationError
 from ..sim.trace import Tracer
 from .scenario import Scenario, resolve_network_wrapper
@@ -145,25 +140,18 @@ def run_scenario(
             seed=scenario.seed, flight=flight,
         )
     wrap = resolve_network_wrapper(scenario.network_wrapper)
-    marked = marked_speed_of(cluster)
     injector = FaultInjector(scenario.schedule)
     base = None
     if baseline:
-        base = run_app(
-            scenario.app, cluster, scenario.n,
-            marked=marked, seed=scenario.seed,
-        )
+        base = run_app(scenario.app, cluster, scenario.n, seed=scenario.seed)
     faulted = run_app(
-        scenario.app, cluster, scenario.n,
-        marked=marked, tracer=tracer, seed=scenario.seed,
+        scenario.app, cluster, scenario.n, tracer=tracer, seed=scenario.seed,
         launcher=_wrapping_launcher(
             scenario.schedule, injector, wrap, flight=flight
         ),
     )
     return FaultyRun(
-        app=scenario.app, cluster=cluster, schedule=scenario.schedule,
-        injector=injector, faulted=faulted, baseline=base, marked=marked,
-        compute_efficiency=APP_COMPUTE_EFFICIENCY[scenario.app],
+        scenario.app, cluster, scenario.schedule, injector, faulted, base
     )
 
 
@@ -182,11 +170,8 @@ def _run_via_executor(scenario, cluster, executor, baseline):
     if injector is None:
         injector = FaultInjector(scenario.schedule)
     return FaultyRun(
-        app=scenario.app, cluster=cluster, schedule=scenario.schedule,
-        injector=injector, faulted=faulted,
-        baseline=pairs[0][0] if baseline else None,
-        marked=marked_speed_of(cluster),
-        compute_efficiency=APP_COMPUTE_EFFICIENCY[scenario.app],
+        scenario.app, cluster, scenario.schedule, injector, faulted,
+        pairs[0][0] if baseline else None,
     )
 
 

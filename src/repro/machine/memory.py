@@ -48,25 +48,33 @@ def stencil_rank_bytes(n: int, rows: int) -> float:
     return 2 * (rows + 2) * n * _DOUBLE
 
 
+#: Footprint models per application: (bytes one rank holds given its row
+#: count, bytes of a *sequential* execution -- the reference run that
+#: speedup-based metrics require).
+_MODELS = {
+    "ge": (ge_rank_bytes, lambda n: n * (n + 1) * _DOUBLE),
+    "mm": (mm_rank_bytes, lambda n: 3 * n * n * _DOUBLE),  # A, B, C
+    "stencil": (stencil_rank_bytes, lambda n: 2 * n * n * _DOUBLE),  # 2 grids
+}
+
+
+def _model(app: str):
+    """The (per-rank, sequential) footprint models of ``app``."""
+    if app not in _MODELS:
+        raise InvalidOperationError(
+            f"no memory model for application {app!r}; models exist for "
+            f"{', '.join(_MODELS)}"
+        )
+    return _MODELS[app]
+
+
 def sequential_bytes(app: str, n: int) -> float:
     """Footprint of a *sequential* execution (the reference run that
     speedup-based metrics require)."""
+    model = _model(app)[1]
     if n < 1:
         raise InvalidOperationError(f"n must be >= 1, got {n}")
-    if app == "ge":
-        return n * (n + 1) * _DOUBLE
-    if app == "mm":
-        return 3 * n * n * _DOUBLE  # A, B, C resident
-    if app == "stencil":
-        return 2 * n * n * _DOUBLE  # double-buffered grid
-    raise InvalidOperationError(f"unknown application {app!r}")
-
-
-_RANK_MODELS = {
-    "ge": ge_rank_bytes,
-    "mm": mm_rank_bytes,
-    "stencil": stencil_rank_bytes,
-}
+    return model(n)
 
 
 @dataclass(frozen=True)
@@ -115,8 +123,7 @@ def distributed_feasibility(
     peak (a close stand-in for marked-speed shares when no measurement is
     at hand).  Requires the cluster to carry node memory sizes.
     """
-    if app not in _RANK_MODELS:
-        raise InvalidOperationError(f"unknown application {app!r}")
+    model = _model(app)[0]
     if n < 1:
         raise InvalidOperationError(f"n must be >= 1, got {n}")
     if not cluster.node_memory_mb:
@@ -136,7 +143,6 @@ def distributed_feasibility(
             f"{cluster.nranks} ranks"
         )
 
-    model = _RANK_MODELS[app]
     per_node: dict[int, float] = {}
     for slot, rows in zip(cluster.slots, rows_per_rank):
         per_node.setdefault(slot.node_id, 0.0)

@@ -280,8 +280,11 @@ class RunLedger:
         the fault metric surface) for runs executed under a fault schedule;
         such records conventionally use ``source="faults"``.
         """
-        if compute_efficiency is None:
-            compute_efficiency = _app_compute_efficiency(app)
+        if compute_efficiency is None:  # the registry's f; 1.0 if unknown
+            from ..experiments.runner import APPLICATIONS
+
+            entry = APPLICATIONS.get(app)
+            compute_efficiency = entry.compute_efficiency if entry else 1.0
         metrics = _run_metrics(record, compute_efficiency)
         if record.run.stats or record.run.rank_summary is None:
             summary = summarize_rank_stats(
@@ -453,13 +456,3 @@ def checked_record(record: Any, source: Any) -> dict[str, Any]:
     if "run_id" in record and not isinstance(record["run_id"], str):
         raise MetricError(f"{source}: 'run_id' is not a string")
     return record
-
-
-def _app_compute_efficiency(app: str) -> float:
-    """Best-effort compute-efficiency lookup (1.0 for unknown apps)."""
-    try:
-        from .profiler import app_compute_efficiency
-
-        return app_compute_efficiency(app)
-    except KeyError:
-        return 1.0

@@ -57,26 +57,6 @@ class ProfileReport:
     rank_summary: dict | None = None
 
 
-def app_compute_efficiency(app: str) -> float:
-    """The achievable-fraction ``f`` each runner applies, by app name.
-
-    Raises ``KeyError`` for apps outside the built-in registry.
-    """
-    from ..apps import (
-        FFT_COMPUTE_EFFICIENCY,
-        GE_COMPUTE_EFFICIENCY,
-        MM_COMPUTE_EFFICIENCY,
-        STENCIL_COMPUTE_EFFICIENCY,
-    )
-
-    return {
-        "ge": GE_COMPUTE_EFFICIENCY,
-        "mm": MM_COMPUTE_EFFICIENCY,
-        "stencil": STENCIL_COMPUTE_EFFICIENCY,
-        "fft": FFT_COMPUTE_EFFICIENCY,
-    }[app]
-
-
 def build_report(
     app: str,
     record: "RunRecord",
@@ -263,7 +243,7 @@ def profile_app(
     ``marked=``, ...).  When ``out_dir`` is given the three artifacts are
     written there (see module docstring).
     """
-    from ..experiments.runner import resolve_app, run_app
+    from ..experiments.runner import APPLICATIONS, resolve_app, run_app
 
     app = resolve_app(app)
     tracer = Tracer(limit=tracer_limit)
@@ -273,7 +253,7 @@ def profile_app(
         record,
         tracer,
         compute_efficiency=run_kwargs.get(
-            "compute_efficiency", app_compute_efficiency(app)
+            "compute_efficiency", APPLICATIONS[app].compute_efficiency
         ),
         cluster_name=cluster.name,
     )

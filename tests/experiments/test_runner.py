@@ -2,18 +2,21 @@
 
 import pytest
 
+from repro.apps.stencil import stencil_workload
 from repro.apps.workload import ge_workload, mm_workload
 from repro.experiments.runner import (
     APPLICATIONS,
     APP_ALIASES,
+    MM_COLLECTIVES,
     collect_traces,
     marked_speed_of,
     resolve_app,
     run_app,
     run_ge,
     run_mm,
+    run_stencil,
 )
-from repro.mpi.communicator import CollectiveConfig
+from repro.mpi.communicator import CollectiveConfig, mpi_run
 from repro.sim.trace import Tracer
 
 
@@ -98,6 +101,62 @@ class TestDispatch:
         assert record.measurement.problem_size == 50
 
 
+class TestRegistry:
+    @pytest.mark.parametrize("name", sorted(APPLICATIONS))
+    def test_work_is_the_registry_workload(self, name, ge2_cluster,
+                                           ge2_marked):
+        entry = APPLICATIONS[name]
+        record = run_app(name, ge2_cluster, 32, marked=ge2_marked)
+        options = entry.options(n=32, speeds=tuple(ge2_marked.speeds),
+                                **entry.extras(32))
+        assert record.measurement.work == entry.workload(options)
+
+    def test_fault_views_equal_the_registry(self, ge2_cluster):
+        from repro.faults import FaultInjector, FaultSchedule
+        from repro.faults.run import APP_COMPUTE_EFFICIENCY, FaultyRun
+
+        schedule = FaultSchedule(())
+        for name, entry in APPLICATIONS.items():
+            assert APP_COMPUTE_EFFICIENCY[name] == entry.compute_efficiency
+            faulty = FaultyRun(name, ge2_cluster, schedule,
+                               FaultInjector(schedule), None, None)
+            assert faulty.compute_efficiency == entry.compute_efficiency
+            assert faulty.marked == marked_speed_of(ge2_cluster)
+        assert set(APP_COMPUTE_EFFICIENCY) == set(APPLICATIONS)
+
+    def test_cli_app_choices_are_registry_keys_and_aliases(self):
+        from repro.cli import OPTIONS, build_parser
+
+        assert set(OPTIONS["--app"]["choices"]) == (
+            set(APPLICATIONS) | set(APP_ALIASES)
+        )
+        for name in OPTIONS["--app"]["choices"]:
+            assert build_parser().parse_args(["memory", "--app", name])
+
+    def test_mm_collectives_none_is_flat(self, mm4_cluster):
+        configs = []
+
+        def spy(*args, config=None, **kwargs):
+            configs.append(config)
+            return mpi_run(*args, config=config, **kwargs)
+
+        flat = run_mm(mm4_cluster, 60, launcher=spy, collectives=None)
+        default = run_mm(mm4_cluster, 60, launcher=spy)
+        assert configs == [None, MM_COLLECTIVES]
+        assert MM_COLLECTIVES.bcast == "ethernet"
+        assert flat.measurement.time != default.measurement.time
+
+    def test_runners_accept_exactly_their_keywords(self, ge2_cluster,
+                                                   ge2_marked):
+        record = run_stencil(ge2_cluster, 24, marked=ge2_marked, sweeps=3,
+                             residual_every=1)
+        assert record.measurement.work == stencil_workload(24, 3, 1)
+        with pytest.raises(TypeError, match="sweeps"):
+            run_ge(ge2_cluster, 24, marked=ge2_marked, sweeps=3)
+        with pytest.raises(TypeError, match="round_scale"):
+            run_ge(ge2_cluster, 24, marked=ge2_marked, round_scale=2)
+
+
 class TestCollectTraces:
     def test_runs_are_collected_with_labels(self, ge2_cluster, ge2_marked):
         with collect_traces() as collector:
@@ -113,8 +172,11 @@ class TestCollectTraces:
         with collect_traces() as collector:
             run_ge(ge2_cluster, 50, marked=ge2_marked, tracer=mine)
         assert mine.records
-        # Explicitly traced runs keep their tracer and stay off the collector.
-        assert collector.runs == []
+        # Explicitly traced runs keep their tracer, which the collector
+        # exports along with the others.
+        (run,) = collector.runs
+        assert run.tracer is mine
+        assert run.label == f"ge N=50 on {ge2_cluster.name}"
 
     def test_no_collection_outside_context(self, ge2_cluster, ge2_marked):
         with collect_traces() as collector:

@@ -58,13 +58,20 @@ class TestMemory:
         assert "distributed run fits: False" in out
         assert "False" in out
 
+    def test_app_without_model_names_the_modelled_apps(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["memory", "--app", "fft", "--nodes", "2", "--size", "100"])
+        message = str(excinfo.value.code)
+        assert message.startswith("error: InvalidOperationError: ")
+        assert "'fft'" in message and "ge, mm, stencil" in message
+
 
 class TestProfile:
     def test_profile_writes_artifacts(self, capsys, tmp_path):
         out = tmp_path / "prof"
         assert main(
             ["profile", "gaussian", "--nodes", "2", "--size", "60",
-             "--out", str(out)]
+             "--out", str(out), "--ledger", str(tmp_path / "ledger")]
         ) == 0
         text = capsys.readouterr().out
         assert "profile: ge" in text
@@ -79,15 +86,17 @@ class TestProfile:
             for key in ("ph", "ts", "dur", "pid", "tid")
         )
 
-    def test_profile_without_out_dir(self, capsys):
-        assert main(["profile", "mm", "--nodes", "2", "--size", "40"]) == 0
+    def test_profile_without_out_dir(self, capsys, tmp_path):
+        assert main(["profile", "mm", "--nodes", "2", "--size", "40",
+                     "--ledger", str(tmp_path / "ledger")]) == 0
         text = capsys.readouterr().out
         assert "profile: mm" in text
         assert "Overhead decomposition" in text
 
-    def test_profile_app_flag_fallback(self, capsys):
+    def test_profile_app_flag_fallback(self, capsys, tmp_path):
         assert main(
-            ["profile", "--app", "stencil", "--nodes", "2", "--size", "24"]
+            ["profile", "--app", "stencil", "--nodes", "2", "--size", "24",
+             "--ledger", str(tmp_path / "ledger")]
         ) == 0
         assert "profile: stencil" in capsys.readouterr().out
 
@@ -113,7 +122,23 @@ class TestTraceOut:
             ["breakdown", "--app", "ge", "--nodes", "2", "--size", "60",
              "--trace-out", str(path)]
         ) == 0
-        assert path.exists()
+        assert "from 1 simulated run(s)" in capsys.readouterr().out
+        events = json.loads(path.read_text())
+        assert any(e["ph"] == "X" for e in events)
+
+    def test_profile_with_trace_out(self, capsys, tmp_path):
+        """--trace-out exports the profiled run: the same events as the
+        profile's own trace.json."""
+        path = tmp_path / "pt.json"
+        assert main(
+            ["profile", "ge", "--nodes", "2", "--size", "40",
+             "--trace-out", str(path), "--out", str(tmp_path / "prof"),
+             "--ledger", str(tmp_path / "ledger")]
+        ) == 0
+        events = json.loads(path.read_text())
+        assert any(e["ph"] == "X" for e in events)
+        own = json.loads((tmp_path / "prof" / "trace.json").read_text())
+        assert len(events) == len(own)
 
 
 def test_unknown_tool_rejected():
