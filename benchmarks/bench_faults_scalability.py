@@ -16,11 +16,8 @@ from pathlib import Path
 
 from conftest import write_result
 
-from repro.faults import (
-    psi_is_monotone_nonincreasing,
-    render_sweep,
-    slowdown_sweep,
-)
+from repro.faults import render_sweep, slowdown_sweep
+from repro.fuzz import check_sweep_invariants
 from repro.machine.sunwulf import ge_configuration
 
 N = 300
@@ -62,5 +59,5 @@ def test_faults_scalability_sweep(benchmark, results_dir):
     (REPO_ROOT / "BENCH_faults.json").write_text(text)
 
     assert rows[0].psi == 1.0  # severity 0 is the fault-free anchor
-    assert psi_is_monotone_nonincreasing(rows)
+    assert check_sweep_invariants(rows) == []
     assert rows[-1].psi < 1.0  # severity 0.6 must actually degrade psi

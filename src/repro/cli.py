@@ -530,11 +530,8 @@ def cmd_faults_run(args: argparse.Namespace) -> int:
 
 def cmd_faults_sweep(args: argparse.Namespace) -> int:
     """psi-vs-fault-intensity table (uniform slowdown scan)."""
-    from .faults import (
-        psi_is_monotone_nonincreasing,
-        render_sweep,
-        slowdown_sweep,
-    )
+    from .faults import render_sweep, slowdown_sweep
+    from .fuzz import check_sweep_invariants
 
     cluster = _cluster(args)
     executor = _build_executor(args, telemetry=args.profile)
@@ -547,7 +544,8 @@ def cmd_faults_sweep(args: argparse.Namespace) -> int:
         title=f"Scalability under faults ({args.app}, N={args.size}, "
               f"{cluster.name})",
     ))
-    monotone = psi_is_monotone_nonincreasing(rows)
+    monotone = not any(v.kind == "monotonicity"
+                       for v in check_sweep_invariants(rows))
     print(f"psi monotone non-increasing with severity: {monotone}")
     print()
     _print_cache_stats(executor)

@@ -234,6 +234,7 @@ def run_record_to_payload(
     )
     payload: dict[str, Any] = {
         "measurement": measurement_to_dict(record.measurement),
+        "compute_efficiency": record.compute_efficiency,
         "run": run_block,
     }
     if injector is not None:
@@ -267,6 +268,7 @@ def run_record_from_payload(payload: dict[str, Any]) -> RunRecord:
         measurement=measurement_from_dict(payload["measurement"]),
         run=run,
         app_result=None,
+        compute_efficiency=float(payload["compute_efficiency"]),
     )
 
 

@@ -26,8 +26,9 @@ CACHE_KIND = "cached-run"
 #: Bumped whenever the cache payload layout or hashed profile changes;
 #: part of the profile hash and of the segment header, so stale layouts
 #: simply miss.  Version 2: ``rank_summary`` quantiles are exact
-#: (version 1 held estimates).
-CACHE_PROFILE_VERSION = 2
+#: (version 1 held estimates).  Version 3: payloads carry the run's
+#: ``compute_efficiency``.
+CACHE_PROFILE_VERSION = 3
 #: File name suffix of a cache segment, and the first line of each one.
 SEGMENT_SUFFIX = ".seg"
 SEGMENT_HEADER = json.dumps(

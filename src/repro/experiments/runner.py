@@ -41,11 +41,16 @@ from ..sim.trace import Tracer
 
 @dataclass
 class RunRecord:
-    """One application execution: the metric view plus raw simulator data."""
+    """One application execution: the metric view plus raw simulator data.
+
+    ``compute_efficiency`` is the fraction f of marked speed the run was
+    simulated at.
+    """
 
     measurement: Measurement
     run: RunResult
     app_result: Any = None
+    compute_efficiency: float = 1.0
 
     @property
     def speed_efficiency(self) -> float:
@@ -307,10 +312,10 @@ def run_app(
         problem_size=n,
         label=cluster.name,
     )
-    record = RunRecord(measurement, run, run.return_values[0])
+    record = RunRecord(measurement, run, run.return_values[0],
+                       compute_efficiency)
     if _ACTIVE_LEDGER is not None:
-        _ACTIVE_LEDGER.record_run(name, cluster, record, source="run",
-                                  compute_efficiency=compute_efficiency)
+        _ACTIVE_LEDGER.record_run(name, cluster, record, source="run")
     return record
 
 

@@ -29,21 +29,13 @@ the same makespan, fault trace and degraded ψ, bit for bit.
 
 from .analysis import (
     FaultSweepRow,
-    InvariantViolation,
-    assert_invariants,
     availability_weighted_speed,
-    check_invariants,
-    check_invariants_row,
-    check_sweep_invariants,
-    check_trace_invariants,
     degraded_psi,
     fault_speed_efficiency,
-    psi_is_monotone_nonincreasing,
 )
 from .errors import (
     FaultError,
     FaultScheduleError,
-    InvariantViolationError,
     MessageLostError,
     RankFailedError,
 )
@@ -81,26 +73,18 @@ __all__ = [
     "FaultTraceEvent",
     "FaultyNetworkModel",
     "FaultyRun",
-    "InvariantViolation",
-    "InvariantViolationError",
     "LinkDegradation",
     "MessageLoss",
     "MessageLostError",
     "NodeCrash",
     "NodeSlowdown",
     "RankFailedError",
-    "assert_invariants",
     "availability_weighted_speed",
-    "check_invariants",
-    "check_invariants_row",
-    "check_sweep_invariants",
-    "check_trace_invariants",
     "degraded_psi",
     "fault_speed_efficiency",
     "faulty_mpi_run",
     "faulty_program_factory",
     "make_fault_launcher",
-    "psi_is_monotone_nonincreasing",
     "random_schedule",
     "render_sweep",
     "resolve_rng",

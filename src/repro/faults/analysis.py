@@ -24,13 +24,11 @@ intensity grows.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 from ..core.types import MetricError
 from ..obs.analysis import overhead_decomposition
-from .errors import InvariantViolationError
 
 
 def availability_weighted_speed(
@@ -106,270 +104,3 @@ class FaultSweepRow:
         if self.baseline_makespan <= 0:
             return 1.0
         return self.makespan / self.baseline_makespan
-
-
-def psi_is_monotone_nonincreasing(
-    rows: Sequence[FaultSweepRow], tolerance: float = 1e-12
-) -> bool:
-    """True when ψ never increases as severity grows (rows sorted by
-    severity)."""
-    ordered = sorted(rows, key=lambda r: r.severity)
-    return all(
-        later.psi <= earlier.psi + tolerance
-        for earlier, later in zip(ordered, ordered[1:])
-    )
-
-
-# -- the invariant oracle -----------------------------------------------------
-#
-# The metric ψ is only trustworthy if the simulator honors its invariants
-# across the whole scenario space, not just the presets we sweep.  These
-# checks are the oracle half of the adversarial fuzzer (:mod:`repro.fuzz`),
-# but they are exported here so every ordinary fault run and sweep can be
-# oracle-checked too (the fault-sweep tests do).
-
-@dataclass(frozen=True)
-class InvariantViolation:
-    """One broken property of a simulated run.
-
-    ``kind`` names the invariant family (``causality``, ``accounting``,
-    ``conservation``, ``psi-bounds``, ``monotonicity``, ``bit-identity``,
-    ``crash``, ``replay``); ``message`` is human-readable; ``context``
-    carries the offending numbers for reports and corpus entries.
-    """
-
-    kind: str
-    message: str
-    context: dict[str, Any] = field(default_factory=dict)
-
-    def __str__(self) -> str:
-        return f"[{self.kind}] {self.message}"
-
-    def to_payload(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "message": self.message,
-            "context": dict(self.context),
-        }
-
-
-def check_invariants(
-    result: Any,
-    work: float | None = None,
-    psi: float | None = None,
-    nranks: int | None = None,
-    tolerance: float = 1e-9,
-) -> list[InvariantViolation]:
-    """Check one :class:`~repro.sim.engine.RunResult` against the engine's
-    virtual-time and accounting invariants.
-
-    Always checked: every clock is finite and non-negative, per-rank
-    busy time never exceeds the rank's own finish time (virtual-time
-    causality: a rank cannot have been busy for longer than it existed),
-    per-rank aggregates are non-negative, stats and finish times agree,
-    and scheduler counters are consistent (``stale_pops <= heap_pops``).
-
-    With ``work`` given, flops conservation is checked: the flops credited
-    across all ranks must equal the application workload ``W`` to within
-    ``tolerance`` (relative) -- fault injection splits and slows compute
-    segments but must never create or destroy work.  (Skip this for
-    fail-stop runs: a killed rank legitimately leaves work undone.)
-
-    With ``psi`` given, the metric bound ψ ∈ (0, 1] is checked -- a fault
-    scenario can never *improve* achieved scalability.
-
-    Returns the violations found (empty list: all invariants hold).
-    """
-    out: list[InvariantViolation] = []
-
-    def bad(kind: str, message: str, **context: Any) -> None:
-        out.append(InvariantViolation(kind, message, context))
-
-    finish_times = list(result.finish_times)
-    if nranks is not None and len(finish_times) != nranks:
-        bad(
-            "accounting",
-            f"run reports {len(finish_times)} finish times for "
-            f"{nranks} ranks",
-            finish_times=len(finish_times), nranks=nranks,
-        )
-    makespan = result.makespan
-    if not math.isfinite(makespan) or makespan < 0.0:
-        bad("causality", f"makespan is {makespan!r}", makespan=makespan)
-    for rank, t in enumerate(finish_times):
-        if not math.isfinite(t) or t < 0.0:
-            bad(
-                "causality",
-                f"rank {rank} finish time is {t!r}",
-                rank=rank, finish_time=t,
-            )
-    slack = tolerance * max(1.0, abs(makespan))
-    for st in result.stats:
-        for name in ("compute_time", "send_time", "recv_wait_time",
-                     "bytes_sent", "bytes_received", "flops"):
-            value = getattr(st, name)
-            if not math.isfinite(value) or value < 0.0:
-                bad(
-                    "accounting",
-                    f"rank {st.rank} has {name}={value!r}",
-                    rank=st.rank, field=name, value=value,
-                )
-        if 0 <= st.rank < len(finish_times):
-            finish = finish_times[st.rank]
-            if abs(st.finish_time - finish) > slack:
-                bad(
-                    "accounting",
-                    f"rank {st.rank} stats finish_time {st.finish_time!r} "
-                    f"disagrees with run finish time {finish!r}",
-                    rank=st.rank, stats_finish=st.finish_time, finish=finish,
-                )
-            if st.busy_time > finish + slack:
-                bad(
-                    "causality",
-                    f"rank {st.rank} was busy for {st.busy_time!r}s but "
-                    f"finished at {finish!r}s",
-                    rank=st.rank, busy_time=st.busy_time, finish=finish,
-                )
-    if result.stale_pops > result.heap_pops:
-        bad(
-            "accounting",
-            f"stale_pops {result.stale_pops} exceeds heap_pops "
-            f"{result.heap_pops}",
-            stale_pops=result.stale_pops, heap_pops=result.heap_pops,
-        )
-    if work is not None:
-        credited = sum(st.flops for st in result.stats)
-        if abs(credited - work) > tolerance * max(1.0, abs(work)):
-            bad(
-                "conservation",
-                f"credited flops {credited!r} != workload {work!r}",
-                credited=credited, work=work,
-            )
-    if psi is not None:
-        if not math.isfinite(psi) or psi <= 0.0 or psi > 1.0 + tolerance:
-            bad(
-                "psi-bounds",
-                f"degraded psi {psi!r} outside (0, 1]",
-                psi=psi,
-            )
-    return out
-
-
-def check_trace_invariants(
-    records: Iterable[Any],
-    makespan: float,
-    tolerance: float = 1e-9,
-) -> list[InvariantViolation]:
-    """Virtual-time causality over a run's trace records.
-
-    Every traced primitive must occupy a well-formed window: finite,
-    ``0 <= start <= end``, and within the run (``end <= makespan``).  A
-    network model that answers with out-of-order or retrograde times
-    shows up here even when the engine's own cheap guards let it through.
-
-    ``fault`` annotation records (the injector's fault track) are exempt
-    from the makespan bound: they carry *scheduled* fault times, and a
-    fault scheduled past the finish is inert, not acausal.
-    """
-    out: list[InvariantViolation] = []
-    slack = tolerance * max(1.0, abs(makespan))
-    for record in records:
-        start, end = record.start, record.end
-        bound = math.inf if record.kind == "fault" else makespan
-        if not (math.isfinite(start) and math.isfinite(end)):
-            out.append(InvariantViolation(
-                "causality",
-                f"rank {record.rank} {record.kind} record has non-finite "
-                f"window ({start!r}, {end!r})",
-                {"rank": record.rank, "kind": record.kind,
-                 "start": start, "end": end},
-            ))
-            continue
-        if start < -slack or end < start - slack or end > bound + slack:
-            out.append(InvariantViolation(
-                "causality",
-                f"rank {record.rank} {record.kind} record window "
-                f"({start!r}, {end!r}) escapes the run [0, {makespan!r}]",
-                {"rank": record.rank, "kind": record.kind,
-                 "start": start, "end": end, "makespan": makespan},
-            ))
-    return out
-
-
-def check_sweep_invariants(
-    rows: Sequence[FaultSweepRow], tolerance: float = 1e-9
-) -> list[InvariantViolation]:
-    """Invariants over a fault-intensity sweep's rows.
-
-    ψ of every row must lie in (0, 1], makespans must be positive and
-    never shrink below the shared fault-free baseline, and ψ must be
-    monotone non-increasing with severity (more injected slowdown can
-    only inflate the measured overhead ``T_o'``).
-    """
-    out: list[InvariantViolation] = []
-    ordered = sorted(rows, key=lambda r: r.severity)
-    for row in ordered:
-        for violation in check_invariants_row(row, tolerance):
-            out.append(violation)
-    for earlier, later in zip(ordered, ordered[1:]):
-        if later.psi > earlier.psi + tolerance:
-            out.append(InvariantViolation(
-                "monotonicity",
-                f"psi rose from {earlier.psi!r} (severity "
-                f"{earlier.severity}) to {later.psi!r} (severity "
-                f"{later.severity})",
-                {"severity_lo": earlier.severity, "psi_lo": earlier.psi,
-                 "severity_hi": later.severity, "psi_hi": later.psi},
-            ))
-    return out
-
-
-def check_invariants_row(
-    row: FaultSweepRow, tolerance: float = 1e-9
-) -> list[InvariantViolation]:
-    """Metric invariants of a single sweep row."""
-    out: list[InvariantViolation] = []
-    if not math.isfinite(row.psi) or row.psi <= 0.0 or row.psi > 1.0 + tolerance:
-        out.append(InvariantViolation(
-            "psi-bounds",
-            f"psi {row.psi!r} outside (0, 1] at severity {row.severity}",
-            {"severity": row.severity, "psi": row.psi},
-        ))
-    if row.makespan <= 0.0 or not math.isfinite(row.makespan):
-        out.append(InvariantViolation(
-            "accounting",
-            f"non-positive makespan {row.makespan!r} at severity "
-            f"{row.severity}",
-            {"severity": row.severity, "makespan": row.makespan},
-        ))
-    if row.makespan < row.baseline_makespan * (1.0 - tolerance):
-        out.append(InvariantViolation(
-            "causality",
-            f"faulted makespan {row.makespan!r} beat the fault-free "
-            f"baseline {row.baseline_makespan!r} at severity {row.severity}",
-            {"severity": row.severity, "makespan": row.makespan,
-             "baseline": row.baseline_makespan},
-        ))
-    if row.c_eff <= 0.0 or not math.isfinite(row.c_eff):
-        out.append(InvariantViolation(
-            "accounting",
-            f"non-positive C_eff {row.c_eff!r} at severity {row.severity}",
-            {"severity": row.severity, "c_eff": row.c_eff},
-        ))
-    return out
-
-
-def assert_invariants(
-    result: Any,
-    work: float | None = None,
-    psi: float | None = None,
-    nranks: int | None = None,
-    tolerance: float = 1e-9,
-) -> None:
-    """:func:`check_invariants`, raising
-    :class:`~repro.faults.errors.InvariantViolationError` on any finding."""
-    violations = check_invariants(
-        result, work=work, psi=psi, nranks=nranks, tolerance=tolerance
-    )
-    if violations:
-        raise InvariantViolationError(violations)

@@ -40,22 +40,3 @@ class MessageLostError(FaultError):
 
 class FaultScheduleError(FaultError):
     """Raised for structurally invalid fault schedules or events."""
-
-
-class InvariantViolationError(FaultError):
-    """Raised by :func:`repro.faults.analysis.assert_invariants` when a run
-    breaks an engine/metric invariant (causality, flops conservation,
-    ψ bounds, monotonicity).
-
-    The ``violations`` attribute carries the full
-    :class:`~repro.faults.analysis.InvariantViolation` list so callers
-    (the fuzzer's oracle, CI smoke jobs) can report every broken
-    property, not just the first.
-    """
-
-    def __init__(self, violations):
-        self.violations = tuple(violations)
-        detail = "; ".join(str(v) for v in self.violations)
-        super().__init__(
-            f"{len(self.violations)} invariant violation(s): {detail}"
-        )

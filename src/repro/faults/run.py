@@ -98,33 +98,17 @@ def faulty_mpi_run(
 
 
 def make_fault_launcher(
-    schedule: FaultSchedule,
-    injector: FaultInjector | None = None,
-    flight: Any = None,
+    schedule: FaultSchedule, injector: FaultInjector | None = None
 ):
     """Package ``faulty_mpi_run`` as a ``launcher=`` for the app runners.
 
-    ``flight`` optionally attaches a
-    :class:`~repro.sim.flight.FlightRecorder` to every engine the
-    launcher builds — the natural place for a black box, since faulted
-    runs are exactly where post-mortem context is wanted.
+    The launcher takes ``mpi_run``'s arguments, including the ``flight=``
+    recorder ``run_app`` forwards to it.
     """
 
-    def launch(
-        nranks: int,
-        network: Any,
-        flops_per_second: Sequence[float],
-        program: Any,
-        config: CollectiveConfig | None = None,
-        tracer: Tracer | None = None,
-        max_events: int = 50_000_000,
-        flight: Any = flight,
-    ) -> RunResult:
-        return faulty_mpi_run(
-            nranks, network, flops_per_second, program, schedule,
-            config=config, injector=injector, tracer=tracer,
-            max_events=max_events, flight=flight,
-        )
+    def launch(nranks, network, flops_per_second, program, **kwargs):
+        return faulty_mpi_run(nranks, network, flops_per_second, program,
+                              schedule, injector=injector, **kwargs)
 
     return launch
 
@@ -133,8 +117,8 @@ def make_fault_launcher(
 class FaultyRun:
     """A faulted execution plus the derived degraded-performance metrics.
 
-    ``marked`` and ``compute_efficiency`` derive from ``cluster`` and the
-    application registry entry of ``app``.
+    ``marked`` derives from ``cluster``; ``compute_efficiency`` is the f
+    the faulted run was simulated at.
     """
 
     app: str
@@ -150,7 +134,7 @@ class FaultyRun:
 
     @property
     def compute_efficiency(self) -> float:
-        return APPLICATIONS[self.app].compute_efficiency
+        return self.faulted.compute_efficiency
 
     @property
     def makespan(self) -> float:
@@ -239,7 +223,6 @@ class FaultyRun:
             self.cluster,
             self.faulted,
             source=source,
-            compute_efficiency=self.compute_efficiency,
             extra_metrics=metrics,
             fault={
                 "profile_hash": self.fault_profile_hash,
@@ -258,31 +241,37 @@ def run_app_under_faults(
     tracer: Tracer | None = None,
     seed: int = 0,
     flight: Any = None,
+    executor: Any = None,
     **run_kwargs: Any,
 ) -> FaultyRun:
     """Run one application under ``schedule``; optionally with a fault-free
     baseline of the same configuration for degraded-ψ.
 
     ``baseline`` may be ``True`` (run one), ``False`` (skip; ψ unavailable)
-    or an existing :class:`RunRecord` to reuse.  ``flight`` attaches a
-    :class:`~repro.sim.flight.FlightRecorder` to the faulted engine.
+    or an existing :class:`RunRecord` to reuse.  ``tracer`` and ``flight``
+    (a :class:`~repro.sim.flight.FlightRecorder`) attach to the faulted
+    run only.  Both runs are points of one ``executor.run_faulted`` batch;
+    the default serial, uncached
+    :class:`~repro.experiments.executor.SweepExecutor` runs them directly,
+    while a caching one replays whatever is neither traced nor recorded.
     """
+    from ..experiments.executor import SweepExecutor, SweepPoint
+
     app = resolve_app(app)
     schedule.validate_for(cluster.nranks)
-    injector = FaultInjector(schedule)
-    base_record: RunRecord | None
+    points = [SweepPoint.make(
+        app, cluster, n, schedule=schedule, seed=seed, tracer=tracer,
+        flight=flight, **run_kwargs,
+    )]
     if baseline is True:
-        base_record = run_app(app, cluster, n, seed=seed, **run_kwargs)
-    elif baseline is False:
-        base_record = None
-    else:
-        base_record = baseline
-    faulted = run_app(
-        app, cluster, n, tracer=tracer, seed=seed,
-        launcher=make_fault_launcher(schedule, injector, flight=flight),
-        **run_kwargs,
-    )
-    return FaultyRun(app, cluster, schedule, injector, faulted, base_record)
+        points.insert(0, SweepPoint.make(app, cluster, n, seed=seed,
+                                         **run_kwargs))
+    pairs = (executor or SweepExecutor()).run_faulted(points)
+    faulted, injector = pairs[-1]
+    if baseline is True:
+        baseline = pairs[0][0]
+    return FaultyRun(app, cluster, schedule, injector, faulted,
+                     baseline or None)
 
 
 def slowdown_sweep(

@@ -11,7 +11,8 @@ that gap from four sides:
   problem sizes × fault schedules × network kinds, all composed from the
   real :mod:`repro.machine` / :mod:`repro.faults` / :mod:`repro.network`
   types;
-* **oracle** (:mod:`.oracle`) -- every scenario is checked for
+* **oracle** (:mod:`.oracle`, the one invariant module: runs, traces
+  and fault sweeps) -- every scenario is checked for
   virtual-time causality, flops conservation, ψ ∈ (0, 1], ψ-monotonicity
   under fault severity, and serial == pool == cached bit-identity
   through the :class:`~repro.experiments.executor.SweepExecutor`;
@@ -54,9 +55,13 @@ from .generator import (
 )
 from .oracle import (
     CheckConfig,
+    InvariantViolation,
     ScenarioReport,
     check_bit_identity,
+    check_invariants,
     check_scenario,
+    check_sweep_invariants,
+    check_trace_invariants,
     dump_violation,
     run_scenario,
 )
@@ -98,6 +103,7 @@ __all__ = [
     "FUZZ_SCENARIO_KIND",
     "FuzzError",
     "HIERARCHICAL_NETWORK_SPECS",
+    "InvariantViolation",
     "NETWORK_KINDS",
     "NODE_PALETTE",
     "ReplayResult",
@@ -111,7 +117,10 @@ __all__ = [
     "attack",
     "attack_to_ledger",
     "check_bit_identity",
+    "check_invariants",
     "check_scenario",
+    "check_sweep_invariants",
+    "check_trace_invariants",
     "corpus_paths",
     "default_corpus_dir",
     "dump_violation",

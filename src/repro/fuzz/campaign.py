@@ -12,7 +12,7 @@ ring dump).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
@@ -25,9 +25,7 @@ from .shrink import ShrinkResult, shrink_scenario
 #: Shrink-predicate oracle: cheap (no extra-run probes except what the
 #: violation needs) -- monotonicity violations still need the probe, so
 #: keep one mild factor.
-_SHRINK_CHECK = CheckConfig(
-    trace=True, monotonicity_factors=(0.5,), bit_identity=False
-)
+_SHRINK_CHECK = CheckConfig(monotonicity_factors=(0.5,), bit_identity=False)
 
 
 @dataclass
@@ -100,12 +98,7 @@ def fuzz_campaign(
             )
         cfg = base_config
         if bit_identity_every and index % bit_identity_every == 0:
-            cfg = CheckConfig(
-                trace=base_config.trace,
-                monotonicity_factors=base_config.monotonicity_factors,
-                bit_identity=True,
-                tolerance=base_config.tolerance,
-            )
+            cfg = replace(base_config, bit_identity=True)
         report = check_scenario(scenario, cfg, executor=executor)
         result.reports.append(report)
         if log is not None:

@@ -37,9 +37,7 @@ EXPECTED_KEYS = ("makespan", "baseline_makespan", "psi")
 #: Replay re-checks invariants but skips the extra-run probes -- the
 #: exact-metric comparison already proves deterministic replay, and
 #: corpus CI wants one run per case, not five.
-REPLAY_CHECK = CheckConfig(
-    trace=True, monotonicity_factors=(), bit_identity=False
-)
+REPLAY_CHECK = CheckConfig(monotonicity_factors=(), bit_identity=False)
 
 
 def default_corpus_dir() -> Path:

@@ -176,6 +176,11 @@ class Scenario:
             raise ScenarioError(f"n must be an int >= 2, got {self.n!r}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ScenarioError(f"seed must be an int, got {self.seed!r}")
+        if not isinstance(self.network_wrapper, (str, type(None))):
+            raise ScenarioError(
+                f"network_wrapper must be a name or null, got "
+                f"{self.network_wrapper!r}"
+            )
         if canonical == "fft" and self.n & (self.n - 1):
             raise ScenarioError(
                 f"fft problem sizes must be powers of two, got {self.n}"
@@ -236,14 +241,13 @@ class Scenario:
             schedule = FaultSchedule.from_payload(payload["schedule"])
         except FaultScheduleError as exc:
             raise ScenarioError(f"malformed fault schedule: {exc}") from exc
-        wrapper = payload.get("network_wrapper")
         return cls(
             app=str(payload["app"]),
             n=payload["n"],
             cluster=ClusterModel.from_payload(payload["cluster"]),
             schedule=schedule,
             seed=payload.get("seed", 0),
-            network_wrapper=None if wrapper is None else str(wrapper),
+            network_wrapper=payload.get("network_wrapper"),
         )
 
     def scenario_hash(self) -> str:

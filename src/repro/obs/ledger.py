@@ -139,9 +139,7 @@ def _new_run_id(app: str, problem_size: Any) -> str:
     return f"{stamp}-{app}{size}-{uuid.uuid4().hex[:8]}"
 
 
-def _run_metrics(
-    record: "RunRecord", compute_efficiency: float
-) -> dict[str, float]:
+def _run_metrics(record: "RunRecord") -> dict[str, float]:
     """Flat metric dict of one executed run (the comparable surface)."""
     m = record.measurement
     run = record.run
@@ -149,7 +147,7 @@ def _run_metrics(
         work=m.work,
         marked_speed=m.marked_speed,
         makespan=run.makespan,
-        compute_efficiency=compute_efficiency,
+        compute_efficiency=record.compute_efficiency,
     )
     return {
         "makespan": run.makespan,
@@ -269,7 +267,6 @@ class RunLedger:
         cluster: "ClusterSpec",
         record: "RunRecord",
         source: str = "run",
-        compute_efficiency: float | None = None,
         extra_metrics: dict[str, float] | None = None,
         fault: dict[str, Any] | None = None,
         log: "StructLogger | None" = None,
@@ -280,12 +277,7 @@ class RunLedger:
         the fault metric surface) for runs executed under a fault schedule;
         such records conventionally use ``source="faults"``.
         """
-        if compute_efficiency is None:  # the registry's f; 1.0 if unknown
-            from ..experiments.runner import APPLICATIONS
-
-            entry = APPLICATIONS.get(app)
-            compute_efficiency = entry.compute_efficiency if entry else 1.0
-        metrics = _run_metrics(record, compute_efficiency)
+        metrics = _run_metrics(record)
         if record.run.stats or record.run.rank_summary is None:
             summary = summarize_rank_stats(
                 record.run.stats, record.run.makespan
@@ -331,7 +323,6 @@ class RunLedger:
             cluster,
             report.record,
             source="profile",
-            compute_efficiency=report.decomposition.compute_efficiency,
             extra_metrics={
                 "critical_path_length": report.path.length,
                 "trace_records": float(len(report.tracer.records)),

@@ -243,7 +243,7 @@ def profile_app(
     ``marked=``, ...).  When ``out_dir`` is given the three artifacts are
     written there (see module docstring).
     """
-    from ..experiments.runner import APPLICATIONS, resolve_app, run_app
+    from ..experiments.runner import resolve_app, run_app
 
     app = resolve_app(app)
     tracer = Tracer(limit=tracer_limit)
@@ -252,9 +252,7 @@ def profile_app(
         app,
         record,
         tracer,
-        compute_efficiency=run_kwargs.get(
-            "compute_efficiency", APPLICATIONS[app].compute_efficiency
-        ),
+        compute_efficiency=record.compute_efficiency,
         cluster_name=cluster.name,
     )
     if out_dir is not None:

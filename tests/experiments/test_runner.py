@@ -111,15 +111,16 @@ class TestRegistry:
                                 **entry.extras(32))
         assert record.measurement.work == entry.workload(options)
 
-    def test_fault_views_equal_the_registry(self, ge2_cluster):
+    def test_fault_views_equal_the_registry(self, ge2_cluster, ge2_marked):
         from repro.faults import FaultInjector, FaultSchedule
         from repro.faults.run import APP_COMPUTE_EFFICIENCY, FaultyRun
 
         schedule = FaultSchedule(())
         for name, entry in APPLICATIONS.items():
             assert APP_COMPUTE_EFFICIENCY[name] == entry.compute_efficiency
+            record = run_app(name, ge2_cluster, 32, marked=ge2_marked)
             faulty = FaultyRun(name, ge2_cluster, schedule,
-                               FaultInjector(schedule), None, None)
+                               FaultInjector(schedule), record, None)
             assert faulty.compute_efficiency == entry.compute_efficiency
             assert faulty.marked == marked_speed_of(ge2_cluster)
         assert set(APP_COMPUTE_EFFICIENCY) == set(APPLICATIONS)

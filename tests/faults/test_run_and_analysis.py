@@ -3,14 +3,13 @@
 import pytest
 
 from repro.core.types import MetricError
+from repro.experiments.executor import RunCache, SweepExecutor
+from repro.experiments.runner import ledger_recording
 from repro.faults.analysis import (
     FaultSweepRow,
     availability_weighted_speed,
-    check_invariants,
-    check_sweep_invariants,
     degraded_psi,
     fault_speed_efficiency,
-    psi_is_monotone_nonincreasing,
 )
 from repro.faults.run import (
     render_sweep,
@@ -23,6 +22,7 @@ from repro.faults.schedule import (
     NodeSlowdown,
     uniform_slowdown,
 )
+from repro.fuzz import check_invariants, check_sweep_invariants
 from repro.machine.sunwulf import ge_configuration
 from repro.obs.ledger import RunLedger
 
@@ -59,12 +59,12 @@ class TestAnalysisFunctions:
                 fault_speed_efficiency=1.0, psi=psi,
             )
 
-        assert psi_is_monotone_nonincreasing(
+        assert check_sweep_invariants(
             [row(0.0, 1.0), row(0.2, 0.8), row(0.4, 0.8)]
-        )
-        assert not psi_is_monotone_nonincreasing(
+        ) == []
+        assert [v.kind for v in check_sweep_invariants(
             [row(0.0, 0.8), row(0.2, 0.9)]
-        )
+        )] == ["monotonicity"]
 
 
 class TestFaultyRun:
@@ -177,6 +177,74 @@ class TestFaultyRun:
             run_app_under_faults("ge", cluster, 120, schedule)
 
 
+def _crash_and_slowdown(cluster, n):
+    """A schedule with injector state to replay: events and downtime."""
+    t = run_app_under_faults(
+        "ge", cluster, n, FaultSchedule(), baseline=False
+    ).makespan
+    return FaultSchedule((
+        NodeSlowdown(rank=0, onset=0.0, duration=None, severity=0.3),
+        NodeCrash(rank=1, at=0.3 * t, restart_delay=0.1 * t),
+    ))
+
+
+def _events(faulty):
+    return [(e.time, e.rank, e.kind, e.detail) for e in faulty.injector.events]
+
+
+class TestExecutorPath:
+    """Baseline and faulted runs go through one SweepExecutor batch."""
+
+    def test_cached_executor_replays_bit_identically(self, tmp_path):
+        cluster = ge_configuration(2)
+        schedule = _crash_and_slowdown(cluster, 120)
+        direct = run_app_under_faults("ge", cluster, 120, schedule)
+        for want in ({"hits": 0, "misses": 2}, {"hits": 2, "misses": 0}):
+            executor = SweepExecutor(cache=RunCache(tmp_path / "cache"))
+            faulty = run_app_under_faults(
+                "ge", cluster, 120, schedule, executor=executor
+            )
+            assert executor.cache_stats() == want
+            assert faulty.psi == direct.psi
+            assert faulty.makespan == direct.makespan
+            assert _events(faulty) == _events(direct)
+            assert faulty.injector.downtime == direct.injector.downtime
+            assert faulty.injector.messages_dropped == \
+                direct.injector.messages_dropped
+        assert direct.injector.events and direct.injector.downtime
+
+    def test_compute_efficiency_override_is_honored(self, tmp_path):
+        # f travels with the run record: psi, the FaultyRun view and the
+        # ledger's Theorem-1 metrics all use the override, cold and warm.
+        cluster = ge_configuration(2)
+        schedule = uniform_slowdown(cluster.nranks, 0.3)
+        direct = run_app_under_faults(
+            "ge", cluster, 60, schedule, compute_efficiency=0.3
+        )
+        work = direct.faulted.measurement.work
+        assert direct.compute_efficiency == 0.3
+        assert direct.psi == degraded_psi(
+            work, direct.marked.total, direct.baseline.run.makespan,
+            direct.makespan, compute_efficiency=0.3,
+        )
+        ledger = RunLedger(tmp_path / "ledger")
+        with ledger_recording(ledger):
+            for _ in ("cold", "warm"):
+                faulty = run_app_under_faults(
+                    "ge", cluster, 60, schedule, compute_efficiency=0.3,
+                    executor=SweepExecutor(cache=RunCache(tmp_path / "c")),
+                )
+                assert faulty.compute_efficiency == 0.3
+                assert faulty.psi == direct.psi
+                faulty.to_ledger(ledger)
+        entries = ledger.history()
+        assert len(entries) == 6  # 2 runs + 1 fault record, twice
+        ideal = work / (0.3 * direct.marked.total)
+        for entry in entries:
+            metrics = ledger.load(entry.run_id)["metrics"]
+            assert metrics["theorem1_ideal_compute"] == pytest.approx(ideal)
+
+
 class TestSlowdownSweep:
     @pytest.fixture(scope="class")
     def rows(self):
@@ -187,7 +255,8 @@ class TestSlowdownSweep:
         )
 
     def test_psi_monotone_nonincreasing(self, rows):
-        assert psi_is_monotone_nonincreasing(rows)
+        assert not any(v.kind == "monotonicity"
+                       for v in check_sweep_invariants(rows))
 
     def test_zero_severity_anchor(self, rows):
         assert rows[0].psi == pytest.approx(1.0)

@@ -10,8 +10,7 @@ from repro.fuzz import (
     violation_kinds,
 )
 
-FAST = CheckConfig(trace=True, monotonicity_factors=(0.5,),
-                   bit_identity=False)
+FAST = CheckConfig(monotonicity_factors=(0.5,), bit_identity=False)
 
 SMALL_SPACE = ScenarioSpace(
     apps=("ge", "mm"), max_ranks=5, max_slowdowns=2,

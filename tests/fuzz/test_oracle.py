@@ -4,19 +4,21 @@ import json
 
 import pytest
 
+from repro.faults.analysis import FaultSweepRow
 from repro.faults.schedule import FaultSchedule, NodeSlowdown
 from repro.fuzz import (
     CheckConfig,
     Scenario,
     check_bit_identity,
+    check_invariants,
     check_scenario,
+    check_sweep_invariants,
     dump_violation,
     run_scenario,
 )
 
 #: Trace + one monotonicity probe, no process pool -- the per-test budget.
-FAST = CheckConfig(trace=True, monotonicity_factors=(0.5,),
-                   bit_identity=False)
+FAST = CheckConfig(monotonicity_factors=(0.5,), bit_identity=False)
 
 
 def mild_schedule(nranks):
@@ -113,6 +115,44 @@ class TestCheckScenario:
         json.dumps(payload)  # must not raise
         assert payload["ok"] is True
         assert payload["scenario_hash"] == clean_scenario.scenario_hash()
+
+
+def forged_row(psi=0.9, makespan=1.0, baseline=1.0):
+    return FaultSweepRow(
+        severity=0.2, baseline_makespan=baseline, makespan=makespan,
+        c_eff=1.0, speed_efficiency=1.0, fault_speed_efficiency=1.0,
+        psi=psi,
+    )
+
+
+class TestOnePredicatePerProperty:
+    """Run, scenario and sweep checks report a property the same way."""
+
+    def test_forged_psi_is_psi_bounds_everywhere(self, clean_scenario):
+        run = run_scenario(clean_scenario, baseline=False).faulted.run
+        assert [v.kind for v in check_invariants(run, psi=1.7)] == \
+            ["psi-bounds"]
+        assert [v.kind for v in check_sweep_invariants(
+            [forged_row(psi=1.7)]
+        )] == ["psi-bounds"]
+
+    def test_faster_than_baseline_is_monotonicity_everywhere(
+        self, clean_scenario, time_warp_wrapper
+    ):
+        assert [v.kind for v in check_sweep_invariants(
+            [forged_row(makespan=0.5)]
+        )] == ["monotonicity"]
+        warped = Scenario(
+            app=clean_scenario.app, n=clean_scenario.n,
+            cluster=clean_scenario.cluster,
+            schedule=mild_schedule(clean_scenario.nranks),
+            network_wrapper=time_warp_wrapper,
+        )
+        report = check_scenario(warped, CheckConfig(monotonicity_factors=()))
+        assert report.makespan < report.baseline_makespan
+        dominance = [v for v in report.violations
+                     if "baseline_makespan" in v.context]
+        assert [v.kind for v in dominance] == ["monotonicity"]
 
 
 class TestBitIdentity:

@@ -134,9 +134,11 @@ class TestScenario:
         {"schedule": None},
         {"schedule": [1]},
         {"schedule": {"events": [{"type": "meteor"}]}},
+        {"network_wrapper": 3},
+        {"network_wrapper": False},
     ], ids=["no-app", "n-str", "n-fraction", "n-float", "seed-str", "cluster-list",
             "group-no-count", "count-fraction", "no-schedule",
-            "schedule-list", "unknown-event"])
+            "schedule-list", "unknown-event", "wrapper-int", "wrapper-bool"])
     def test_malformed_payload_raises_scenario_error(self, tiny_cluster,
                                                      change):
         payload = Scenario(app="ge", n=16, cluster=tiny_cluster).to_payload()

@@ -17,8 +17,7 @@ from repro.fuzz import (
     shrink_scenario,
 )
 
-FAST = CheckConfig(trace=True, monotonicity_factors=(0.5,),
-                   bit_identity=False)
+FAST = CheckConfig(monotonicity_factors=(0.5,), bit_identity=False)
 
 
 def big_scenario(wrapper=None):
