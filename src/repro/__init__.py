@@ -18,8 +18,8 @@ together with every substrate its evaluation depends on:
   matrix multiplication with heterogeneous data distributions.
 * :mod:`repro.obs` -- run observability: metrics registry, Chrome-trace
   export, per-rank utilization / imbalance / overhead / critical-path
-  analyzers, the ``repro profile`` engine, structured JSONL run logging,
-  and the persistent run ledger (``repro history``).
+  analyzers, the ``repro profile`` engine, the sweep heartbeat and
+  the persistent run ledger (``repro history``).
 * :mod:`repro.overhead` -- machine-parameter fitting and overhead models.
 * :mod:`repro.faults` -- deterministic fault injection (slowdowns, crashes,
   link degradation, message loss) and scalability-under-faults analysis:

@@ -47,7 +47,7 @@ from ..core.marked_speed import SystemMarkedSpeed
 from ..machine.cluster import ClusterSpec
 from ..mpi.communicator import CollectiveConfig
 from ..obs.spans import Span, wall_now
-from ..obs.streaming import summarize_rank_stats
+from ..obs.streaming import summarize_rank_stats, warn
 from ..obs.telemetry import BUSY_PHASES, ROOT_SPAN, SweepTimeline
 from ..sim.engine import RunResult
 from ..sim.trace import RankStats, RankStatsArray
@@ -364,7 +364,7 @@ def _pool_worker(
     telemetry is off.  With a cache entry the worker appends it to its
     own segment (:func:`~repro.experiments.runcache.append_entry`, the
     handle kept across tasks) before returning; ``ok`` is ``False`` only
-    when that write failed (the parent logs it).  With a timestamp the worker
+    when that write failed (the parent warns).  With a timestamp the worker
     records a ``queue_wait`` span from it (pickle + queue +
     wait-for-free-worker latency), an ``engine_run`` span around the
     simulation, a ``serialize`` span around payload building and a
@@ -424,6 +424,8 @@ class SweepExecutor:
     replayed record cannot produce a trace.  (The trace-collector case
     is surfaced with a one-time ``sweep.trace_serial_fallback`` warning
     when ``jobs > 1`` would otherwise suggest parallel execution.)
+    A failed cache write or sweep-ledger write is skipped, not raised,
+    and likewise warned about once per executor.
 
     Parallel batches run on the process-global
     :func:`~repro.experiments.pool.shared_pool` for ``jobs`` workers,
@@ -453,7 +455,6 @@ class SweepExecutor:
         self,
         jobs: int = 1,
         cache: RunCache | None = None,
-        log: Any = None,
         telemetry: bool = False,
         progress: Any = None,
     ):
@@ -461,13 +462,13 @@ class SweepExecutor:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
         self.cache = cache
-        self.log = log
         self.telemetry = bool(telemetry)
         self.progress = progress
         #: The pool used by the most recent parallel batch (tests and
         #: the CLI's profile report read ``pool.spawns`` off it).
         self.pool: WorkerPool | None = None
-        self._warned_trace_serial = False
+        #: Events already warned about (each warns once per executor).
+        self._warned: set[str] = set()
         self.timeline: SweepTimeline | None = None
         self._setup_spans: list[Span] = []
         #: Managed-mode cache hits and misses over this executor's life.
@@ -498,7 +499,6 @@ class SweepExecutor:
         ledger.record_run(
             point.app, point.cluster, record, source="run",
             extra_metrics={"cache_hit": 1.0 if cache_hit else 0.0},
-            log=self.log,
         )
 
     # -- telemetry ---------------------------------------------------------
@@ -551,11 +551,10 @@ class SweepExecutor:
                         len(points) - timeline.cache_hits
                     ),
                 },
-                log=self.log,
             )
-        except OSError:
-            if self.log is not None:
-                self.log.event("sweep.telemetry_ledger_failed")
+        except OSError as exc:
+            self._warn_once("sweep.telemetry_ledger_failed",
+                            ledger=ledger.root, error=exc)
 
     # -- execution ---------------------------------------------------------
     def run_points(self, points: Sequence[SweepPoint]) -> list[RunRecord]:
@@ -673,7 +672,7 @@ class SweepExecutor:
                     try:
                         self.cache.put(keys[idx], payload)
                     except OSError:
-                        self._write_failed(keys[idx])
+                        self._write_failed()
 
         if not managed:
             return results
@@ -696,7 +695,7 @@ class SweepExecutor:
 
         With a cache attached each task carries its point's key and the
         worker writes the entry; a write the worker reports failed is
-        logged here.  With telemetry, submits are timestamped, shipped
+        warned about here.  With telemetry, submits are timestamped, shipped
         worker spans collected, and a parent ``collect`` span covers the
         last result's trip back from its worker.  A cold batch records a
         parent ``spawn`` span around the pool handle creation (workers
@@ -743,7 +742,7 @@ class SweepExecutor:
                         if d["name"] in BUSY_PHASES
                     ))
             if not ok:
-                self._write_failed(key)
+                self._write_failed()
             self._tick()
             payloads.append(payload)
         if timeline is not None:
@@ -755,21 +754,17 @@ class SweepExecutor:
             timeline.parent.add("collect", min(last_shipped, now), now)
         return payloads
 
+    def _warn_once(self, event: str, **fields: Any) -> None:
+        if event not in self._warned:
+            self._warned.add(event)
+            warn(event, **fields)
+
     def _warn_trace_serial(self, npoints: int) -> None:
         """Explain (once) why a ``--jobs`` sweep went serial: an active
         :class:`~repro.experiments.runner.TraceCollector` needs every
         run's tracer in-process, which neither a worker nor a cached
         replay can provide."""
-        if self._warned_trace_serial:
-            return
-        self._warned_trace_serial = True
-        log = self.log
-        if log is None:
-            from ..obs.structlog import stderr_logger
-
-            log = stderr_logger()
-        log.warn_once(
-            "sweep.trace_serial_fallback",
+        self._warn_once(
             "sweep.trace_serial_fallback",
             jobs=self.jobs,
             points=npoints,
@@ -779,9 +774,10 @@ class SweepExecutor:
             ),
         )
 
-    def _write_failed(self, key: str) -> None:
-        if self.log is not None:
-            self.log.event("sweep.cache_write_failed", key=key)
+    def _write_failed(self) -> None:
+        """A cache entry could not be written: the point's record is
+        still returned, only its replay is lost."""
+        self._warn_once("sweep.cache_write_failed", cache=self.cache.root)
 
 
 #: Shared no-op context: span sites with telemetry off, and the serial

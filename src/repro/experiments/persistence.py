@@ -1,22 +1,21 @@
-"""Saving and loading study results as JSON.
+"""Versioned JSON documents and the measurement encoding.
 
-The paper-scale GE study simulates ~40M events; persisting its
-iso-efficient points lets benches, notebooks and the CLI reuse them
-without re-simulation.  The format is a plain versioned JSON document so
-results are diffable and survive library upgrades gracefully (unknown
-fields are ignored; a major-version mismatch raises).
+Every persisted artifact (run records, profile metrics, fault
+schedules, fuzz scenarios and corpus cases) is a plain versioned JSON
+document, so results are diffable and survive library upgrades
+gracefully (unknown fields are ignored; a version mismatch raises).
+The run cache stores measurements in the :func:`measurement_to_dict`
+form.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any
 
-from ..core.types import Measurement, MetricError, ScalabilityCurve, ScalabilityPoint
-from .tables import RequiredRankRow
+from ..core.types import Measurement, MetricError
 
 FORMAT_VERSION = 1
 
@@ -31,7 +30,7 @@ def write_json_document(
 ) -> None:
     """Write a versioned JSON document of the given ``kind``.
 
-    All persisted artifacts (studies, profile metrics, run records, ...)
+    All persisted artifacts (profile metrics, run records, ...)
     share this envelope: ``format_version`` + ``kind`` + ``metadata`` +
     the payload's own keys, so readers can validate without knowing every
     format.  ``metadata`` is automatically stamped with ``created_utc``
@@ -105,88 +104,3 @@ def measurement_from_dict(data: dict[str, Any]) -> Measurement:
         label=data.get("label", ""),
         extra=data.get("extra", {}),
     )
-
-
-def row_to_dict(row: RequiredRankRow) -> dict[str, Any]:
-    return {
-        "nodes": row.nodes,
-        "nranks": row.nranks,
-        "rank_n": row.rank_n,
-        "workload": row.workload,
-        "marked_speed": row.marked_speed,
-        "efficiency": row.efficiency,
-        "measurement": measurement_to_dict(row.measurement),
-    }
-
-
-def row_from_dict(data: dict[str, Any]) -> RequiredRankRow:
-    return RequiredRankRow(
-        nodes=data["nodes"],
-        nranks=data["nranks"],
-        rank_n=data["rank_n"],
-        workload=data["workload"],
-        marked_speed=data["marked_speed"],
-        efficiency=data["efficiency"],
-        measurement=measurement_from_dict(data["measurement"]),
-    )
-
-
-def curve_to_dict(curve: ScalabilityCurve) -> dict[str, Any]:
-    return {
-        "metric": curve.metric,
-        "points": [asdict(point) for point in curve.points],
-    }
-
-
-def curve_from_dict(data: dict[str, Any]) -> ScalabilityCurve:
-    return ScalabilityCurve(
-        metric=data["metric"],
-        points=tuple(ScalabilityPoint(**point) for point in data["points"]),
-    )
-
-
-# -- study documents ----------------------------------------------------------
-
-def save_study(
-    path: str | Path,
-    rows: list[RequiredRankRow],
-    metadata: dict[str, Any] | None = None,
-) -> None:
-    """Write a required-rank study to a JSON document."""
-    write_json_document(
-        path,
-        kind="required-rank-study",
-        payload={"rows": [row_to_dict(row) for row in rows]},
-        metadata=metadata,
-    )
-
-
-def load_study(path: str | Path) -> tuple[list[RequiredRankRow], dict[str, Any]]:
-    """Read a study back; returns (rows, metadata)."""
-    document = read_json_document(path, kind="required-rank-study")
-    rows = [row_from_dict(entry) for entry in document["rows"]]
-    return rows, document.get("metadata", {})
-
-
-def load_or_compute_study(
-    path: str | Path,
-    compute,
-    metadata: dict[str, Any] | None = None,
-    refresh: bool = False,
-) -> list[RequiredRankRow]:
-    """Memoize an expensive study on disk.
-
-    ``compute`` is a zero-argument callable returning the rows; it runs
-    only when the file is absent, unreadable, or ``refresh`` is set.
-    """
-    path = Path(path)
-    if not refresh and path.exists():
-        try:
-            rows, _ = load_study(path)
-            return rows
-        except MetricError:
-            pass  # fall through and recompute
-    rows = compute()
-    path.parent.mkdir(parents=True, exist_ok=True)
-    save_study(path, rows, metadata=metadata)
-    return rows

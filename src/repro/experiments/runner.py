@@ -35,6 +35,7 @@ from ..core.types import Measurement
 from ..machine.cluster import ClusterSpec
 from ..mpi.communicator import CollectiveConfig, mpi_run
 from ..npb.runner import measure_cluster
+from ..obs.streaming import warn
 from ..sim.engine import RunResult
 from ..sim.trace import Tracer
 
@@ -81,14 +82,14 @@ class TraceCollector:
 
     Each tracer stops *storing* records at ``limit`` but keeps counting;
     :attr:`dropped` totals the overflow across runs and
-    :meth:`warn_if_dropped` surfaces it once through the structured
-    logger, so a truncated trace is never silent.
+    :meth:`warn_if_dropped` prints it once as a stderr warning, so a
+    truncated trace is never silent.
     """
 
-    def __init__(self, limit: int = 1_000_000, log: Any = None):
+    def __init__(self, limit: int = 1_000_000):
         self.limit = limit
-        self.log = log
         self.runs: list[TraceRun] = []
+        self._warned = False
 
     def tracer_for(self, label: str) -> Tracer:
         """Create, register and return the tracer for one labelled run."""
@@ -102,22 +103,13 @@ class TraceCollector:
         return sum(run.tracer.dropped for run in self.runs)
 
     def warn_if_dropped(self) -> int:
-        """Emit a once-per-collector structured warning when records were
-        dropped; returns the dropped count."""
+        """Warn (once per collector) when records were dropped; returns
+        the dropped count."""
         dropped = self.dropped
-        if dropped:
-            log = self.log
-            if log is None:
-                from ..obs.structlog import stderr_logger
-
-                log = self.log = stderr_logger()
-            log.warn_once(
-                "trace.records_dropped",
-                "trace.records_dropped",
-                dropped=dropped,
-                limit=self.limit,
-                runs=len(self.runs),
-            )
+        if dropped and not self._warned:
+            self._warned = True
+            warn("trace.records_dropped", dropped=dropped,
+                 limit=self.limit, runs=len(self.runs))
         return dropped
 
 
@@ -135,7 +127,7 @@ def collect_traces(
     ``tracer=`` when it passes one, a fresh one otherwise.  Yields
     the collector (a new one when none is given).  Reentrant: the previous
     collector is restored on exit.  On exit the collector warns (once,
-    via the structured logger) when any run overflowed its trace limit.
+    on stderr) when any run overflowed its trace limit.
     """
     global _ACTIVE_COLLECTOR
     active = collector if collector is not None else TraceCollector()

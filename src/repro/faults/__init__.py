@@ -36,7 +36,6 @@ from .analysis import (
 from .errors import (
     FaultError,
     FaultScheduleError,
-    MessageLostError,
     RankFailedError,
 )
 from .injection import FaultInjector, FaultTraceEvent, faulty_program_factory
@@ -75,7 +74,6 @@ __all__ = [
     "FaultyRun",
     "LinkDegradation",
     "MessageLoss",
-    "MessageLostError",
     "NodeCrash",
     "NodeSlowdown",
     "RankFailedError",

@@ -1,4 +1,4 @@
-"""Exception types for the fault-injection and resilience subsystem."""
+"""Exception types for the fault-injection subsystem."""
 
 from __future__ import annotations
 
@@ -23,19 +23,6 @@ class RankFailedError(FaultError):
         self.rank = rank
         self.at = at
         super().__init__(f"rank {rank} failed at t={at:g}s")
-
-
-class MessageLostError(FaultError):
-    """Raised by reliable transfer primitives after retries are exhausted."""
-
-    def __init__(self, dst: int, tag: int, attempts: int):
-        self.dst = dst
-        self.tag = tag
-        self.attempts = attempts
-        super().__init__(
-            f"no acknowledgement from rank {dst} (tag={tag}) "
-            f"after {attempts} attempts"
-        )
 
 
 class FaultScheduleError(FaultError):

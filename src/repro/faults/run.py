@@ -198,7 +198,6 @@ class FaultyRun:
     def to_ledger(
         self,
         ledger: Any = None,
-        log: Any = None,
         source: str = "faults",
         extra_metrics: dict[str, float] | None = None,
     ) -> str:
@@ -228,7 +227,6 @@ class FaultyRun:
                 "profile_hash": self.fault_profile_hash,
                 "schedule": self.schedule.to_payload(),
             },
-            log=log,
         )
 
 

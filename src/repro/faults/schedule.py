@@ -362,12 +362,6 @@ class FaultSchedule:
             )
         return self
 
-    def without_crashes(self) -> "FaultSchedule":
-        """The same schedule minus crash events (used by resilient_run)."""
-        return FaultSchedule(tuple(
-            e for e in self.events if not isinstance(e, NodeCrash)
-        ))
-
     def scaled(self, factor: float) -> "FaultSchedule":
         """The same schedule with every event's *severity* scaled.
 

@@ -69,7 +69,6 @@ def fuzz_campaign(
     network_wrapper: str | None = None,
     corpus_dir: str | Path | None = None,
     artifacts_dir: str | Path = ".repro/fuzz",
-    log: Any = None,
 ) -> CampaignResult:
     """Run a seeded fuzz campaign; deterministic for fixed arguments.
 
@@ -101,13 +100,6 @@ def fuzz_campaign(
             cfg = replace(base_config, bit_identity=True)
         report = check_scenario(scenario, cfg, executor=executor)
         result.reports.append(report)
-        if log is not None:
-            log.info(
-                "fuzz.scenario",
-                scenario.describe(),
-                index=index, ok=report.ok,
-                violations=len(report.violations),
-            )
         if report.ok:
             continue
         result.violating.append(report)

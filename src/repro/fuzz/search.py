@@ -29,6 +29,7 @@ from ..faults.schedule import (
     NodeCrash,
     NodeSlowdown,
 )
+from ..obs.streaming import warn
 from ..sim.errors import SimulationError
 from .errors import FuzzError
 from .generator import ScenarioSpace, estimate_horizon
@@ -276,7 +277,6 @@ def attack(
     start: FaultSchedule | None = None,
     space: ScenarioSpace | None = None,
     executor: Any = None,
-    log: Any = None,
 ) -> AttackResult:
     """Hill-climb toward the worst ψ attainable within ``budget``.
 
@@ -285,7 +285,8 @@ def attack(
     (the resilience curve passes each budget's optimum to the next).
     Fully deterministic for fixed arguments: draws come from a private
     ``random.Random`` and simulation is bit-reproducible, so the found
-    worst case replays exactly.
+    worst case replays exactly.  A candidate the engine rejects is
+    skipped; the first one per attack prints a warning.
     """
     if budget <= 0:
         raise FuzzError(f"attack budget must be positive, got {budget}")
@@ -300,6 +301,7 @@ def attack(
     mutator = _Mutator(space, horizon, cluster.nranks)
 
     evaluations = 0
+    crashed = False
 
     def evaluate(schedule: FaultSchedule):
         nonlocal evaluations
@@ -351,11 +353,10 @@ def attack(
         try:
             faulty = evaluate(candidate)
         except SimulationError as exc:
-            if log is not None:
-                log.warning(
-                    "fuzz.attack.candidate_crashed",
-                    move=move, error=str(exc),
-                )
+            if not crashed:
+                crashed = True
+                warn("fuzz.attack.candidate_crashed", move=move,
+                     error=exc)
             continue
         psi = faulty.psi
         score = (1.0 - psi) / max(cost, _EPS_COST)
@@ -386,7 +387,6 @@ def resilience_curve(
     seed: int = 0,
     space: ScenarioSpace | None = None,
     executor: Any = None,
-    log: Any = None,
 ) -> list[AttackResult]:
     """Worst-case ψ per injected-cost budget (ascending warm-started grid).
 
@@ -402,7 +402,7 @@ def resilience_curve(
         result = attack(
             app, cluster, n,
             budget=budget, iterations=iterations, seed=seed + index,
-            start=previous, space=space, executor=executor, log=log,
+            start=previous, space=space, executor=executor,
         )
         results.append(result)
         previous = result.scenario.schedule
@@ -414,7 +414,6 @@ def attack_to_ledger(
     ledger: Any = None,
     *,
     executor: Any = None,
-    log: Any = None,
 ) -> str:
     """Record an attack optimum as a ``source="attack"`` ledger run.
 
@@ -426,7 +425,6 @@ def attack_to_ledger(
     faulty = run_scenario(result.scenario, executor=executor)
     return faulty.to_ledger(
         ledger,
-        log=log,
         source="attack",
         extra_metrics={
             "attack_budget": result.budget,

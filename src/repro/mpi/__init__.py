@@ -4,17 +4,8 @@ from .collectives import COLLECTIVE_TAG_BASE
 from .communicator import CollectiveConfig, Comm, MPIProgram, mpi_run
 from .datatypes import DOUBLE, ENVELOPE, INT, doubles, matrix_bytes, nbytes_of
 from .errors import CollectiveError, MPIError, RankError
-from .resilience import (
-    ACK_NBYTES,
-    ResilientRunResult,
-    default_checkpoint_cost,
-    reliable_recv,
-    reliable_send,
-    resilient_run,
-)
 
 __all__ = [
-    "ACK_NBYTES",
     "COLLECTIVE_TAG_BASE",
     "CollectiveConfig",
     "CollectiveError",
@@ -25,13 +16,8 @@ __all__ = [
     "MPIError",
     "MPIProgram",
     "RankError",
-    "ResilientRunResult",
-    "default_checkpoint_cost",
     "doubles",
     "matrix_bytes",
     "mpi_run",
     "nbytes_of",
-    "reliable_recv",
-    "reliable_send",
-    "resilient_run",
 ]

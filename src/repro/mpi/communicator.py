@@ -129,9 +129,8 @@ class Comm:
         """Blocking receive; returns the :class:`Message`.
 
         With ``timeout=`` (virtual seconds) the receive gives up after that
-        long without a matching message and returns ``None`` instead -- the
-        building block for the retry/backoff primitives in
-        :mod:`repro.mpi.resilience`.
+        long without a matching message and returns ``None`` instead, so a
+        rank can outlive a crashed peer or a lost message.
         """
         self._check_peer(src, wildcard_ok=True)
         self._check_user_tag(tag)

@@ -15,8 +15,6 @@ simulated run:
   trace's compute/send/recv dependencies.
 * :mod:`repro.obs.profiler` — the ``repro profile <app>`` engine room:
   one traced run, its metrics, every analyzer, three artifacts on disk.
-* :mod:`repro.obs.structlog` — run-scoped structured JSONL event logging
-  for sweep, ledger and trace-collector warnings.
 * :mod:`repro.obs.ledger` — the persistent run ledger: every recorded run
   becomes a versioned JSON document plus an append-only index line, with
   git SHA / platform / cluster-hash provenance (``repro history``).
@@ -28,8 +26,10 @@ simulated run:
   phase coverage, worker utilization).
 * :mod:`repro.obs.streaming` — per-run :func:`summarize_rank_stats`
   rank summaries (exact p50/p90/p99 of per-rank utilization, idle time
-  and flops), a windowed :class:`RateMeter` and the
-  :class:`ProgressReporter` sweep heartbeat (``--progress``).
+  and flops), a windowed :class:`RateMeter`, the
+  :class:`ProgressReporter` sweep heartbeat (``--progress``) and
+  :func:`warn`, the one-line stderr warning of sweeps, trace collectors
+  and the adversarial search.
 
 The engine itself is observed only through its two record stores,
 :class:`~repro.sim.trace.Tracer` and
@@ -55,7 +55,7 @@ from .chrome_trace import (
     write_telemetry_trace,
 )
 from .spans import Span, SpanRecorder, wall_now
-from .streaming import ProgressReporter, RateMeter, summarize_rank_stats
+from .streaming import ProgressReporter, RateMeter, summarize_rank_stats, warn
 from .telemetry import (
     PHASES,
     SweepTimeline,
@@ -82,7 +82,6 @@ from .ledger import (
     git_sha,
 )
 from .profiler import ProfileReport, build_report, profile_app, write_report
-from .structlog import StructLogger, stderr_logger
 
 __all__ = [
     "BYTES_BUCKETS",
@@ -103,7 +102,6 @@ __all__ = [
     "RunLedger",
     "Span",
     "SpanRecorder",
-    "StructLogger",
     "SweepTimeline",
     "WorkerTelemetry",
     "build_report",
@@ -120,10 +118,10 @@ __all__ = [
     "profile_app",
     "rank_utilization",
     "run_metrics",
-    "stderr_logger",
     "summarize_rank_stats",
     "telemetry_trace_events",
     "wall_now",
+    "warn",
     "worker_telemetry",
     "write_chrome_trace",
     "write_report",

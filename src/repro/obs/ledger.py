@@ -41,7 +41,6 @@ if TYPE_CHECKING:  # avoid importing the experiments layer at module load
     from ..experiments.runner import RunRecord
     from ..machine.cluster import ClusterSpec
     from .profiler import ProfileReport
-    from .structlog import StructLogger
 
 #: Document kind of one persisted run record.
 RUN_RECORD_KIND = "run-record"
@@ -230,12 +229,7 @@ class RunLedger:
         self.index_path = self.root / "index.jsonl"
 
     # -- writing -----------------------------------------------------------
-    def _write(
-        self,
-        run_id: str,
-        payload: dict[str, Any],
-        log: "StructLogger | None" = None,
-    ) -> str:
+    def _write(self, run_id: str, payload: dict[str, Any]) -> str:
         from ..experiments.persistence import write_json_document
 
         self.runs_dir.mkdir(parents=True, exist_ok=True)
@@ -256,9 +250,6 @@ class RunLedger:
         }
         with self.index_path.open("a") as handle:
             handle.write(json.dumps(index_line, sort_keys=True) + "\n")
-        if log is not None:
-            log.event("ledger.recorded", run_id=run_id, source=payload["source"],
-                      ledger=str(self.root))
         return run_id
 
     def record_run(
@@ -269,7 +260,6 @@ class RunLedger:
         source: str = "run",
         extra_metrics: dict[str, float] | None = None,
         fault: dict[str, Any] | None = None,
-        log: "StructLogger | None" = None,
     ) -> str:
         """Persist one executed :class:`RunRecord`; returns the run id.
 
@@ -309,13 +299,12 @@ class RunLedger:
         }
         if fault is not None:
             payload["fault"] = fault
-        return self._write(run_id, payload, log=log)
+        return self._write(run_id, payload)
 
     def record_report(
         self,
         report: "ProfileReport",
         cluster: "ClusterSpec",
-        log: "StructLogger | None" = None,
     ) -> str:
         """Persist a ``repro profile`` report, reusing its analyzer results."""
         return self.record_run(
@@ -328,7 +317,6 @@ class RunLedger:
                 "trace_records": float(len(report.tracer.records)),
                 "trace_dropped": float(report.tracer.dropped),
             },
-            log=log,
         )
 
     def record_sweep(
@@ -337,7 +325,6 @@ class RunLedger:
         cluster: "ClusterSpec",
         timeline: Any,
         extra_metrics: dict[str, float] | None = None,
-        log: "StructLogger | None" = None,
     ) -> str:
         """Persist one sweep-level telemetry record (``source="sweep"``).
 
@@ -367,7 +354,7 @@ class RunLedger:
             "metrics": metrics,
             "telemetry": timeline.to_dict(),
         }
-        return self._write(run_id, payload, log=log)
+        return self._write(run_id, payload)
 
     # -- reading -----------------------------------------------------------
     def entries(self) -> Iterator[LedgerEntry]:

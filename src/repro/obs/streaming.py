@@ -7,6 +7,8 @@
 * :class:`RateMeter` — windowed events/s over explicit timestamps.
 * :class:`ProgressReporter` — the ``--progress`` heartbeat for
   :class:`~repro.experiments.executor.SweepExecutor`.
+* :func:`warn` — the one ``warning: <event> key=value ...`` stderr line
+  of sweeps, trace collectors and the adversarial search.
 
 The rank summary is computed from the per-rank values the run already
 holds in memory, so its numbers are exact rather than estimated.  The
@@ -29,7 +31,18 @@ __all__ = [
     "RateMeter",
     "summarize_rank_stats",
     "ProgressReporter",
+    "warn",
 ]
+
+
+def warn(event: str, **fields: Any) -> None:
+    """Print ``warning: <event> key=value ...`` to the current stderr.
+
+    The caller owns deduplication: each warning fires once per owner
+    (collector, executor, attack), decided where it is raised.
+    """
+    detail = "".join(f" {key}={value}" for key, value in fields.items())
+    print(f"warning: {event}{detail}", file=sys.stderr, flush=True)
 
 
 class RateMeter:
@@ -188,9 +201,8 @@ class ProgressReporter:
     commands).  The executor calls :meth:`begin` with the point count,
     :meth:`point_done` as each point lands (cache hits included), and
     :meth:`note_busy_seconds` with worker busy-phase span seconds from
-    the PR 6 telemetry stream; the reporter prints a rate-limited
-    heartbeat line to ``stream`` and mirrors each heartbeat into the
-    structured log when one is attached.
+    the sweep telemetry stream; the reporter prints a rate-limited
+    heartbeat line to ``stream``.
 
     ETA comes from the :class:`RateMeter` window, so it tracks the
     *current* completion rate (cache-hit bursts and slow tail points
@@ -198,7 +210,7 @@ class ProgressReporter:
     """
 
     __slots__ = (
-        "stream", "interval", "log", "label", "total", "done", "hits",
+        "stream", "interval", "label", "total", "done", "hits",
         "_rate", "_clock", "_started", "_last_emit", "_busy_seconds",
         "_workers", "lines",
     )
@@ -207,13 +219,11 @@ class ProgressReporter:
         self,
         stream: TextIO | None = None,
         interval: float = 1.0,
-        log: Any = None,
         clock: Callable[[], float] | None = None,
         window: float = 30.0,
     ):
         self.stream = stream if stream is not None else sys.stderr
         self.interval = interval
-        self.log = log
         self.label = "sweep"
         self.total = 0
         self.done = 0
@@ -293,19 +303,6 @@ class ProgressReporter:
         line = " | ".join(parts)
         print(line, file=self.stream, flush=True)
         self.lines += 1
-
-        if self.log is not None:
-            self.log.event(
-                "sweep.progress",
-                label=self.label,
-                done=self.done,
-                total=self.total,
-                rate_per_second=rate,
-                eta_seconds=eta,
-                cache_hit_rate=self.cache_hit_rate,
-                worker_utilization=utilization,
-                final=final,
-            )
 
 
 def _format_seconds(seconds: float) -> str:

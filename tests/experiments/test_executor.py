@@ -557,34 +557,58 @@ class TestWorkerCacheWrites:
         assert len(calls) == len(points)
 
     def test_failed_worker_write_still_returns_record(
-        self, ge2_cluster, tmp_path
+        self, ge2_cluster, tmp_path, capsys
     ):
-        from repro.obs.structlog import StructLogger
-
         # A cache root that is a regular file: creating it as a
         # directory raises FileExistsError, an OSError, in every writer.
         root = tmp_path / "not-a-dir"
         root.write_text("")
-        log = StructLogger()
         points = [SweepPoint.make("ge", ge2_cluster, n) for n in (60, 70, 80)]
-        exe = SweepExecutor(jobs=2, cache=RunCache(root), log=log)
+        exe = SweepExecutor(jobs=2, cache=RunCache(root))
         out = exe.run_points(points)
         serial = SweepExecutor().run_points(points)
         assert [record_signature(r) for r in out] == [
             record_signature(r) for r in serial
         ]
-        failed = [e for e in log.events
-                  if e["event"] == "sweep.cache_write_failed"]
-        assert sorted(e["key"] for e in failed) == sorted(
-            point_profile_hash(p) for p in points
-        )
         assert root.read_text() == ""
-        # The serial path logs its failed writes the same way.
-        log.events.clear()
-        SweepExecutor(cache=RunCache(root), log=log).run_points(points[:1])
-        assert [e["key"] for e in log.events
-                if e["event"] == "sweep.cache_write_failed"] == [
-            point_profile_hash(points[0])]
+        # Three failed worker writes, one warning naming the cache.
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: sweep.cache_write_failed cache={root}"
+        ]
+        # The serial path warns about its failed writes the same way.
+        SweepExecutor(cache=RunCache(root)).run_points(points[:2])
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: sweep.cache_write_failed cache={root}"
+        ]
+
+    def test_cache_write_warning_is_once_per_executor(
+        self, ge2_cluster, tmp_path, capsys
+    ):
+        root = tmp_path / "not-a-dir"
+        root.write_text("")
+        exe = SweepExecutor(cache=RunCache(root))
+        exe.run_points([SweepPoint.make("ge", ge2_cluster, 60)])
+        assert "sweep.cache_write_failed" in capsys.readouterr().err
+        exe.run_points([SweepPoint.make("ge", ge2_cluster, 70)])
+        assert capsys.readouterr().err == ""
+
+    def test_telemetry_ledger_failure_warns_once(
+        self, ge2_cluster, tmp_path, capsys, monkeypatch
+    ):
+        def unwritable(*args, **kwargs):
+            raise OSError("disk full")
+
+        ledger = RunLedger(tmp_path / "ledger")
+        monkeypatch.setattr(ledger, "record_sweep", unwritable)
+        exe = SweepExecutor(cache=fresh_cache(tmp_path), telemetry=True)
+        with ledger_recording(ledger):
+            exe.run_points([SweepPoint.make("ge", ge2_cluster, 60)])
+            assert capsys.readouterr().err.splitlines() == [
+                "warning: sweep.telemetry_ledger_failed "
+                f"ledger={ledger.root} error=disk full"
+            ]
+            exe.run_points([SweepPoint.make("ge", ge2_cluster, 70)])
+            assert capsys.readouterr().err == ""
 
     def test_old_per_file_entry_is_miss_not_error(
         self, ge2_cluster, tmp_path

@@ -1,32 +1,14 @@
-"""Tests for JSON persistence of study results."""
+"""Tests for versioned JSON documents and the measurement encoding."""
 
 import json
 
 import pytest
 
-from repro.core.types import Measurement, MetricError, ScalabilityPoint
-from repro.core.types import ScalabilityCurve
+from repro.core.types import Measurement, MetricError
 from repro.experiments.persistence import (
-    curve_from_dict,
-    curve_to_dict,
-    load_or_compute_study,
-    load_study,
     measurement_from_dict,
     measurement_to_dict,
-    save_study,
 )
-from repro.experiments.tables import RequiredRankRow
-
-
-def make_row(nodes=2, rank_n=344, c=1.75e8):
-    measurement = Measurement(
-        work=2.7e7, time=0.51, marked_speed=c, problem_size=rank_n,
-        label=f"ge-{nodes}",
-    )
-    return RequiredRankRow(
-        nodes=nodes, nranks=nodes + 1, rank_n=rank_n, workload=2.7e7,
-        marked_speed=c, efficiency=0.3007, measurement=measurement,
-    )
 
 
 class TestMeasurementRoundTrip:
@@ -44,99 +26,6 @@ class TestMeasurementRoundTrip:
         )
         assert back.problem_size is None
         assert back.label == ""
-
-
-class TestCurveRoundTrip:
-    def test_round_trip(self):
-        curve = ScalabilityCurve(
-            metric="m",
-            points=(
-                ScalabilityPoint(
-                    c_from=1.0, c_to=2.0, work_from=1.0, work_to=3.0,
-                    psi=2 / 3, label_from="a", label_to="b",
-                ),
-            ),
-        )
-        back = curve_from_dict(curve_to_dict(curve))
-        assert back == curve
-
-
-class TestStudyFiles:
-    def test_save_and_load(self, tmp_path):
-        path = tmp_path / "study.json"
-        rows = [make_row(2), make_row(4, rank_n=843, c=2.85e8)]
-        save_study(path, rows, metadata={"target": 0.3})
-        loaded, metadata = load_study(path)
-        assert metadata["target"] == 0.3
-        assert [r.rank_n for r in loaded] == [344, 843]
-        assert loaded[0].measurement == rows[0].measurement
-
-    def test_document_is_stable_json(self, tmp_path):
-        path = tmp_path / "study.json"
-        save_study(path, [make_row()])
-        document = json.loads(path.read_text())
-        assert document["format_version"] == 1
-        assert document["kind"] == "required-rank-study"
-
-    def test_missing_file_rejected(self, tmp_path):
-        with pytest.raises(MetricError):
-            load_study(tmp_path / "absent.json")
-
-    def test_corrupt_file_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(MetricError):
-            load_study(path)
-
-    def test_version_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "future.json"
-        path.write_text(json.dumps({"format_version": 99, "kind": "x"}))
-        with pytest.raises(MetricError):
-            load_study(path)
-
-    def test_wrong_kind_rejected(self, tmp_path):
-        path = tmp_path / "other.json"
-        path.write_text(
-            json.dumps({"format_version": 1, "kind": "something-else"})
-        )
-        with pytest.raises(MetricError):
-            load_study(path)
-
-
-class TestMemoization:
-    def test_computes_once_then_reads(self, tmp_path):
-        path = tmp_path / "memo.json"
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return [make_row()]
-
-        first = load_or_compute_study(path, compute)
-        second = load_or_compute_study(path, compute)
-        assert len(calls) == 1
-        assert [r.rank_n for r in first] == [r.rank_n for r in second]
-
-    def test_refresh_forces_recompute(self, tmp_path):
-        path = tmp_path / "memo.json"
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return [make_row()]
-
-        load_or_compute_study(path, compute)
-        load_or_compute_study(path, compute, refresh=True)
-        assert len(calls) == 2
-
-    def test_corrupt_cache_recomputed(self, tmp_path):
-        path = tmp_path / "memo.json"
-        path.write_text("garbage")
-        rows = load_or_compute_study(path, lambda: [make_row()])
-        assert rows[0].rank_n == 344
-        # The cache is repaired on the way out.
-        loaded, _ = load_study(path)
-        assert loaded[0].rank_n == 344
 
 
 class TestDocumentEnvelope:

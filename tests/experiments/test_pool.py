@@ -30,7 +30,6 @@ from repro.experiments.pool import (
 )
 from repro.experiments.runner import collect_traces
 from repro.faults.schedule import uniform_slowdown
-from repro.obs.structlog import StructLogger
 
 from .test_executor import record_signature
 
@@ -233,28 +232,25 @@ class TestFairnessGuards:
 
 
 class TestTraceSerialWarning:
-    def test_warn_once_under_active_collector(self, ge2_cluster, tmp_path):
+    def test_warn_once_under_active_collector(self, ge2_cluster, tmp_path,
+                                              capsys):
         """A --jobs sweep under an active TraceCollector silently went
         serial; now it says so, exactly once."""
-        events: list[dict] = []
-        log = StructLogger(sink=events)
-        exe = SweepExecutor(jobs=2, cache=fresh_cache(tmp_path), log=log)
+        exe = SweepExecutor(jobs=2, cache=fresh_cache(tmp_path))
         with collect_traces():
             exe.run_points(points_for(ge2_cluster))
             exe.run_points(points_for(ge2_cluster, sizes=(70, 100, 130)))
-        warns = [e for e in events
-                 if e["event"] == "sweep.trace_serial_fallback"]
-        assert len(warns) == 1
-        assert warns[0]["jobs"] == 2
-        assert "TraceCollector" in warns[0]["reason"]
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(
+            "warning: sweep.trace_serial_fallback jobs=2 points=3 "
+        )
+        assert "TraceCollector" in line
 
-    def test_no_warning_without_collector(self, ge2_cluster, tmp_path):
-        events: list[dict] = []
-        log = StructLogger(sink=events)
-        exe = SweepExecutor(jobs=2, cache=fresh_cache(tmp_path), log=log)
+    def test_no_warning_without_collector(self, ge2_cluster, tmp_path,
+                                          capsys):
+        exe = SweepExecutor(jobs=2, cache=fresh_cache(tmp_path))
         exe.run_points(points_for(ge2_cluster))
-        assert not [e for e in events
-                    if e["event"] == "sweep.trace_serial_fallback"]
+        assert capsys.readouterr().err == ""
 
 
 def _worker_pid(_: int) -> int:

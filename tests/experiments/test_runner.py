@@ -223,38 +223,33 @@ class TestTraceDropping:
         assert collector.dropped == run.tracer.dropped
 
     def test_exit_warns_once_via_structured_log(self, ge2_cluster,
-                                                ge2_marked):
+                                                ge2_marked, capsys):
         from repro.experiments.runner import TraceCollector
-        from repro.obs.structlog import StructLogger
 
-        log = StructLogger()
-        collector = TraceCollector(limit=10, log=log)
+        collector = TraceCollector(limit=10)
         with collect_traces(collector):
             run_ge(ge2_cluster, 50, marked=ge2_marked)
-        warnings = [
-            e for e in log.events if e["event"] == "trace.records_dropped"
-        ]
-        assert len(warnings) == 1
-        assert warnings[0]["level"] == "warning"
-        assert warnings[0]["dropped"] == collector.dropped
-        assert warnings[0]["limit"] == 10
+        (line,) = capsys.readouterr().err.splitlines()
+        level, event, *pairs = line.split()
+        assert level == "warning:"
+        assert event == "trace.records_dropped"
+        fields = dict(pair.split("=", 1) for pair in pairs)
+        assert fields == {"dropped": str(collector.dropped), "limit": "10",
+                          "runs": "1"}
         # Re-checking never duplicates the warning.
         collector.warn_if_dropped()
-        assert len([
-            e for e in log.events if e["event"] == "trace.records_dropped"
-        ]) == 1
+        assert capsys.readouterr().err == ""
 
-    def test_no_warning_when_nothing_dropped(self, ge2_cluster, ge2_marked):
+    def test_no_warning_when_nothing_dropped(self, ge2_cluster, ge2_marked,
+                                             capsys):
         from repro.experiments.runner import TraceCollector
-        from repro.obs.structlog import StructLogger
 
-        log = StructLogger()
-        collector = TraceCollector(log=log)
+        collector = TraceCollector()
         with collect_traces(collector):
             run_ge(ge2_cluster, 50, marked=ge2_marked)
         assert collector.dropped == 0
         assert collector.warn_if_dropped() == 0
-        assert log.events == []
+        assert capsys.readouterr().err == ""
 
     def test_default_warning_goes_to_stderr(self, ge2_cluster, ge2_marked,
                                             capsys):
@@ -263,8 +258,13 @@ class TestTraceDropping:
         collector = TraceCollector(limit=10)
         with collect_traces(collector):
             run_ge(ge2_cluster, 50, marked=ge2_marked)
-        err = capsys.readouterr().err
-        assert "trace.records_dropped" in err
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: trace.records_dropped dropped={collector.dropped} "
+            "limit=10 runs=1"
+        ]
+        # Re-checking the same collector never repeats the warning.
+        assert collector.warn_if_dropped() == collector.dropped
+        assert capsys.readouterr().err == ""
 
     def test_dropped_totals_across_runs(self, ge2_cluster, ge2_marked):
         """Per-run overflow counts sum: N identical truncated runs report
@@ -299,17 +299,14 @@ class TestTraceDropping:
         (run,) = truncated.runs
         assert len(run.tracer.records) + run.tracer.dropped == total
 
-    def test_warning_reports_multi_run_totals(self, ge2_cluster, ge2_marked):
+    def test_warning_reports_multi_run_totals(self, ge2_cluster, ge2_marked,
+                                              capsys):
         from repro.experiments.runner import TraceCollector
-        from repro.obs.structlog import StructLogger
 
-        log = StructLogger()
-        collector = TraceCollector(limit=10, log=log)
+        collector = TraceCollector(limit=10)
         with collect_traces(collector):
             run_ge(ge2_cluster, 50, marked=ge2_marked)
             run_ge(ge2_cluster, 50, marked=ge2_marked)
-        (warning,) = [
-            e for e in log.events if e["event"] == "trace.records_dropped"
-        ]
-        assert warning["runs"] == 2
-        assert warning["dropped"] == collector.dropped
+        (line,) = capsys.readouterr().err.splitlines()
+        assert f" dropped={collector.dropped} " in line
+        assert line.endswith(" runs=2")

@@ -100,11 +100,6 @@ class TestScheduleQueries:
             self.make().validate_for(1)
         assert self.make().validate_for(2) is not None
 
-    def test_without_crashes(self):
-        stripped = self.make().without_crashes()
-        assert len(stripped) == 3
-        assert not stripped.all_crashes()
-
     def test_empty(self):
         assert FaultSchedule().is_empty
         assert FaultSchedule().max_rank() == -1

@@ -88,31 +88,29 @@ class TestAttack:
         assert result.psi < 1.0
 
     def test_crashing_candidate_is_logged_and_skipped(self, tiny_cluster,
-                                                       monkeypatch):
+                                                       monkeypatch, capsys):
         from repro.fuzz import search
-        from repro.obs.structlog import StructLogger
         from repro.sim.errors import ProtocolError
 
         real = search.run_scenario
         calls = []
 
-        def second_call_crashes(scenario, **kwargs):
+        def second_and_third_calls_crash(scenario, **kwargs):
             calls.append(scenario)
-            if len(calls) == 2:  # the first candidate after the seed point
+            if len(calls) in (2, 3):  # the first candidates after the seed
                 raise ProtocolError("candidate blew up")
             return real(scenario, **kwargs)
 
-        monkeypatch.setattr(search, "run_scenario", second_call_crashes)
-        log = StructLogger()
+        monkeypatch.setattr(search, "run_scenario",
+                            second_and_third_calls_crash)
         result = attack("ge", tiny_cluster, 64, budget=0.4, iterations=6,
-                        seed=2, log=log)
-        assert len(calls) >= 3  # the search went on past the crash
+                        seed=2)
+        assert len(calls) >= 4  # the search went on past both crashes
         assert result.evaluations == len(calls)
-        (event,) = [e for e in log.events
-                    if e["event"] == "fuzz.attack.candidate_crashed"]
-        assert event["level"] == "warning"
-        assert event["error"] == "candidate blew up"
-        assert event["move"]
+        # Two crashes, one warning per attack.
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("warning: fuzz.attack.candidate_crashed move=")
+        assert line.endswith(" error=candidate blew up")
 
     def test_rejects_bad_arguments(self, tiny_cluster):
         with pytest.raises(FuzzError):

@@ -13,7 +13,6 @@ from repro.obs.ledger import (
     environment_info,
     git_sha,
 )
-from repro.obs.structlog import StructLogger
 
 
 @pytest.fixture(scope="module")
@@ -83,13 +82,6 @@ class TestRecordRun:
         assert entry.app == "ge"
         assert entry.source == "run"
         assert entry.makespan == pytest.approx(record.run.makespan)
-
-    def test_record_emits_structured_event(self, tmp_path, cluster, record):
-        log = StructLogger()
-        ledger = RunLedger(tmp_path / "ledger")
-        run_id = ledger.record_run("ge", cluster, record, log=log)
-        (event,) = [e for e in log.events if e["event"] == "ledger.recorded"]
-        assert event["run_id"] == run_id
 
     def test_extra_metrics_merged(self, tmp_path, cluster, record):
         ledger = RunLedger(tmp_path / "ledger")

@@ -14,6 +14,7 @@ from repro.obs.streaming import (
     ProgressReporter,
     RateMeter,
     summarize_rank_stats,
+    warn,
 )
 
 
@@ -155,21 +156,10 @@ class FakeClock:
         return self.now
 
 
-class FakeLog:
-    def __init__(self):
-        self.events = []
-
-    def event(self, name, **fields):
-        self.events.append((name, fields))
-
-
 def test_progress_reporter_heartbeat_lines():
     clock = FakeClock()
     stream = io.StringIO()
-    log = FakeLog()
-    reporter = ProgressReporter(
-        stream=stream, interval=1.0, log=log, clock=clock
-    )
+    reporter = ProgressReporter(stream=stream, interval=1.0, clock=clock)
     reporter.begin(total=4, workers=2)
     clock.now = 0.5
     reporter.point_done(hit=True)  # within interval: no new line
@@ -192,12 +182,6 @@ def test_progress_reporter_heartbeat_lines():
     # busy 1.0s over 2 workers x 3s elapsed.
     assert reporter.worker_utilization(now=3.0) == pytest.approx(1.0 / 6.0)
 
-    names = {name for name, _ in log.events}
-    assert names == {"sweep.progress"}
-    final = log.events[-1][1]
-    assert final["final"] is True
-    assert final["done"] == 4 and final["total"] == 4
-
 
 def test_progress_reporter_rate_limit():
     clock = FakeClock()
@@ -211,3 +195,10 @@ def test_progress_reporter_rate_limit():
     assert reporter.lines == 1
     reporter.finish()
     assert reporter.lines == 2
+
+
+def test_warn_prints_one_line_to_current_stderr(capsys):
+    warn("sweep.cache_write_failed", cache="/x", n=3)
+    assert capsys.readouterr().err == (
+        "warning: sweep.cache_write_failed cache=/x n=3\n"
+    )
