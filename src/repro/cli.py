@@ -36,6 +36,7 @@ from .experiments.report import format_series, format_table
 from .experiments.runner import (APP_ALIASES, APPLICATIONS, RunRecord,
                                  collect_traces, ledger_recording,
                                  resolve_app, run_app)
+from .obs.streaming import warn
 
 #: Node counts used by --quick (skips the expensive 16/32-node searches).
 QUICK_NODE_COUNTS = (2, 4, 8)
@@ -265,7 +266,7 @@ def _record(args: argparse.Namespace, write) -> None:
     try:
         run_id = write(ledger)
     except OSError as err:
-        print(f"warning: could not record run in ledger {ledger.root}: {err}")
+        warn("ledger.write_failed", ledger=ledger.root, error=err)
     else:
         print(f"ledger: recorded run {run_id} in {ledger.root}")
     print()

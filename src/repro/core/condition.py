@@ -86,9 +86,14 @@ def required_problem_size(
 ) -> int:
     """Smallest integer ``N >= lower`` with ``efficiency_of(N) >= target``.
 
-    ``efficiency_of`` must be (approximately) non-decreasing.  When
-    ``upper`` is not given, the bracket grows geometrically from ``lower``
-    until the target is met or ``max_upper`` is exceeded.
+    ``efficiency_of`` must be non-decreasing.  Without ``upper`` the
+    bracket doubles from ``lower`` until the target is met or ``max_upper``
+    is exceeded.  An explicit ``[lower, upper]`` is bisected without
+    evaluating its ends: a passing midpoint implies ``E(upper) >= target``
+    and a failing one ``E(lower) < target``.  An end the walk never moved
+    off is evaluated last (``lower`` is returned if it passes; an
+    ``upper`` below target raises :class:`MetricError`), so a bracket that
+    misses the answer costs the walk towards that end, plus the end.
 
     ``rtol > 0`` stops the bisection once the bracket is relatively tight
     (``hi - lo <= rtol * hi``), returning the satisfying endpoint -- used
@@ -101,31 +106,33 @@ def required_problem_size(
     if rtol < 0:
         raise MetricError(f"rtol must be non-negative, got {rtol}")
 
-    if efficiency_of(lower) >= target:
-        return lower
-
+    lo, hi = lower, upper  # E(lo) < target <= E(hi), checked or implied
     if upper is None:
-        upper = max(2 * lower, 16)
-        while efficiency_of(upper) < target:
-            if upper >= max_upper:
+        if efficiency_of(lower) >= target:
+            return lower
+        hi = max(2 * lower, 16)
+        while efficiency_of(hi) < target:
+            if hi >= max_upper:
                 raise MetricError(
                     f"efficiency never reaches {target} up to N={max_upper}; "
                     "the combination cannot attain the requested "
                     "speed-efficiency (unscalable at this target)"
                 )
-            upper = min(2 * upper, max_upper)
-    elif efficiency_of(upper) < target:
-        raise MetricError(
-            f"efficiency at upper bound N={upper} is below target {target}"
-        )
-
-    lo, hi = lower, upper  # E(lo) < target <= E(hi)
+            hi = min(2 * hi, max_upper)
     while hi - lo > 1 and hi - lo > rtol * hi:
         mid = (lo + hi) // 2
         if efficiency_of(mid) >= target:
             hi = mid
         else:
             lo = mid
+    if upper is None:
+        return hi
+    if lo == lower and efficiency_of(lower) >= target:
+        return lower
+    if hi == upper and efficiency_of(upper) < target:
+        raise MetricError(
+            f"efficiency at upper bound N={upper} is below target {target}"
+        )
     return hi
 
 

@@ -43,6 +43,7 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, fields
 from typing import Any, Iterator, Sequence
 
+from ..core.condition import required_problem_size
 from ..core.marked_speed import SystemMarkedSpeed
 from ..machine.cluster import ClusterSpec
 from ..mpi.communicator import CollectiveConfig
@@ -490,17 +491,6 @@ class SweepExecutor:
         if self.progress is not None:
             self.progress.point_done(hit=hit)
 
-    def _record_ledger(
-        self, point: SweepPoint, record: RunRecord, cache_hit: bool
-    ) -> None:
-        ledger = _runner._ACTIVE_LEDGER
-        if ledger is None:
-            return
-        ledger.record_run(
-            point.app, point.cluster, record, source="run",
-            extra_metrics={"cache_hit": 1.0 if cache_hit else 0.0},
-        )
-
     # -- telemetry ---------------------------------------------------------
     @contextmanager
     def setup_span(self, name: str, **meta: Any) -> Iterator[None]:
@@ -681,8 +671,10 @@ class SweepExecutor:
         self.misses += len(points) - hits
         for idx, point in enumerate(points):
             with _maybe_span(timeline, "collect", point=idx):
-                self._record_ledger(point, results[idx][0],
-                                    cache_hit=flags[idx])
+                _runner._record_in_ledger(
+                    point.app, point.cluster, results[idx][0],
+                    extra_metrics={"cache_hit": float(flags[idx])},
+                )
         if timeline is not None:
             timeline.cache_hits = hits
         return results
@@ -851,11 +843,12 @@ class BisectionPrefetcher:
     """Memoized point evaluation with speculative bracket prefetch.
 
     ``warm`` mirrors :func:`~repro.core.condition.required_problem_size`'s
-    exact walk -- bracket doubling, then bisection -- submitting each
-    round's probe *and* the probes both branch outcomes would need next
-    as one parallel batch.  The subsequent unmodified serial search then
-    consumes the memo and returns the identical answer by construction;
-    speculation only ever adds extra (cached, reusable) evaluations.
+    exact walk -- bracket doubling, bisection, then any bracket end left
+    undecided -- submitting each round's probe *and* the probes both
+    branch outcomes would need next as one parallel batch.  The serial
+    search then consumes the memo and returns the identical answer by
+    construction; speculation only ever adds extra (cached, reusable)
+    evaluations.
     """
 
     def __init__(
@@ -899,22 +892,28 @@ class BisectionPrefetcher:
         """Drop-in evaluator for ``required_problem_size``."""
         return self.record(n).speed_efficiency
 
-    def warm(
-        self,
-        target: float,
-        lower: int = 2,
-        upper: int | None = None,
-        max_upper: int = 1 << 22,
-        rtol: float = 0.0,
-    ) -> None:
-        """Prefetch every probe the serial bisection will evaluate."""
+    def search(self, target: float, lower: int = 2, upper: int | None = None,
+               max_upper: int = 1 << 22, rtol: float = 0.0) -> int:
+        """``required_problem_size`` over :meth:`efficiency`, prefetched
+        by :meth:`warm` under a parallel executor (same answer)."""
+        if self.executor.jobs > 1:
+            self.warm(target, lower, upper, max_upper, rtol)
+        return required_problem_size(
+            self.efficiency, target, lower=lower, upper=upper,
+            max_upper=max_upper, rtol=rtol,
+        )
+
+    def warm(self, target: float, lower: int = 2, upper: int | None = None,
+             max_upper: int = 1 << 22, rtol: float = 0.0) -> None:
+        """Prefetch every probe the serial bisection will evaluate (an
+        explicit bracket's first batch: its midpoint and quarter points)."""
         if target <= 0:
             return
         lower = int(lower)
-        self.batch([lower] if upper is None else [lower, int(upper)])
-        if self.efficiency(lower) >= target:
-            return
         if upper is None:
+            self.batch([lower])
+            if self.efficiency(lower) >= target:
+                return
             upper = max(2 * lower, 16)
             while True:
                 self.batch([upper, min(2 * upper, max_upper)])
@@ -923,10 +922,7 @@ class BisectionPrefetcher:
                 if upper >= max_upper:
                     return  # the serial search raises the MetricError
                 upper = min(2 * upper, max_upper)
-        else:
-            upper = int(upper)
-            if self.efficiency(upper) < target:
-                return  # serial search raises / caller falls back
+        upper = int(upper)
         lo, hi = lower, upper
         while hi - lo > 1 and hi - lo > rtol * hi:
             mid = (lo + hi) // 2
@@ -937,3 +933,6 @@ class BisectionPrefetcher:
                 hi = mid
             else:
                 lo = mid
+        self.batch([n for n, undecided in ((lower, lo == lower),
+                                           (upper, hi == upper))
+                    if undecided])

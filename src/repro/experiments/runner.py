@@ -143,6 +143,7 @@ def collect_traces(
 # -- run-ledger recording ------------------------------------------------------
 
 _ACTIVE_LEDGER: Any = None
+_LEDGER_WARNED = False  # the innermost block warned of a failed write
 
 
 @contextmanager
@@ -151,20 +152,21 @@ def ledger_recording(ledger: Any = None) -> Iterator[Any]:
 
     ``ledger`` is a :class:`repro.obs.RunLedger` (a fresh one at the
     default root when omitted).  Every ``run_app``/``run_ge``/... call
-    appends one run record; see :mod:`repro.obs.ledger`.  Reentrant like
-    :func:`collect_traces`.
+    appends one run record; see :mod:`repro.obs.ledger`.  An unwritable
+    ledger fails no run: the block warns ``sweep.ledger_write_failed``
+    once.  Reentrant like :func:`collect_traces`.
     """
-    global _ACTIVE_LEDGER
+    global _ACTIVE_LEDGER, _LEDGER_WARNED
     if ledger is None:
         from ..obs.ledger import RunLedger
 
         ledger = RunLedger()
-    previous = _ACTIVE_LEDGER
-    _ACTIVE_LEDGER = ledger
+    previous = _ACTIVE_LEDGER, _LEDGER_WARNED
+    _ACTIVE_LEDGER, _LEDGER_WARNED = ledger, False
     try:
         yield ledger
     finally:
-        _ACTIVE_LEDGER = previous
+        _ACTIVE_LEDGER, _LEDGER_WARNED = previous
 
 
 #: Default collective algorithms for MM: the bulk B replication uses the
@@ -306,9 +308,23 @@ def run_app(
     )
     record = RunRecord(measurement, run, run.return_values[0],
                        compute_efficiency)
-    if _ACTIVE_LEDGER is not None:
-        _ACTIVE_LEDGER.record_run(name, cluster, record, source="run")
+    _record_in_ledger(name, cluster, record)
     return record
+
+
+def _record_in_ledger(app: str, cluster: ClusterSpec, record: RunRecord,
+                      **extra: Any) -> None:
+    """Append one run to the active ledger, if any; never fails a run."""
+    global _LEDGER_WARNED
+    try:
+        if _ACTIVE_LEDGER is not None:
+            _ACTIVE_LEDGER.record_run(app, cluster, record, source="run",
+                                      **extra)
+    except OSError as exc:
+        if not _LEDGER_WARNED:
+            _LEDGER_WARNED = True
+            warn("sweep.ledger_write_failed", ledger=_ACTIVE_LEDGER.root,
+                 error=exc)
 
 
 #: Per-application spellings of :func:`run_app`.

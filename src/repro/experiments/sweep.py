@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from ..core.condition import required_problem_size
 from ..core.trendline import TrendFit, fit_trend_from_measurements
 from ..core.types import Measurement
 from ..machine.cluster import ClusterSpec
@@ -80,26 +79,16 @@ def required_size_by_simulation(
 ) -> tuple[int, RunRecord]:
     """Smallest problem size whose *simulated* efficiency meets the target.
 
-    Runs the simulator inside a bisection; results are memoized per size.
-    Returns the size and the run record at that size (the iso-efficient
+    Runs the simulator inside a bisection (prefetched in parallel batches
+    with a parallel executor); results are memoized per size.  Returns
+    the size and the run record at that size (the iso-efficient
     observation fed to the scalability function).
-
-    With a parallel executor the bisection's probes are speculatively
-    prefetched in bracket-sized batches (both next midpoints of every
-    bisection step), then the unmodified serial search reads the memo --
-    same answer, less wall-clock.
     """
-    marked = marked_speed_of(cluster)
-    exe = resolve_executor(executor)
     prefetch = BisectionPrefetcher(
-        exe, app, cluster, marked=marked, **run_kwargs
+        resolve_executor(executor), app, cluster,
+        marked=marked_speed_of(cluster), **run_kwargs,
     )
-    if exe.jobs > 1:
-        prefetch.warm(target_efficiency, lower=lower, max_upper=max_upper)
-    n_star = required_problem_size(
-        prefetch.efficiency, target_efficiency, lower=lower,
-        max_upper=max_upper,
-    )
+    n_star = prefetch.search(target_efficiency, lower, max_upper=max_upper)
     return n_star, prefetch.record(n_star)
 
 

@@ -19,7 +19,6 @@ from ..apps.matmul import MM_COMPUTE_EFFICIENCY
 from ..apps.fft import FFT_COMPUTE_EFFICIENCY
 from ..apps.stencil import STENCIL_COMPUTE_EFFICIENCY, stencil_workload
 from ..apps.workload import ge_workload, mm_workload
-from ..core.condition import required_problem_size
 from ..core.isospeed_efficiency import ScalabilityStudy
 from ..core.marked_speed import NodeMarkedSpeed
 from ..core.prediction import PerformanceModel, predict_required_size
@@ -225,45 +224,30 @@ def required_rank_hybrid(
     """Model-guided simulated search for the smallest rank meeting the
     target speed-efficiency.
 
-    The analytic prediction provides the bisection bracket; ``rtol``
+    The analytic prediction provides the bisection bracket (whose ends
+    are run only if no midpoint decides them); a prediction that
+    overshot or undershot falls back to an unguided search.  ``rtol``
     bounds the relative precision of the returned rank (the paper reads
     ranks like "around 310" off trend lines -- three significant digits).
     """
     from .executor import BisectionPrefetcher, resolve_executor
 
-    marked = marked_speed_of(cluster)
     n_pred = predict_required_size(model, target)
-    exe = resolve_executor()
     prefetch = BisectionPrefetcher(
-        exe, app, cluster, marked=marked,
+        resolve_executor(), app, cluster, marked=marked_speed_of(cluster),
         compute_efficiency=compute_efficiency,
     )
-    evaluate = prefetch.efficiency
-
     # Lower bound 3 keeps the probe valid for every application (the
     # stencil's smallest meaningful grid is 3x3).
     floor = 3
     lower = max(floor, int(0.45 * n_pred))
     upper = max(lower + 2, int(2.5 * n_pred))
-    if exe.jobs > 1 and target > 0:
-        # Speculatively prefetch the model-guided walk; when that bracket
-        # fails (overshoot or upper below target) also warm the unguided
-        # fallback search the code below will run.
-        prefetch.warm(target, lower=lower, upper=upper, rtol=rtol)
-        if evaluate(lower) >= target or evaluate(upper) < target:
-            prefetch.warm(target, lower=floor, rtol=rtol)
     try:
-        if evaluate(lower) >= target:
-            # Prediction overshot badly; fall back to an unguided search.
-            n_star = required_problem_size(
-                evaluate, target, lower=floor, rtol=rtol
-            )
-        else:
-            n_star = required_problem_size(
-                evaluate, target, lower=lower, upper=upper, rtol=rtol
-            )
-    except MetricError:
-        n_star = required_problem_size(evaluate, target, lower=floor, rtol=rtol)
+        n_star = prefetch.search(target, lower, upper, rtol=rtol)
+    except MetricError:  # E(upper) < target
+        n_star = lower
+    if n_star == lower:  # E(lower) >= target, or the bracket fell short
+        n_star = prefetch.search(target, floor, rtol=rtol)
     return n_star, prefetch.record(n_star)
 
 

@@ -1,6 +1,11 @@
 """Unit tests for the isospeed-efficiency condition solvers."""
 
+import math
+from bisect import bisect_right
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.condition import required_problem_size, required_size_continuous
 from repro.core.types import MetricError
@@ -59,6 +64,99 @@ class TestIntegerSolver:
             required_problem_size(saturating, 0.25, lower=0)
         with pytest.raises(MetricError):
             required_problem_size(saturating, 0.25, rtol=-1.0)
+
+
+def eager_required_problem_size(efficiency_of, target, lower=2, upper=None,
+                                max_upper=1 << 22, rtol=0.0):
+    """The reference walk: both ends of an explicit bracket are evaluated
+    before it is bisected."""
+    if efficiency_of(lower) >= target:
+        return lower
+    if upper is None:
+        upper = max(2 * lower, 16)
+        while efficiency_of(upper) < target:
+            if upper >= max_upper:
+                raise MetricError("unreachable")
+            upper = min(2 * upper, max_upper)
+    elif efficiency_of(upper) < target:
+        raise MetricError("upper below target")
+    lo, hi = lower, upper
+    while hi - lo > 1 and hi - lo > rtol * hi:
+        mid = (lo + hi) // 2
+        if efficiency_of(mid) >= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def outcome(solve, efficiency_of, target, **kwargs):
+    try:
+        return solve(efficiency_of, target, **kwargs)
+    except MetricError:
+        return MetricError
+
+
+@st.composite
+def monotone_steps(draw):
+    """A non-decreasing step function ``E(N)`` and a target in its range."""
+    edges = sorted(draw(st.lists(st.integers(1, 6000), max_size=5)))
+    levels = sorted(draw(st.lists(
+        st.floats(0.0, 1.0), min_size=len(edges) + 1,
+        max_size=len(edges) + 1,
+    )))
+    target = draw(st.floats(0.001, 1.0))
+    return (lambda n: levels[bisect_right(edges, n)]), target
+
+
+RTOLS = st.sampled_from([0.0, 0.01, 0.05, 0.2])
+
+
+class TestLazyEndpoints:
+    @given(case=monotone_steps(), lower=st.integers(1, 3000),
+           width=st.integers(0, 5000), explicit=st.booleans(), rtol=RTOLS)
+    @settings(max_examples=300, deadline=None)
+    def test_same_answer_as_eager_walk(self, case, lower, width, explicit,
+                                       rtol):
+        efficiency_of, target = case
+        kwargs = dict(lower=lower, upper=lower + width if explicit else None,
+                      max_upper=1 << 14, rtol=rtol)
+        assert outcome(required_problem_size, efficiency_of, target,
+                       **kwargs) == outcome(eager_required_problem_size,
+                                            efficiency_of, target, **kwargs)
+
+    @given(lower=st.integers(1, 3000), extra=st.integers(0, 5000),
+           rtol=RTOLS, data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_threshold_inside_bracket_skips_both_ends(self, lower, extra,
+                                                      rtol, data):
+        # Thresholds with room for a failing and a passing midpoint
+        # before the walk's stop rule ends it.
+        first = math.floor(max(lower + 1, lower / (1 - rtol))) + 1
+        upper = max(first + 1, math.ceil(first / (1 - rtol))) + extra
+        last = math.floor(upper - max(1, rtol * upper))
+        threshold = data.draw(st.integers(first, last))
+        evaluated = []
+
+        def efficiency_of(n):
+            evaluated.append(n)
+            return 1.0 if n >= threshold else 0.0
+
+        n = required_problem_size(efficiency_of, 0.5, lower=lower,
+                                  upper=upper, rtol=rtol)
+        assert threshold <= n <= threshold + rtol * n
+        assert lower not in evaluated and upper not in evaluated
+
+    def test_bracket_missing_low_returns_lower(self):
+        evaluated = []
+
+        def counted(n):
+            evaluated.append(n)
+            return saturating(n)
+
+        assert required_problem_size(counted, 0.25, lower=150,
+                                     upper=400) == 150
+        assert evaluated[-1] == 150 and 400 not in evaluated
 
 
 class TestContinuousSolver:

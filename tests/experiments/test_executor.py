@@ -382,6 +382,30 @@ class TestBisectionPrefetcher:
         serial, _ = required_size_by_simulation("ge", ge2_cluster, 0.2)
         assert n_star == serial
 
+    def test_guided_bracket_memo_consumed_without_its_ends(
+        self, ge2_cluster, tmp_path
+    ):
+        from repro.core.condition import required_problem_size
+
+        exe = SweepExecutor(jobs=2, cache=fresh_cache(tmp_path))
+        prefetch = BisectionPrefetcher(exe, "ge", ge2_cluster)
+        lower, upper = 60, 400
+        prefetch.warm(0.2, lower, upper, rtol=0.01)
+        warmed = set(prefetch.memo)
+        assert lower not in warmed and upper not in warmed
+
+        def memoized(n):
+            assert n in warmed
+            return prefetch.efficiency(n)
+
+        n_star = required_problem_size(memoized, 0.2, lower=lower,
+                                       upper=upper, rtol=0.01)
+        serial = required_problem_size(
+            BisectionPrefetcher(SweepExecutor(), "ge", ge2_cluster).efficiency,
+            0.2, lower=lower, upper=upper, rtol=0.01,
+        )
+        assert n_star == serial
+
     def test_unreachable_target_defers_to_serial_error(self, ge2_cluster,
                                                        tmp_path):
         from repro.core.types import MetricError
@@ -609,6 +633,31 @@ class TestWorkerCacheWrites:
             ]
             exe.run_points([SweepPoint.make("ge", ge2_cluster, 70)])
             assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("managed", [True, False])
+    def test_point_ledger_failure_warns_once(
+        self, ge2_cluster, tmp_path, capsys, managed
+    ):
+        # A ledger root that is a regular file: making its runs/ directory
+        # raises NotADirectoryError, an OSError.
+        root = tmp_path / "not-a-dir"
+        root.write_text("")
+        ledger = RunLedger(root)
+        exe = (SweepExecutor(jobs=2, cache=fresh_cache(tmp_path)) if managed
+               else SweepExecutor())
+        points = [SweepPoint.make("ge", ge2_cluster, n) for n in (60, 70, 80)]
+        with ledger_recording(ledger):
+            out = exe.run_points(points)
+            (err,) = capsys.readouterr().err.splitlines()
+            assert err.startswith(
+                f"warning: sweep.ledger_write_failed ledger={root} error="
+            )
+            exe.run_points(points[:1])
+            assert capsys.readouterr().err == ""
+        assert [record_signature(r) for r in out] == [
+            record_signature(r) for r in SweepExecutor().run_points(points)
+        ]
+        assert root.read_text() == ""
 
     def test_old_per_file_entry_is_miss_not_error(
         self, ge2_cluster, tmp_path

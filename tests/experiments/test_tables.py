@@ -128,6 +128,55 @@ class TestComparison:
             )
 
 
+class TestBisectionProbes:
+    def test_paper_rows_never_run_the_bracket_top(self, params,
+                                                   monkeypatch):
+        """Tables 3 and 5 at 2/4/8 nodes probe 47 distinct sizes, and no
+        row simulates its bracket's upper end ``int(2.5 * n_pred)``."""
+        from repro.apps.gaussian import GE_COMPUTE_EFFICIENCY
+        from repro.apps.matmul import MM_COMPUTE_EFFICIENCY
+        from repro.core.prediction import predict_required_size
+        from repro.experiments.executor import BisectionPrefetcher
+        from repro.machine.sunwulf import ge_configuration, mm_configuration
+
+        probed = set()
+        point = BisectionPrefetcher.point
+
+        def counted(self, n):
+            probed.add((self.cluster.name, n))
+            return point(self, n)
+
+        monkeypatch.setattr(BisectionPrefetcher, "point", counted)
+        nodes = (2, 4, 8)
+        ge_params = params
+        mm_params = base_machine_parameters(mm_configuration(2),
+                                            MM_COMPUTE_EFFICIENCY)
+        ge = table3_required_rank(nodes, params=ge_params)
+        mm = table5_mm_required_rank(nodes, params=mm_params)
+        assert [row.rank_n for row in ge] == [344, 843, 2235]
+        assert [row.rank_n for row in mm] == [48, 100, 210]
+        assert len(probed) == 47
+        for configure, make_model, params, f, target in (
+            (ge_configuration, tables._ge_model, ge_params,
+             GE_COMPUTE_EFFICIENCY, GE_TARGET_EFFICIENCY),
+            (mm_configuration, tables._mm_model, mm_params,
+             MM_COMPUTE_EFFICIENCY, MM_TARGET_EFFICIENCY),
+        ):
+            for n in nodes:
+                cluster = configure(n)
+                n_pred = predict_required_size(
+                    make_model(cluster, params, f), target
+                )
+                assert (cluster.name, int(2.5 * n_pred)) not in probed
+
+    def test_parallel_rows_equal_serial(self, params, ge_rows):
+        from repro.experiments.executor import SweepExecutor, sweep_execution
+
+        with sweep_execution(SweepExecutor(jobs=2)):
+            parallel = table3_required_rank(node_counts=SMALL, params=params)
+        assert parallel == ge_rows
+
+
 class TestPrediction:
     def test_table6_predictions_close_to_measured(self, params, ge_rows):
         """Section 4.5's claim: predicted required ranks are close to the

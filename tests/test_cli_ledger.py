@@ -39,6 +39,19 @@ class TestProfileRecords:
         assert record["metrics"]["makespan"] > 0
         assert record["metrics"]["critical_path_length"] > 0
 
+    def test_unwritable_ledger_warns_on_stderr(self, capsys, tmp_path):
+        root = tmp_path / "not-a-dir"
+        root.write_text("")
+        assert main([
+            "profile", "gaussian", "--nodes", "2", "--size", "40",
+            "--out", str(tmp_path / "prof"), "--ledger", str(root),
+        ]) == 0
+        captured = capsys.readouterr()
+        assert "warning:" not in captured.out
+        assert "ledger:" not in captured.out
+        (err,) = captured.err.splitlines()
+        assert err.startswith(f"warning: ledger.write_failed ledger={root} ")
+
     def test_ledger_env_var_respected(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_LEDGER_DIR", str(tmp_path / "env-ledger"))
         main(["profile", "gaussian", "--nodes", "2", "--size", "100",
