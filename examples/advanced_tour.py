@@ -4,8 +4,9 @@ Five stops:
 
 1. a third algorithm-machine combination -- the Jacobi stencil -- and
    where it sits under the isospeed-efficiency metric;
-2. post-run analysis: phase breakdown, utilization timeline, and the
-   Theorem-1 overhead read straight off a run;
+2. post-run analysis with ``repro.obs``: the per-rank time table, the
+   utilization timeline, and the Theorem-1 overhead read straight off a
+   run's record;
 3. memory feasibility: the paper's "you cannot even run the sequential
    reference" argument, evaluated for concrete configurations;
 4. link-heterogeneous networks: what a NIC upgrade on half the nodes
@@ -16,24 +17,15 @@ Five stops:
 Run:  python examples/advanced_tour.py
 """
 
-import numpy as np
-
 from repro.core.speedup_models import speedup_ordering
-from repro.experiments import (
-    format_table,
-    marked_speed_of,
-    render_breakdown,
-    render_timeline,
-    run_stencil,
-)
-from repro.experiments.analysis import measured_overhead
+from repro.experiments import format_table
 from repro.experiments.sweep import required_size_by_simulation
 from repro.machine import ge_configuration
 from repro.machine.memory import (
     distributed_feasibility,
     sequential_reference_feasible,
 )
-from repro.apps.stencil import STENCIL_COMPUTE_EFFICIENCY, StencilOptions, make_stencil_program
+from repro.apps.stencil import StencilOptions, make_stencil_program
 from repro.mpi.communicator import mpi_run
 from repro.network import (
     HeterogeneousSwitchedNetwork,
@@ -41,7 +33,7 @@ from repro.network import (
     SwitchedNetwork,
     Topology,
 )
-from repro.sim.trace import Tracer
+from repro.obs import profile_app, utilization_timeline
 
 
 def stop_1_stencil_combination() -> None:
@@ -58,19 +50,29 @@ def stop_1_stencil_combination() -> None:
 
 def stop_2_analysis() -> None:
     print("== 2. post-run analysis " + "=" * 38)
-    cluster = ge_configuration(4)
-    tracer = Tracer()
-    record = run_stencil(cluster, 128, tracer=tracer)
-    print(render_breakdown(record, title="  stencil N=128, 4-node run"))
+    # One traced run, every analyzer applied (what `repro profile` prints).
+    report = profile_app("stencil", ge_configuration(4), 128)
     print(
-        "  " + render_timeline(
-            tracer, cluster.nranks, record.measurement.time, bins=50
+        format_table(
+            ["rank", "compute (s)", "comm (s)", "idle (s)", "utilization"],
+            [
+                (u.rank, u.compute, u.comm, u.idle, f"{u.utilization:.1%}")
+                for u in report.utilization
+            ],
+            title="  stencil N=128, 4-node run",
         )
     )
-    to = measured_overhead(record, STENCIL_COMPUTE_EFFICIENCY)
+    levels = utilization_timeline(
+        report.tracer, len(report.utilization), report.record.run.makespan,
+        bins=50,
+    )
+    digits = "".join(str(min(9, int(level * 10))) for level in levels)
+    print(f"  utilization [{digits}] (0=idle .. 9=all ranks computing)")
+    # W, C and f all come from the run's own record.
+    d = report.decomposition
     print(
-        f"  Theorem-1 overhead To = T - W/(fC) = {to * 1e3:.1f} ms of "
-        f"{record.measurement.time * 1e3:.1f} ms total\n"
+        f"  Theorem-1 overhead To = T - W/(fC) = {d.overhead * 1e3:.1f} ms "
+        f"of {d.makespan * 1e3:.1f} ms total (f = {d.compute_efficiency})\n"
     )
 
 

@@ -239,24 +239,6 @@ def cmd_predict(args: argparse.Namespace) -> None:
     )
 
 
-def cmd_breakdown(args: argparse.Namespace) -> None:
-    """Per-rank phase breakdown and utilization timeline of one run."""
-    from .experiments.analysis import render_breakdown, render_timeline
-    from .sim.trace import Tracer
-
-    cluster = _cluster(args)
-    tracer = Tracer()
-    record = run_app(args.app, cluster, args.size, tracer=tracer)
-    m = record.measurement
-    print(
-        f"{args.app} at N={args.size} on {cluster.name}: T = {m.time:.4f} s, "
-        f"E_S = {m.speed_efficiency:.4f}"
-    )
-    _print(render_breakdown(record, title="Per-rank breakdown"))
-    print(render_timeline(tracer, cluster.nranks, m.time))
-    print()
-
-
 def _record(args: argparse.Namespace, write) -> None:
     """Record one run with ``write(ledger)`` in the ``--ledger`` ledger
     and say where; an unwritable ledger is a warning, not a failure."""
@@ -1145,7 +1127,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = _subcommands(parser, dest="what")
     for name, func in {**COMMANDS, "all": cmd_all, "predict": cmd_predict,
-                       "breakdown": cmd_breakdown,
                        "memory": cmd_memory}.items():
         _command(commands, name, func, *STUDY, study=True, record=True)
     # `profile` records its full analyzer report itself.

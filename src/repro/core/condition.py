@@ -88,12 +88,14 @@ def required_problem_size(
 
     ``efficiency_of`` must be non-decreasing.  Without ``upper`` the
     bracket doubles from ``lower`` until the target is met or ``max_upper``
-    is exceeded.  An explicit ``[lower, upper]`` is bisected without
-    evaluating its ends: a passing midpoint implies ``E(upper) >= target``
-    and a failing one ``E(lower) < target``.  An end the walk never moved
-    off is evaluated last (``lower`` is returned if it passes; an
-    ``upper`` below target raises :class:`MetricError`), so a bracket that
-    misses the answer costs the walk towards that end, plus the end.
+    is exceeded; each failing doubling size becomes the bracket's lower
+    end, so the bisection never re-probes below it.  An explicit
+    ``[lower, upper]`` is bisected without evaluating its ends: a passing
+    midpoint implies ``E(upper) >= target`` and a failing one
+    ``E(lower) < target``.  An end the walk never moved off is evaluated
+    last (``lower`` is returned if it passes; an ``upper`` below target
+    raises :class:`MetricError`), so a bracket that misses the answer
+    costs the walk towards that end, plus the end.
 
     ``rtol > 0`` stops the bisection once the bracket is relatively tight
     (``hi - lo <= rtol * hi``), returning the satisfying endpoint -- used
@@ -118,7 +120,7 @@ def required_problem_size(
                     "the combination cannot attain the requested "
                     "speed-efficiency (unscalable at this target)"
                 )
-            hi = min(2 * hi, max_upper)
+            lo, hi = hi, min(2 * hi, max_upper)
     while hi - lo > 1 and hi - lo > rtol * hi:
         mid = (lo + hi) // 2
         if efficiency_of(mid) >= target:

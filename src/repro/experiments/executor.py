@@ -123,6 +123,12 @@ class SweepPoint:
         out.update(self.local)
         return out
 
+    def marked(self) -> SystemMarkedSpeed:
+        """The marked speed the point is simulated at: its ``marked``
+        keyword, else the cluster's (the default ``run_app`` applies)."""
+        return _runner.marked_speed_of(self.cluster,
+                                       dict(self.kwargs).get("marked"))
+
 
 def _canonical_value(value: Any) -> Any:
     """JSON-stable form of a run kwarg for the profile hash."""
@@ -249,8 +255,15 @@ def run_record_to_payload(
     return payload
 
 
-def run_record_from_payload(payload: dict[str, Any]) -> RunRecord:
-    """Rebuild a :class:`RunRecord` (tracer/app_result are ``None``)."""
+def run_record_from_payload(
+    payload: dict[str, Any], marked: SystemMarkedSpeed | None = None
+) -> RunRecord:
+    """Rebuild a :class:`RunRecord` (tracer/app_result are ``None``).
+
+    ``marked`` is the marked speed of the point the payload was run for
+    (:meth:`SweepPoint.marked`; the executor always passes it).  The
+    cache key covers it, so the payload need not.
+    """
     run_data = payload["run"]
     run = RunResult(
         finish_times=[float(t) for t in run_data.get("finish_times", ())],
@@ -270,6 +283,7 @@ def run_record_from_payload(payload: dict[str, Any]) -> RunRecord:
         run=run,
         app_result=None,
         compute_efficiency=float(payload["compute_efficiency"]),
+        marked=marked,
     )
 
 
@@ -612,7 +626,7 @@ class SweepExecutor:
             if cached is not None:
                 point_schedule = point.schedule
                 with _maybe_span(timeline, "collect", point=idx):
-                    record = run_record_from_payload(cached)
+                    record = run_record_from_payload(cached, point.marked())
                     injector = None
                     if point_schedule is not None and "fault" in cached:
                         injector = injector_from_payload(
@@ -634,7 +648,8 @@ class SweepExecutor:
             )
             for idx, payload in zip(parallelizable, payloads):
                 with _maybe_span(timeline, "collect", point=idx):
-                    record = run_record_from_payload(payload)
+                    record = run_record_from_payload(payload,
+                                                     points[idx].marked())
                     injector = None
                     if points[idx].schedule is not None:
                         injector = injector_from_payload(
@@ -909,7 +924,7 @@ class BisectionPrefetcher:
         explicit bracket's first batch: its midpoint and quarter points)."""
         if target <= 0:
             return
-        lower = int(lower)
+        lo = lower = int(lower)
         if upper is None:
             self.batch([lower])
             if self.efficiency(lower) >= target:
@@ -921,9 +936,9 @@ class BisectionPrefetcher:
                     break
                 if upper >= max_upper:
                     return  # the serial search raises the MetricError
-                upper = min(2 * upper, max_upper)
+                lo, upper = upper, min(2 * upper, max_upper)
         upper = int(upper)
-        lo, hi = lower, upper
+        hi = upper
         while hi - lo > 1 and hi - lo > rtol * hi:
             mid = (lo + hi) // 2
             # Speculate: whichever way the test goes, the next midpoint

@@ -35,6 +35,7 @@ from ..core.types import Measurement
 from ..machine.cluster import ClusterSpec
 from ..mpi.communicator import CollectiveConfig, mpi_run
 from ..npb.runner import measure_cluster
+from ..obs.analysis import OverheadDecomposition, overhead_decomposition
 from ..obs.streaming import warn
 from ..sim.engine import RunResult
 from ..sim.trace import Tracer
@@ -44,23 +45,43 @@ from ..sim.trace import Tracer
 class RunRecord:
     """One application execution: the metric view plus raw simulator data.
 
-    ``compute_efficiency`` is the fraction f of marked speed the run was
-    simulated at.
+    The record carries every fact Theorem 1 reads off a run: ``marked``
+    is the per-rank marked speeds C_i the run was simulated at
+    (``measurement.marked_speed`` is their total C) and
+    ``compute_efficiency`` the fraction f of them it achieved; ``W`` and
+    ``T`` are in ``measurement``.  ``marked`` is ``None`` only on
+    records built by hand.
     """
 
     measurement: Measurement
     run: RunResult
     app_result: Any = None
     compute_efficiency: float = 1.0
+    marked: SystemMarkedSpeed | None = None
 
     @property
     def speed_efficiency(self) -> float:
         return self.measurement.speed_efficiency
 
+    def decomposition(self) -> OverheadDecomposition:
+        """The run's makespan split into ``W / (f C)`` and ``T_o``, at
+        the run's own W, C and f."""
+        m = self.measurement
+        return overhead_decomposition(
+            work=m.work,
+            marked_speed=m.marked_speed,
+            makespan=self.run.makespan,
+            compute_efficiency=self.compute_efficiency,
+        )
 
-def marked_speed_of(cluster: ClusterSpec) -> SystemMarkedSpeed:
-    """Measured marked speed of a cluster (cached per processor type)."""
-    return measure_cluster(cluster)
+
+def marked_speed_of(
+    cluster: ClusterSpec, marked: SystemMarkedSpeed | None = None
+) -> SystemMarkedSpeed:
+    """The marked speed a run on ``cluster`` is simulated at: ``marked``
+    when given, else the cluster's measured one (cached per processor
+    type)."""
+    return marked if marked is not None else measure_cluster(cluster)
 
 
 # -- run tracing --------------------------------------------------------------
@@ -279,7 +300,7 @@ def run_app(
         collectives = entry.collectives
     if compute_efficiency is None:
         compute_efficiency = entry.compute_efficiency
-    marked = marked if marked is not None else marked_speed_of(cluster)
+    marked = marked_speed_of(cluster, marked)
     label = f"{name} N={n} on {cluster.name}"
     collector = _ACTIVE_COLLECTOR
     if collector is not None:
@@ -307,7 +328,7 @@ def run_app(
         label=cluster.name,
     )
     record = RunRecord(measurement, run, run.return_values[0],
-                       compute_efficiency)
+                       compute_efficiency, marked)
     _record_in_ledger(name, cluster, record)
     return record
 

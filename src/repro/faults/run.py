@@ -18,10 +18,8 @@ scalability-under-faults table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Any, Sequence
 
-from ..core.marked_speed import SystemMarkedSpeed
 from ..core.types import MetricError
 from ..experiments.runner import (
     APPLICATIONS,
@@ -117,8 +115,9 @@ def make_fault_launcher(
 class FaultyRun:
     """A faulted execution plus the derived degraded-performance metrics.
 
-    ``marked`` derives from ``cluster``; ``compute_efficiency`` is the f
-    the faulted run was simulated at.
+    C_eff and ψ read the marked speeds and the f the faulted run was
+    simulated at from its record (``faulted.marked``,
+    ``faulted.compute_efficiency``), never from ``cluster``.
     """
 
     app: str
@@ -127,10 +126,6 @@ class FaultyRun:
     injector: FaultInjector
     faulted: RunRecord
     baseline: RunRecord | None
-
-    @cached_property
-    def marked(self) -> SystemMarkedSpeed:
-        return marked_speed_of(self.cluster)
 
     @property
     def compute_efficiency(self) -> float:
@@ -149,7 +144,7 @@ class FaultyRun:
     def c_eff(self) -> float:
         """Availability-weighted effective marked speed ``Σ C_i·a_i``."""
         return availability_weighted_speed(
-            self.marked.speeds, self.availabilities
+            self.faulted.marked.speeds, self.availabilities
         )
 
     @property
@@ -169,7 +164,7 @@ class FaultyRun:
             )
         return degraded_psi(
             self.faulted.measurement.work,
-            self.marked.total,
+            self.faulted.measurement.marked_speed,
             self.baseline.run.makespan,
             self.makespan,
             compute_efficiency=self.compute_efficiency,
@@ -246,10 +241,12 @@ def run_app_under_faults(
     baseline of the same configuration for degraded-ψ.
 
     ``baseline`` may be ``True`` (run one), ``False`` (skip; ψ unavailable)
-    or an existing :class:`RunRecord` to reuse.  ``tracer`` and ``flight``
-    (a :class:`~repro.sim.flight.FlightRecorder`) attach to the faulted
-    run only.  Both runs are points of one ``executor.run_faulted`` batch;
-    the default serial, uncached
+    or an existing :class:`RunRecord` to reuse.  ``run_kwargs``
+    (``marked=``, ``compute_efficiency=``, ...) go to both runs, and ψ
+    and C_eff use the marked speeds and f the faulted run was given.
+    ``tracer`` and ``flight`` (a :class:`~repro.sim.flight.FlightRecorder`)
+    attach to the faulted run only.  Both runs are points of one
+    ``executor.run_faulted`` batch; the default serial, uncached
     :class:`~repro.experiments.executor.SweepExecutor` runs them directly,
     while a caching one replays whatever is neither traced nor recorded.
     """

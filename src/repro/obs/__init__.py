@@ -11,8 +11,8 @@ simulated run:
 * :mod:`repro.obs.chrome_trace` — export :class:`~repro.sim.trace.Tracer`
   records as Chrome trace-event JSON (``chrome://tracing`` / Perfetto).
 * :mod:`repro.obs.analysis` — per-rank utilization, load-imbalance index,
-  Theorem-1 overhead decomposition and a critical-path walk over the
-  trace's compute/send/recv dependencies.
+  Theorem-1 overhead decomposition, a critical-path walk over the
+  trace's compute/send/recv dependencies and a utilization timeline.
 * :mod:`repro.obs.profiler` — the ``repro profile <app>`` engine room:
   one traced run, its metrics, every analyzer, three artifacts on disk.
 * :mod:`repro.obs.ledger` — the persistent run ledger: every recorded run
@@ -47,6 +47,7 @@ from .analysis import (
     imbalance_index,
     overhead_decomposition,
     rank_utilization,
+    utilization_timeline,
 )
 from .chrome_trace import (
     chrome_trace_events,
@@ -120,6 +121,7 @@ __all__ = [
     "run_metrics",
     "summarize_rank_stats",
     "telemetry_trace_events",
+    "utilization_timeline",
     "wall_now",
     "warn",
     "worker_telemetry",

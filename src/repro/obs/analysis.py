@@ -13,6 +13,8 @@ quantities the paper reasons about:
 * :func:`critical_path` — the longest dependency chain of compute / send /
   receive trace records, i.e. *why* the makespan is what it is: which ranks
   and which message edges bound it.
+* :func:`utilization_timeline` — the fraction of ranks computing in each
+  time slice of a traced run.
 """
 
 from __future__ import annotations
@@ -370,3 +372,33 @@ def critical_path(tracer: Tracer) -> CriticalPath:
         time_by_kind=time_by_kind,
         time_by_rank=time_by_rank,
     )
+
+
+# ---------------------------------------------------------------------------
+# Utilization timeline
+# ---------------------------------------------------------------------------
+
+
+def utilization_timeline(
+    tracer: Tracer, nranks: int, makespan: float, bins: int = 40
+) -> list[float]:
+    """Fraction of ranks computing in each of ``bins`` equal time slices.
+
+    Requires a traced run.  Every level is in [0, 1]; their mean times
+    ``nranks * makespan`` is the run's total compute time.
+    """
+    if bins < 1:
+        raise MetricError("bins must be >= 1")
+    if makespan <= 0:
+        raise MetricError("makespan must be positive")
+    busy = [0.0] * bins
+    width = makespan / bins
+    for rec in tracer.by_kind("compute"):
+        first = min(bins - 1, int(rec.start / width))
+        last = min(bins - 1, int(
+            max(rec.start, min(rec.end, makespan) - 1e-15) / width))
+        for b in range(first, last + 1):
+            overlap = min(rec.end, (b + 1) * width) - max(rec.start, b * width)
+            if overlap > 0:
+                busy[b] += overlap / width
+    return [min(1.0, max(0.0, level / nranks)) for level in busy]

@@ -34,7 +34,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator
 
-from .analysis import imbalance_index, overhead_decomposition
+from .analysis import imbalance_index
 from .streaming import summarize_rank_stats
 
 if TYPE_CHECKING:  # avoid importing the experiments layer at module load
@@ -142,12 +142,7 @@ def _run_metrics(record: "RunRecord") -> dict[str, float]:
     """Flat metric dict of one executed run (the comparable surface)."""
     m = record.measurement
     run = record.run
-    decomp = overhead_decomposition(
-        work=m.work,
-        marked_speed=m.marked_speed,
-        makespan=run.makespan,
-        compute_efficiency=record.compute_efficiency,
-    )
+    decomp = record.decomposition()
     return {
         "makespan": run.makespan,
         "speed_efficiency": m.speed_efficiency,

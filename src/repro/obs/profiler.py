@@ -25,8 +25,8 @@ from .analysis import (
     RankUtilization,
     critical_path,
     imbalance_index,
-    overhead_decomposition,
     rank_utilization,
+    utilization_timeline,
 )
 from .chrome_trace import write_chrome_trace
 from .metrics import MetricsRegistry, run_metrics
@@ -61,11 +61,14 @@ def build_report(
     app: str,
     record: "RunRecord",
     tracer: Tracer,
-    compute_efficiency: float = 1.0,
     cluster_name: str = "",
 ) -> ProfileReport:
     """Derive the metrics of an already-executed traced run and apply
-    every analyzer to it."""
+    every analyzer to it.
+
+    The overhead decomposition reads W, C and f from ``record``
+    (:meth:`~repro.experiments.runner.RunRecord.decomposition`).
+    """
     from ..experiments.report import format_table
 
     m = record.measurement
@@ -73,11 +76,10 @@ def build_report(
     makespan = run.makespan
     metrics = run_metrics(tracer, run)
     util = rank_utilization(run.stats, makespan)
-    decomp = overhead_decomposition(
-        work=m.work,
-        marked_speed=m.marked_speed,
-        makespan=makespan,
-        compute_efficiency=compute_efficiency,
+    decomp = record.decomposition()
+    timeline = "".join(
+        str(min(9, int(level * 10)))
+        for level in utilization_timeline(tracer, len(run.stats), makespan)
     )
     path = critical_path(tracer)
     imbalance = imbalance_index(run.stats)
@@ -109,6 +111,7 @@ def build_report(
             ],
             title="Per-rank time (columns sum to the makespan)",
         ),
+        f"utilization [{timeline}] (0=idle .. 9=all ranks computing)",
         "",
         format_table(
             ["term", "seconds", "fraction of T"],
@@ -248,13 +251,7 @@ def profile_app(
     app = resolve_app(app)
     tracer = Tracer(limit=tracer_limit)
     record = run_app(app, cluster, n, tracer=tracer, **run_kwargs)
-    report = build_report(
-        app,
-        record,
-        tracer,
-        compute_efficiency=record.compute_efficiency,
-        cluster_name=cluster.name,
-    )
+    report = build_report(app, record, tracer, cluster_name=cluster.name)
     if out_dir is not None:
         write_report(report, out_dir)
     return report

@@ -72,15 +72,16 @@ def eager_required_problem_size(efficiency_of, target, lower=2, upper=None,
     before it is bisected."""
     if efficiency_of(lower) >= target:
         return lower
+    lo = lower
     if upper is None:
         upper = max(2 * lower, 16)
         while efficiency_of(upper) < target:
             if upper >= max_upper:
                 raise MetricError("unreachable")
-            upper = min(2 * upper, max_upper)
+            lo, upper = upper, min(2 * upper, max_upper)
     elif efficiency_of(upper) < target:
         raise MetricError("upper below target")
-    lo, hi = lower, upper
+    hi = upper
     while hi - lo > 1 and hi - lo > rtol * hi:
         mid = (lo + hi) // 2
         if efficiency_of(mid) >= target:
@@ -157,6 +158,77 @@ class TestLazyEndpoints:
         assert required_problem_size(counted, 0.25, lower=150,
                                      upper=400) == 150
         assert evaluated[-1] == 150 and 400 not in evaluated
+
+
+def doubling_from_lower(efficiency_of, target, lower=2, max_upper=1 << 22,
+                        rtol=0.0):
+    """The older unbracketed walk: after doubling, the bisection restarts
+    from ``lower`` instead of the last failing doubling size."""
+    if efficiency_of(lower) >= target:
+        return lower
+    hi = max(2 * lower, 16)
+    while efficiency_of(hi) < target:
+        if hi >= max_upper:
+            raise MetricError("unreachable")
+        hi = min(2 * hi, max_upper)
+    lo = lower
+    while hi - lo > 1 and hi - lo > rtol * hi:
+        mid = (lo + hi) // 2
+        if efficiency_of(mid) >= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def doubling_sizes(lower, threshold, max_upper):
+    """The sizes the unbracketed walk doubles through below ``threshold``."""
+    sizes = [lower]
+    size = max(2 * lower, 16)
+    while size < threshold and size < max_upper:
+        sizes.append(size)
+        size = min(2 * size, max_upper)
+    return sizes
+
+
+class TestDoublingWalk:
+    @given(case=monotone_steps(), lower=st.integers(1, 3000))
+    @settings(max_examples=300, deadline=None)
+    def test_same_answer_as_walk_from_lower(self, case, lower):
+        efficiency_of, target = case
+        kwargs = dict(lower=lower, max_upper=1 << 14)
+        assert outcome(required_problem_size, efficiency_of, target,
+                       **kwargs) == outcome(doubling_from_lower,
+                                            efficiency_of, target, **kwargs)
+
+    @given(threshold=st.integers(1, 6000), lower=st.integers(1, 3000),
+           rtol=RTOLS)
+    @settings(max_examples=300, deadline=None)
+    def test_no_probe_below_last_failing_doubling_size(self, threshold,
+                                                       lower, rtol):
+        evaluated = []
+
+        def efficiency_of(n):
+            evaluated.append(n)
+            return 1.0 if n >= threshold else 0.0
+
+        n = required_problem_size(efficiency_of, 0.5, lower=lower,
+                                  rtol=rtol)
+        assert n == lower if lower >= threshold else (
+            threshold <= n <= threshold + rtol * n)
+        doubled = doubling_sizes(lower, threshold, 1 << 22)
+        assert evaluated[:len(doubled)] == doubled
+        assert all(p > doubled[-1] for p in evaluated[len(doubled):])
+
+    def test_threshold_33_skips_the_failed_range(self):
+        evaluated = []
+
+        def efficiency_of(n):
+            evaluated.append(n)
+            return 1.0 if n >= 33 else 0.0
+
+        assert required_problem_size(efficiency_of, 0.5, lower=2) == 33
+        assert evaluated == [2, 16, 32, 64, 48, 40, 36, 34, 33]
 
 
 class TestContinuousSolver:

@@ -11,6 +11,8 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.executor import (
     BisectionPrefetcher,
@@ -43,6 +45,8 @@ def record_signature(record):
     run = record.run
     return (
         record.measurement,
+        record.compute_efficiency,
+        record.marked,
         tuple(run.finish_times),
         tuple(run.stats),
         run.events,
@@ -153,7 +157,8 @@ class TestRunCache:
         assert path.read_bytes().startswith(SEGMENT_HEADER)
         assert entry_keys(path) == [key]
         for reader in (cache, RunCache(cache.root)):
-            loaded = run_record_from_payload(reader.get(key))
+            loaded = run_record_from_payload(reader.get(key),
+                                             marked_speed_of(ge2_cluster))
             assert record_signature(loaded) == record_signature(record)
             assert loaded.app_result is None
             assert loaded.run.tracer is None
@@ -382,6 +387,37 @@ class TestBisectionPrefetcher:
         serial, _ = required_size_by_simulation("ge", ge2_cluster, 0.2)
         assert n_star == serial
 
+    @given(threshold=st.integers(1, 5000), lower=st.integers(1, 300),
+           rtol=st.sampled_from([0.0, 0.01]))
+    @settings(max_examples=200, deadline=None)
+    def test_unbracketed_warm_prefetches_every_serial_probe(
+        self, threshold, lower, rtol
+    ):
+        from types import SimpleNamespace
+
+        from repro.core.condition import required_problem_size
+        from repro.machine.sunwulf import ge_configuration
+
+        class StepExecutor:
+            """Parallel-executor stand-in: E(N) is a step at threshold."""
+
+            jobs = 2
+
+            def run_points(self, points):
+                return [SimpleNamespace(speed_efficiency=float(
+                    p.n >= threshold)) for p in points]
+
+        prefetch = BisectionPrefetcher(StepExecutor(), "ge",
+                                       ge_configuration(2))
+        prefetch.warm(0.5, lower, rtol=rtol)
+        warmed = set(prefetch.memo)
+
+        def memoized(n):
+            assert n in warmed
+            return prefetch.efficiency(n)
+
+        required_problem_size(memoized, 0.5, lower=lower, rtol=rtol)
+
     def test_guided_bracket_memo_consumed_without_its_ends(
         self, ge2_cluster, tmp_path
     ):
@@ -570,8 +606,8 @@ class TestWorkerCacheWrites:
         keys = [point_profile_hash(point) for point in points]
         assert sorted(written) == sorted(keys)
         reader = RunCache(cache.root)
-        for key, record in zip(keys, out):
-            stored = run_record_from_payload(reader.get(key))
+        for key, point, record in zip(keys, points, out):
+            stored = run_record_from_payload(reader.get(key), point.marked())
             assert record_signature(stored) == record_signature(record)
             assert stored.run.wall_seconds == record.run.wall_seconds
         # The serial path still writes in-process, through the same put.

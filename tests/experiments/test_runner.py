@@ -122,7 +122,7 @@ class TestRegistry:
             faulty = FaultyRun(name, ge2_cluster, schedule,
                                FaultInjector(schedule), record, None)
             assert faulty.compute_efficiency == entry.compute_efficiency
-            assert faulty.marked == marked_speed_of(ge2_cluster)
+            assert record.marked == ge2_marked
         assert set(APP_COMPUTE_EFFICIENCY) == set(APPLICATIONS)
 
     def test_cli_app_choices_are_registry_keys_and_aliases(self):

@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.core.marked_speed import NodeMarkedSpeed, SystemMarkedSpeed
 from repro.core.types import MetricError
 from repro.experiments.executor import RunCache, SweepExecutor
-from repro.experiments.runner import ledger_recording
+from repro.experiments.runner import ledger_recording, marked_speed_of
 from repro.faults.analysis import (
     FaultSweepRow,
     availability_weighted_speed,
@@ -77,7 +78,7 @@ class TestFaultyRun:
         assert faulty.makespan > faulty.baseline.run.makespan
         # A slowdown costs time, not availability.
         assert faulty.availabilities == [1.0] * cluster.nranks
-        assert faulty.c_eff == pytest.approx(faulty.marked.total)
+        assert faulty.c_eff == pytest.approx(faulty.faulted.marked.total)
 
     def test_crash_restart_lowers_availability(self):
         cluster = ge_configuration(2)
@@ -90,7 +91,7 @@ class TestFaultyRun:
         ))
         faulty = run_app_under_faults("ge", cluster, 120, schedule)
         assert min(faulty.availabilities) < 1.0
-        assert faulty.c_eff < faulty.marked.total
+        assert faulty.c_eff < faulty.faulted.marked.total
         assert faulty.fault_speed_efficiency > \
             faulty.faulted.speed_efficiency  # judged against less capacity
 
@@ -224,7 +225,7 @@ class TestExecutorPath:
         work = direct.faulted.measurement.work
         assert direct.compute_efficiency == 0.3
         assert direct.psi == degraded_psi(
-            work, direct.marked.total, direct.baseline.run.makespan,
+            work, direct.faulted.marked.total, direct.baseline.run.makespan,
             direct.makespan, compute_efficiency=0.3,
         )
         ledger = RunLedger(tmp_path / "ledger")
@@ -239,10 +240,47 @@ class TestExecutorPath:
                 faulty.to_ledger(ledger)
         entries = ledger.history()
         assert len(entries) == 6  # 2 runs + 1 fault record, twice
-        ideal = work / (0.3 * direct.marked.total)
+        ideal = work / (0.3 * direct.faulted.marked.total)
         for entry in entries:
             metrics = ledger.load(entry.run_id)["metrics"]
             assert metrics["theorem1_ideal_compute"] == pytest.approx(ideal)
+
+
+class TestMarkedOverride:
+    """ψ and C_eff read the marked speeds a run was given (``marked=``)
+    from its record, not the cluster's measured ones."""
+
+    def test_psi_and_c_eff_use_the_given_speeds(self, tmp_path):
+        cluster = ge_configuration(2)
+        half = SystemMarkedSpeed(tuple(
+            NodeMarkedSpeed(node.name, node.flops_per_second / 2)
+            for node in marked_speed_of(cluster).per_rank
+        ))
+        schedule = uniform_slowdown(cluster.nranks, 0.3)
+        executors = [None] + [SweepExecutor(cache=RunCache(tmp_path / "c"))
+                              for _ in ("cold", "warm")]
+        for executor in executors:
+            faulty = run_app_under_faults("ge", cluster, 60, schedule,
+                                          marked=half, executor=executor)
+            m = faulty.faulted.measurement
+            assert faulty.faulted.marked == half
+            assert m.marked_speed == half.total
+            assert faulty.psi == degraded_psi(
+                m.work, m.marked_speed, faulty.baseline.run.makespan,
+                faulty.makespan, compute_efficiency=faulty.compute_efficiency,
+            )
+            assert faulty.psi == pytest.approx(0.93513, abs=5e-6)
+            assert faulty.c_eff == 87.5e6
+        assert executors[-1].hits == 2  # both runs replayed from the cache
+
+    def test_runs_without_marked_are_unchanged(self):
+        rows = slowdown_sweep("ge", ge_configuration(2), 60,
+                              severities=(0.0, 0.3, 0.6))
+        assert [(row.psi, row.c_eff) for row in rows] == [
+            (1.0, 175e6),
+            (0.9661697806527075, 175e6),
+            (0.8908275519453972, 175e6),
+        ]
 
 
 class TestSlowdownSweep:

@@ -155,3 +155,31 @@ class TestBuildReport:
         report = build_report("ge", record, tracer)
         assert "events/s" in report.summary
         assert "stale-pop ratio" in report.summary
+
+    def test_decomposes_a_run_app_record_at_its_own_f(self):
+        """A GE record from ``run_app`` is decomposed at GE's f, read from
+        the record, not at f = 1."""
+        from repro.apps.gaussian import GE_COMPUTE_EFFICIENCY
+        from repro.experiments.runner import run_app
+
+        tracer = Tracer()
+        record = run_app("ge", ge_configuration(2), 60, tracer=tracer)
+        decomp = build_report("ge", record, tracer).decomposition
+        m = record.measurement
+        assert decomp.compute_efficiency == GE_COMPUTE_EFFICIENCY < 1
+        assert decomp.ideal_compute == pytest.approx(
+            m.work / (GE_COMPUTE_EFFICIENCY * m.marked_speed))
+
+    def test_summary_rank_table_lists_every_rank(self, report):
+        rep, _ = report
+        table = rep.summary.split("Per-rank time")[1].split("utilization [")[0]
+        rows = [line.split()[0] for line in table.splitlines()
+                if line.split() and line.split()[0].isdigit()]
+        assert rows == [str(rank) for rank in range(ge_configuration(2).nranks)]
+
+    def test_summary_has_utilization_timeline(self, report):
+        rep, out = report
+        (line,) = [ln for ln in rep.summary.splitlines()
+                   if ln.startswith("utilization [")]
+        assert len(line.split("[")[1].split("]")[0]) == 40
+        assert line in (out / "summary.txt").read_text()

@@ -40,9 +40,9 @@ class TestGrammar:
     def test_tree_has_every_command(self):
         assert {p[0] for p in COMMAND_PATHS} == {
             "table1", "table2", "table3", "table4", "table5", "table6",
-            "table7", "fig1", "fig2", "all", "predict", "breakdown",
-            "memory", "profile", "faults", "fuzz", "sweep", "flight",
-            "history", "version",
+            "table7", "fig1", "fig2", "all", "predict", "memory",
+            "profile", "faults", "fuzz", "sweep", "flight", "history",
+            "version",
         }
         assert {p for p in COMMAND_PATHS if len(p) == 2} == {
             ("faults", "run"), ("faults", "sweep"), ("faults", "attack"),
@@ -108,7 +108,7 @@ class TestErrorBoundary:
     @pytest.mark.parametrize("argv", [
         ["table3", "--nodes", "0"],
         ["faults", "run", "--nodes", "0", "--slowdown", "0.1"],
-        ["breakdown", "--size", "0", "--nodes", "2"],
+        ["profile", "--size", "0", "--nodes", "2"],
         ["memory", "--size", "-1", "--nodes", "2"],
         ["sweep", "profile", "--sizes", "0", "--no-serial", "--jobs", "1"],
         ["predict", "--target", "1.5", "--nodes", "2", "4"],

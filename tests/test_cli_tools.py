@@ -1,4 +1,4 @@
-"""Tests for the CLI tool commands (predict / breakdown / memory / profile)."""
+"""Tests for the CLI tool commands (predict / memory / profile)."""
 
 import json
 
@@ -28,21 +28,6 @@ class TestPredict:
         main(["predict", "--app", "stencil", "--nodes", "2", "4"])
         out = capsys.readouterr().out
         assert "Automatic prediction (stencil)" in out
-
-
-class TestBreakdown:
-    def test_breakdown_output(self, capsys):
-        main(["breakdown", "--app", "ge", "--nodes", "2", "--size", "80"])
-        out = capsys.readouterr().out
-        assert "Per-rank breakdown" in out
-        assert "utilization [" in out
-        assert "E_S" in out
-
-    def test_breakdown_lists_all_ranks(self, capsys):
-        main(["breakdown", "--app", "mm", "--nodes", "4", "--size", "60"])
-        out = capsys.readouterr().out
-        for rank in range(4):
-            assert f"\n{rank} " in out or out.splitlines()
 
 
 class TestMemory:
@@ -100,6 +85,27 @@ class TestProfile:
         ) == 0
         assert "profile: stencil" in capsys.readouterr().out
 
+    def test_profile_summary_has_rank_table_and_timeline(self, capsys,
+                                                          tmp_path):
+        assert main(["profile", "ge", "--nodes", "2", "--size", "80",
+                     "--ledger", str(tmp_path / "ledger")]) == 0
+        out = capsys.readouterr().out
+        assert "Per-rank time" in out
+        assert "utilization [" in out
+        assert "E_S" in out
+
+    def test_profile_lists_every_rank(self, capsys, tmp_path):
+        from repro.machine import mm_configuration
+
+        nranks = mm_configuration(4).nranks
+        assert main(["profile", "mm", "--nodes", "4", "--size", "60",
+                     "--ledger", str(tmp_path / "ledger")]) == 0
+        out = capsys.readouterr().out
+        table = out.split("Per-rank time")[1].split("utilization [")[0]
+        rows = [line.split()[0] for line in table.splitlines()
+                if line.split() and line.split()[0].isdigit()]
+        assert rows == [str(rank) for rank in range(nranks)]
+
     def test_profile_unknown_app_rejected(self):
         with pytest.raises(SystemExit):
             main(["profile", "quicksort", "--nodes", "2"])
@@ -116,16 +122,6 @@ class TestTraceOut:
         # Every traced run is a separate trace-viewer process.
         assert {e["ph"] for e in events} >= {"M", "X"}
 
-    def test_breakdown_with_trace_out(self, capsys, tmp_path):
-        path = tmp_path / "bd.json"
-        assert main(
-            ["breakdown", "--app", "ge", "--nodes", "2", "--size", "60",
-             "--trace-out", str(path)]
-        ) == 0
-        assert "from 1 simulated run(s)" in capsys.readouterr().out
-        events = json.loads(path.read_text())
-        assert any(e["ph"] == "X" for e in events)
-
     def test_profile_with_trace_out(self, capsys, tmp_path):
         """--trace-out exports the profiled run: the same events as the
         profile's own trace.json."""
@@ -139,6 +135,16 @@ class TestTraceOut:
         assert any(e["ph"] == "X" for e in events)
         own = json.loads((tmp_path / "prof" / "trace.json").read_text())
         assert len(events) == len(own)
+
+    def test_profile_trace_out_reports_one_run(self, capsys, tmp_path):
+        path = tmp_path / "pr.json"
+        assert main(
+            ["profile", "ge", "--nodes", "2", "--size", "60",
+             "--trace-out", str(path), "--ledger", str(tmp_path / "ledger")]
+        ) == 0
+        assert "from 1 simulated run(s)" in capsys.readouterr().out
+        events = json.loads(path.read_text())
+        assert any(e["ph"] == "X" for e in events)
 
 
 def test_unknown_tool_rejected():
