@@ -7,10 +7,11 @@ sweeps) sample many independent ``(app, cluster, N)`` simulation points.
 * **Parallelism** -- independent points fan out over the process-wide
   :func:`~repro.experiments.pool.shared_pool` (``jobs=``; the default of
   1 executes in-process).  The pool is spawned once per process and
-  reused by every batch, sweep and bisection probe; tasks are
-  dispatched in adaptive chunks and reference interned
-  cluster/fault-schedule specs by hash instead of shipping them per
-  task (see :mod:`repro.experiments.pool`).
+  reused by every batch and sweep; tasks carry their points and are
+  dispatched in adaptive chunks (see :mod:`repro.experiments.pool`).
+  A batch of one point -- each probe of a required-size bisection,
+  whose next probe depends on this one's efficiency -- runs
+  in-process.
 * **Caching** -- a persistent :class:`~repro.experiments.runcache.RunCache`
   under ``.repro/cache/`` stores finished runs keyed by a deterministic
   profile hash (app, N, cluster spec hash, run kwargs such as the
@@ -43,7 +44,6 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, fields
 from typing import Any, Iterator, Sequence
 
-from ..core.condition import required_problem_size
 from ..core.marked_speed import SystemMarkedSpeed
 from ..machine.cluster import ClusterSpec
 from ..mpi.communicator import CollectiveConfig
@@ -53,7 +53,7 @@ from ..obs.telemetry import BUSY_PHASES, ROOT_SPAN, SweepTimeline
 from ..sim.engine import RunResult
 from ..sim.trace import RankStats, RankStatsArray
 from . import runner as _runner
-from .pool import WorkerPool, publish_spec, resolve_spec, shared_pool, spec_key
+from .pool import WorkerPool, shared_pool
 from .persistence import measurement_from_dict, measurement_to_dict
 from .runcache import CACHE_PROFILE_VERSION, RunCache, append_entry
 from .runner import RunRecord, resolve_app, run_app
@@ -306,50 +306,6 @@ def injector_from_payload(schedule: Any, payload: dict[str, Any]) -> Any:
 
 # -- worker-side execution ----------------------------------------------------
 
-def _encode_task(point: SweepPoint, pool: WorkerPool) -> tuple:
-    """Compact pool-task form of a point: specs travel by intern hash.
-
-    The cluster spec and fault schedule are replaced by
-    ``(spec_hash, payload)`` references (payload ``None`` when the
-    workers already hold the spec -- published before the pool spawned),
-    so a typical task ships only ``(app, N, kwargs, spec_hash)``.
-    """
-    return (
-        point.app,
-        point.n,
-        point.kwargs,
-        point.local,
-        pool.encode_spec(point.cluster),
-        pool.encode_spec(point.schedule)
-        if point.schedule is not None else None,
-    )
-
-
-def _decode_task(task: tuple) -> SweepPoint:
-    """Worker-side inverse of :func:`_encode_task` (interns on miss)."""
-    app, n, kwargs, local, cluster_ref, schedule_ref = task
-    return SweepPoint(
-        app=app,
-        cluster=resolve_spec(cluster_ref),
-        n=n,
-        kwargs=kwargs,
-        local=local,
-        schedule=(resolve_spec(schedule_ref)
-                  if schedule_ref is not None else None),
-    )
-
-
-def _publish_batch_specs(batch: Sequence[SweepPoint]) -> None:
-    """Publish every spec of a batch *before* the pool (re)spawns, so a
-    cold spawn's initializer snapshot already carries them and no task
-    of the very first batch ships a spec inline."""
-    for point in batch:
-        for obj in (point.cluster, point.schedule):
-            key = spec_key(obj)
-            if key is not None:
-                publish_spec(key, obj)
-
-
 def _run_point(point: SweepPoint) -> tuple[RunRecord, Any]:
     """Execute one point; returns ``(record, injector-or-None)``."""
     kwargs = point.run_kwargs()
@@ -369,13 +325,12 @@ def _run_point(point: SweepPoint) -> tuple[RunRecord, Any]:
 
 
 def _pool_worker(
-    task: tuple[tuple, tuple[str, str] | None, float | None],
+    task: tuple[SweepPoint, tuple[str, str] | None, float | None],
 ) -> tuple[dict, list, bool]:
     """Process-pool entry: run a point; returns ``(payload, spans, ok)``.
 
-    ``task`` is the compact :func:`_encode_task` form (specs by intern
-    hash), the point's ``(cache root, key)`` or ``None`` when it is not
-    cached, and its parent-side submit timestamp, or ``None`` when
+    ``task`` is the point, its ``(cache root, key)`` or ``None`` when it
+    is not cached, and its parent-side submit timestamp, or ``None`` when
     telemetry is off.  With a cache entry the worker appends it to its
     own segment (:func:`~repro.experiments.runcache.append_entry`, the
     handle kept across tasks) before returning; ``ok`` is ``False`` only
@@ -389,8 +344,7 @@ def _pool_worker(
     (ledger, trace collector) inherited through fork are suspended --
     the parent executor is the recording authority.
     """
-    compact, entry, submitted_at = task
-    point = _decode_task(compact)
+    point, entry, submitted_at = task
     recorder = None
     if submitted_at is not None:
         from ..obs.telemetry import worker_telemetry
@@ -444,8 +398,8 @@ class SweepExecutor:
 
     Parallel batches run on the process-global
     :func:`~repro.experiments.pool.shared_pool` for ``jobs`` workers,
-    spawned once and reused across batches, sweeps, executors and
-    bisection probes.
+    spawned once and reused across batches, sweeps and executors.  A
+    batch with one parallelizable point runs it in-process.
 
     ``telemetry=True`` additionally records cross-process wall-clock
     spans for every phase of the sweep (spawn, queue-wait, cache probe,
@@ -715,7 +669,6 @@ class SweepExecutor:
         """
         pool = self.pool = shared_pool(self.jobs)
         epoch = wall_now()
-        _publish_batch_specs(batch)
         if timeline is None:
             pool.ensure()
         elif pool.needs_spawn():
@@ -726,8 +679,7 @@ class SweepExecutor:
             timeline.pool_reuse = True
         root = str(self.cache.root) if self.cache is not None else None
         tasks = [
-            (_encode_task(point, pool),
-             (root, key) if root is not None else None,
+            (point, (root, key) if root is not None else None,
              wall_now() if timeline is not None else None)
             for point, key in zip(batch, keys)
         ]
@@ -850,104 +802,3 @@ def resolve_executor(executor: SweepExecutor | None = None) -> SweepExecutor:
     if _ACTIVE_EXECUTOR is not None:
         return _ACTIVE_EXECUTOR
     return SweepExecutor()
-
-
-# -- speculative bisection prefetch -------------------------------------------
-
-class BisectionPrefetcher:
-    """Memoized point evaluation with speculative bracket prefetch.
-
-    ``warm`` mirrors :func:`~repro.core.condition.required_problem_size`'s
-    exact walk -- bracket doubling, bisection, then any bracket end left
-    undecided -- submitting each round's probe *and* the probes both
-    branch outcomes would need next as one parallel batch.  The serial
-    search then consumes the memo and returns the identical answer by
-    construction; speculation only ever adds extra (cached, reusable)
-    evaluations.
-    """
-
-    def __init__(
-        self,
-        executor: SweepExecutor,
-        app: str,
-        cluster: ClusterSpec,
-        schedule: Any = None,
-        **run_kwargs: Any,
-    ):
-        self.executor = executor
-        self.app = app
-        self.cluster = cluster
-        self.schedule = schedule
-        self.run_kwargs = run_kwargs
-        self.memo: dict[int, RunRecord] = {}
-
-    def point(self, n: int) -> SweepPoint:
-        return SweepPoint.make(
-            self.app, self.cluster, n, schedule=self.schedule,
-            **self.run_kwargs,
-        )
-
-    def batch(self, sizes: Sequence[int]) -> None:
-        """Evaluate any not-yet-memoized sizes as one parallel batch."""
-        todo = [n for n in dict.fromkeys(int(n) for n in sizes)
-                if n not in self.memo]
-        if not todo:
-            return
-        records = self.executor.run_points([self.point(n) for n in todo])
-        for n, record in zip(todo, records):
-            self.memo[n] = record
-
-    def record(self, n: int) -> RunRecord:
-        n = int(n)
-        if n not in self.memo:
-            self.memo[n] = self.executor.run_point(self.point(n))
-        return self.memo[n]
-
-    def efficiency(self, n: int) -> float:
-        """Drop-in evaluator for ``required_problem_size``."""
-        return self.record(n).speed_efficiency
-
-    def search(self, target: float, lower: int = 2, upper: int | None = None,
-               max_upper: int = 1 << 22, rtol: float = 0.0) -> int:
-        """``required_problem_size`` over :meth:`efficiency`, prefetched
-        by :meth:`warm` under a parallel executor (same answer)."""
-        if self.executor.jobs > 1:
-            self.warm(target, lower, upper, max_upper, rtol)
-        return required_problem_size(
-            self.efficiency, target, lower=lower, upper=upper,
-            max_upper=max_upper, rtol=rtol,
-        )
-
-    def warm(self, target: float, lower: int = 2, upper: int | None = None,
-             max_upper: int = 1 << 22, rtol: float = 0.0) -> None:
-        """Prefetch every probe the serial bisection will evaluate (an
-        explicit bracket's first batch: its midpoint and quarter points)."""
-        if target <= 0:
-            return
-        lo = lower = int(lower)
-        if upper is None:
-            self.batch([lower])
-            if self.efficiency(lower) >= target:
-                return
-            upper = max(2 * lower, 16)
-            while True:
-                self.batch([upper, min(2 * upper, max_upper)])
-                if self.efficiency(upper) >= target:
-                    break
-                if upper >= max_upper:
-                    return  # the serial search raises the MetricError
-                lo, upper = upper, min(2 * upper, max_upper)
-        upper = int(upper)
-        hi = upper
-        while hi - lo > 1 and hi - lo > rtol * hi:
-            mid = (lo + hi) // 2
-            # Speculate: whichever way the test goes, the next midpoint
-            # is one of the two quarter points -- fetch all three now.
-            self.batch([mid, (lo + mid) // 2, (mid + hi) // 2])
-            if self.efficiency(mid) >= target:
-                hi = mid
-            else:
-                lo = mid
-        self.batch([n for n, undecided in ((lower, lo == lower),
-                                           (upper, hi == upper))
-                    if undecided])

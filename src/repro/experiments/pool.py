@@ -1,36 +1,25 @@
-"""Persistent warm worker pools and shared-once spec interning.
+"""The persistent warm worker pool.
 
 Cross-process sweep telemetry pinned why a cold ``--jobs 2`` sweep was
 *slower* than serial (0.61x at the time): every batch paid a fresh
-``ProcessPoolExecutor`` spawn, every task shipped its full cluster spec
-and fault schedule, and ``chunksize=1`` dispatch put a queue round-trip
-behind every ~35 ms simulation.  This module removes
-the per-batch costs:
+``ProcessPoolExecutor`` spawn and ``chunksize=1`` dispatch put a queue
+round-trip behind every ~35 ms simulation.  :class:`WorkerPool` removes
+both: a lazily-spawned process pool that *survives* across batches and
+sweeps, fed in adaptive chunks.  :func:`shared_pool` hands out one
+process-global pool per worker count (spawned once per process, reused
+by every executor and CLI command in that process; shut down at
+interpreter exit or explicitly via :func:`shutdown_worker_pools`).
+Fork-safety is guarded: a pool handle inherited into a forked child is
+detected by pid and re-spawned rather than used, and a broken pool is
+discarded so the next batch gets a fresh one.
 
-* :class:`WorkerPool` -- a lazily-spawned process pool that *survives*
-  across batches and sweeps.  :func:`shared_pool` hands out one
-  process-global pool per worker count (spawned once per process,
-  reused by every executor, bisection probe batch and CLI command in
-  that process; shut down at interpreter exit or explicitly via
-  :func:`shutdown_worker_pools`).  Fork-safety is guarded: a pool
-  handle inherited into a forked child is detected by pid and
-  re-spawned rather than used, and a broken pool is discarded so the
-  next batch gets a fresh one.
-
-* **Shared-once specs** -- cluster specs and fault schedules are
-  interned in workers under a deterministic spec hash
-  (:func:`spec_key`).  Specs published before the pool spawns travel
-  once through the pool initializer (fork inherits them for free; the
-  ``spawn`` start method pickles them once per worker), so each task
-  ships only ``(app, N, kwargs, spec_hash)``.  Specs first seen while
-  the pool is already warm ride along inline exactly once per task and
-  are interned on arrival; repeated hashes then hit the per-worker
-  cache (:func:`spec_cache_stats`).
+A task carries its :class:`~repro.experiments.executor.SweepPoint`
+itself.  ``pool.map`` pickles each chunk once, so a cluster spec or
+fault schedule shared by a chunk's points is written once per chunk.
 
 The pool is transport only: workers run the same ``_run_point`` code on
-value-equal specs (fork-inherited objects are bit-identical; pickled
-ones round-trip exactly), so results are bit-identical to the serial
-path -- test-enforced.
+value-equal specs (pickled specs round-trip exactly), so results are
+bit-identical to the serial path -- test-enforced.
 """
 
 from __future__ import annotations
@@ -47,106 +36,20 @@ __all__ = [
     "WorkerPool",
     "shared_pool",
     "shutdown_worker_pools",
-    "spec_key",
-    "publish_spec",
-    "resolve_spec",
-    "spec_cache_stats",
 ]
 
 
-# -- spec interning ------------------------------------------------------------
-
-#: Per-process intern table: spec hash -> spec object.  In the parent it
-#: is the publication registry (snapshot shipped to workers at spawn);
-#: in a worker it is the cache that lets tasks reference specs by hash.
-_SPECS: dict[str, Any] = {}
-
-#: Per-process cache accounting for :func:`resolve_spec`.
-_SPEC_STATS = {"hits": 0, "misses": 0}
-
-
-def spec_key(obj: Any) -> str | None:
-    """Deterministic intern key of a shareable spec, or ``None``.
-
-    Cluster specs key on :func:`~repro.obs.ledger.cluster_spec_hash`
-    (everything that determines timing); fault schedules on their
-    ``profile_hash()``.  Anything else has no key and is shipped inline
-    with each task, uninterned.
-    """
-    if obj is None:
-        return None
-    from ..machine.cluster import ClusterSpec
-
-    if isinstance(obj, ClusterSpec):
-        from ..obs.ledger import cluster_spec_hash
-
-        return f"cluster:{cluster_spec_hash(obj)}"
-    profile = getattr(obj, "profile_hash", None)
-    if callable(profile):
-        return f"schedule:{profile()}"
-    return None
-
-
-def publish_spec(key: str, value: Any) -> None:
-    """Register a spec in this process's intern table.
-
-    In the parent, published specs are snapshotted into the initializer
-    of every pool spawned afterwards, so workers resolve their hash
-    without the spec ever riding a task payload.
-    """
-    _SPECS[key] = value
-
-
-def resolve_spec(ref: tuple[str | None, Any]) -> Any:
-    """Worker-side lookup of a ``(key, payload)`` spec reference.
-
-    ``key=None`` means the value is uninterned and rides inline.  A
-    known key returns the cached spec (a *hit*: the payload, if any,
-    is ignored); an unknown key with an inline payload interns it (a
-    *miss*) so the next task referencing the same hash hits.
-    """
-    key, payload = ref
-    if key is None:
-        return payload
-    cached = _SPECS.get(key)
-    if cached is not None:
-        _SPEC_STATS["hits"] += 1
-        return cached
-    _SPEC_STATS["misses"] += 1
-    if payload is None:
-        raise KeyError(
-            f"spec {key!r} is not interned in this process and the task "
-            "shipped no inline payload"
-        )
-    _SPECS[key] = payload
-    return payload
-
-
-def spec_cache_stats() -> dict[str, int]:
-    """This process's intern-cache hit/miss counters (diagnostics)."""
-    return dict(_SPEC_STATS)
-
-
-def _reset_spec_cache() -> None:
-    """Testing hook: clear the intern table and counters."""
-    _SPECS.clear()
-    _SPEC_STATS["hits"] = 0
-    _SPEC_STATS["misses"] = 0
-
-
-def _init_worker(pool_created_at: float, specs: dict[str, Any]) -> None:
+def _init_worker(pool_created_at: float) -> None:
     """Pool initializer run once in every worker at startup.
 
-    Installs the worker's telemetry (stamping a ``spawn`` span from the
+    Installs the worker's telemetry, stamping a ``spawn`` span from the
     parent-side pool-creation timestamp -- under *both* the fork and
     spawn start methods, since the timestamp travels through
-    ``initargs`` rather than relying on fork inheritance) and seeds the
-    spec intern table with the parent's published snapshot.
+    ``initargs`` rather than relying on fork inheritance.
     """
     from ..obs.telemetry import init_worker_telemetry
 
     init_worker_telemetry(pool_created_at)
-    _SPECS.update(specs)
 
 
 # -- the persistent pool -------------------------------------------------------
@@ -168,8 +71,7 @@ class WorkerPool:
 
     ``start_method`` pins the multiprocessing start method (tests force
     ``"spawn"`` to cover the no-fork platforms); the default prefers
-    fork, which inherits warm marked-speed caches and published specs
-    for free.
+    fork, which inherits warm marked-speed caches for free.
     """
 
     def __init__(self, workers: int, start_method: str | None = None):
@@ -181,7 +83,6 @@ class WorkerPool:
         self.created_at: float | None = None
         self._pool: ProcessPoolExecutor | None = None
         self._pid: int | None = None
-        self._published: frozenset[str] = frozenset()
 
     # -- lifecycle ---------------------------------------------------------
     @property
@@ -215,21 +116,18 @@ class WorkerPool:
             except ValueError:  # platform without fork
                 ctx = multiprocessing.get_context()
         self.created_at = wall_now()
-        snapshot = dict(_SPECS)
         self._pool = ProcessPoolExecutor(
             max_workers=self.workers,
             mp_context=ctx,
             initializer=_init_worker,
-            initargs=(self.created_at, snapshot),
+            initargs=(self.created_at,),
         )
         self._pid = os.getpid()
-        self._published = frozenset(snapshot)
         self.spawns += 1
 
     def shutdown(self, wait: bool = True) -> None:
         """Terminate the workers; the next :meth:`ensure` re-spawns."""
         pool, self._pool = self._pool, None
-        self._published = frozenset()
         if pool is not None and self._pid == os.getpid():
             pool.shutdown(wait=wait)
         self._pid = None
@@ -245,24 +143,6 @@ class WorkerPool:
         seen: set[int] = set()
         while len(seen) < self.workers:
             seen.update(self.map(_warmup_probe, range(self.workers)))
-
-    # -- spec publication --------------------------------------------------
-    def encode_spec(self, obj: Any) -> tuple[str | None, Any]:
-        """A ``(key, payload)`` reference for shipping ``obj`` to a task.
-
-        Publishes the spec so pools spawned later inherit it.  Specs the
-        workers already hold (published before this pool spawned) ship
-        as ``(key, None)`` -- the hash alone; later-published specs ride
-        inline once per task and are interned on arrival.
-        """
-        key = spec_key(obj)
-        if key is None:
-            return (None, obj)
-        if key not in _SPECS:
-            publish_spec(key, obj)
-        if key in self._published:
-            return (key, None)
-        return (key, obj)
 
     # -- dispatch ----------------------------------------------------------
     def chunksize_for(self, tasks: int) -> int:
@@ -289,7 +169,6 @@ class WorkerPool:
             yield from self._pool.map(fn, tasks, chunksize=chunksize)
         except BrokenProcessPool:
             self._pool = None
-            self._published = frozenset()
             self._pid = None
             raise
 
@@ -311,8 +190,8 @@ def shared_pool(workers: int) -> WorkerPool:
     """The process-global persistent pool for ``workers`` workers.
 
     Spawned lazily on first use and reused by every executor in the
-    process -- consecutive sweeps, bracket-doubling/bisection probe
-    batches and CLI commands all share it.  Shut down at interpreter
+    process -- consecutive sweeps, curves, figures and CLI commands all
+    share it.  Shut down at interpreter
     exit (or explicitly with :func:`shutdown_worker_pools`).
     """
     global _ATEXIT_REGISTERED

@@ -8,12 +8,14 @@ then find the size attaining the chosen constant efficiency.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Sequence
 
+from ..core.condition import required_problem_size
 from ..core.trendline import TrendFit, fit_trend_from_measurements
 from ..core.types import Measurement
 from ..machine.cluster import ClusterSpec
-from .executor import BisectionPrefetcher, SweepExecutor, SweepPoint, resolve_executor
+from .executor import SweepExecutor, SweepPoint, resolve_executor
 from .runner import RunRecord, marked_speed_of
 
 
@@ -79,17 +81,25 @@ def required_size_by_simulation(
 ) -> tuple[int, RunRecord]:
     """Smallest problem size whose *simulated* efficiency meets the target.
 
-    Runs the simulator inside a bisection (prefetched in parallel batches
-    with a parallel executor); results are memoized per size.  Returns
-    the size and the run record at that size (the iso-efficient
-    observation fed to the scalability function).
+    Runs the simulator inside a bisection, one probe at a time: each
+    probe's efficiency picks the next, so even a parallel executor runs
+    each probe in-process (the run cache still applies).  Results are
+    memoized per size.  Returns the size and the run record at that size
+    (the iso-efficient observation fed to the scalability function).
     """
-    prefetch = BisectionPrefetcher(
-        resolve_executor(executor), app, cluster,
-        marked=marked_speed_of(cluster), **run_kwargs,
+    exe = resolve_executor(executor)
+    marked = marked_speed_of(cluster)
+
+    @cache
+    def record(n: int) -> RunRecord:
+        return exe.run_point(SweepPoint.make(app, cluster, n, marked=marked,
+                                             **run_kwargs))
+
+    n_star = required_problem_size(
+        lambda n: record(n).speed_efficiency, target_efficiency, lower,
+        max_upper=max_upper,
     )
-    n_star = prefetch.search(target_efficiency, lower, max_upper=max_upper)
-    return n_star, prefetch.record(n_star)
+    return n_star, record(n_star)
 
 
 def required_size_by_trend(

@@ -13,12 +13,14 @@ same physics as brute-force search at a fraction of the runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from ..apps.gaussian import GE_COMPUTE_EFFICIENCY
 from ..apps.matmul import MM_COMPUTE_EFFICIENCY
 from ..apps.fft import FFT_COMPUTE_EFFICIENCY
 from ..apps.stencil import STENCIL_COMPUTE_EFFICIENCY, stencil_workload
 from ..apps.workload import ge_workload, mm_workload
+from ..core.condition import required_problem_size
 from ..core.isospeed_efficiency import ScalabilityStudy
 from ..core.marked_speed import NodeMarkedSpeed
 from ..core.prediction import PerformanceModel, predict_required_size
@@ -226,29 +228,42 @@ def required_rank_hybrid(
 
     The analytic prediction provides the bisection bracket (whose ends
     are run only if no midpoint decides them); a prediction that
-    overshot or undershot falls back to an unguided search.  ``rtol``
-    bounds the relative precision of the returned rank (the paper reads
-    ranks like "around 310" off trend lines -- three significant digits).
+    overshot or undershot falls back to an unguided search, which reuses
+    every run the guided walk made.  Probes run one at a time through
+    the resolved executor -- each probe's efficiency picks the next --
+    so ``--jobs`` does not fan them out.  ``rtol`` bounds the relative
+    precision of the returned rank (the paper reads ranks like "around
+    310" off trend lines -- three significant digits).
     """
-    from .executor import BisectionPrefetcher, resolve_executor
+    from .executor import SweepPoint, resolve_executor
+
+    exe = resolve_executor()
+    marked = marked_speed_of(cluster)
+
+    @cache
+    def record(n: int) -> RunRecord:
+        return exe.run_point(SweepPoint.make(
+            app, cluster, n, marked=marked,
+            compute_efficiency=compute_efficiency,
+        ))
+
+    def efficiency(n: int) -> float:
+        return record(n).speed_efficiency
 
     n_pred = predict_required_size(model, target)
-    prefetch = BisectionPrefetcher(
-        resolve_executor(), app, cluster, marked=marked_speed_of(cluster),
-        compute_efficiency=compute_efficiency,
-    )
     # Lower bound 3 keeps the probe valid for every application (the
     # stencil's smallest meaningful grid is 3x3).
     floor = 3
     lower = max(floor, int(0.45 * n_pred))
     upper = max(lower + 2, int(2.5 * n_pred))
     try:
-        n_star = prefetch.search(target, lower, upper, rtol=rtol)
+        n_star = required_problem_size(efficiency, target, lower, upper,
+                                       rtol=rtol)
     except MetricError:  # E(upper) < target
         n_star = lower
     if n_star == lower:  # E(lower) >= target, or the bracket fell short
-        n_star = prefetch.search(target, floor, rtol=rtol)
-    return n_star, prefetch.record(n_star)
+        n_star = required_problem_size(efficiency, target, floor, rtol=rtol)
+    return n_star, record(n_star)
 
 
 def table3_required_rank(

@@ -60,12 +60,21 @@ def measure_cluster(
     use_cache: bool = True,
 ) -> SystemMarkedSpeed:
     """Benchmark every slot of a cluster; returns the system's marked speed
-    decomposition (Definitions 1 + 2)."""
-    per_rank = tuple(
-        measure_node(slot.ptype, kernels=kernels, use_cache=use_cache)
-        for slot in cluster.slots
-    )
-    return SystemMarkedSpeed(per_rank)
+    decomposition (Definitions 1 + 2).
+
+    Each distinct processor type is measured once and shared by its
+    slots, so the per-slot cost is one dict lookup.
+    """
+    measured: dict[int, NodeMarkedSpeed] = {}
+    per_rank = []
+    for slot in cluster.slots:
+        node = measured.get(id(slot.ptype))
+        if node is None:
+            node = measured[id(slot.ptype)] = measure_node(
+                slot.ptype, kernels=kernels, use_cache=use_cache
+            )
+        per_rank.append(node)
+    return SystemMarkedSpeed(tuple(per_rank))
 
 
 def clear_cache() -> None:

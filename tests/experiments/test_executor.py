@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.executor import (
-    BisectionPrefetcher,
     RunCache,
     SweepExecutor,
     SweepPoint,
@@ -131,7 +130,6 @@ class TestBitIdentity:
         )
         assert n_par == n_serial
         assert record_signature(rec_par) == record_signature(rec_serial)
-        # Speculation prefetches extra bracket probes but never misleads.
         assert exe.misses >= 1
 
 
@@ -374,74 +372,6 @@ class TestAmbientExecutor:
 
 
 class TestBisectionPrefetcher:
-    def test_memo_consumed_by_search(self, ge2_cluster, tmp_path):
-        exe = SweepExecutor(jobs=2, cache=fresh_cache(tmp_path))
-        prefetch = BisectionPrefetcher(exe, "ge", ge2_cluster)
-        prefetch.warm(0.2)
-        warmed = dict(prefetch.memo)
-        from repro.core.condition import required_problem_size
-
-        n_star = required_problem_size(prefetch.efficiency, 0.2)
-        # The serial walk's probes were all speculatively prefetched.
-        assert n_star in warmed
-        serial, _ = required_size_by_simulation("ge", ge2_cluster, 0.2)
-        assert n_star == serial
-
-    @given(threshold=st.integers(1, 5000), lower=st.integers(1, 300),
-           rtol=st.sampled_from([0.0, 0.01]))
-    @settings(max_examples=200, deadline=None)
-    def test_unbracketed_warm_prefetches_every_serial_probe(
-        self, threshold, lower, rtol
-    ):
-        from types import SimpleNamespace
-
-        from repro.core.condition import required_problem_size
-        from repro.machine.sunwulf import ge_configuration
-
-        class StepExecutor:
-            """Parallel-executor stand-in: E(N) is a step at threshold."""
-
-            jobs = 2
-
-            def run_points(self, points):
-                return [SimpleNamespace(speed_efficiency=float(
-                    p.n >= threshold)) for p in points]
-
-        prefetch = BisectionPrefetcher(StepExecutor(), "ge",
-                                       ge_configuration(2))
-        prefetch.warm(0.5, lower, rtol=rtol)
-        warmed = set(prefetch.memo)
-
-        def memoized(n):
-            assert n in warmed
-            return prefetch.efficiency(n)
-
-        required_problem_size(memoized, 0.5, lower=lower, rtol=rtol)
-
-    def test_guided_bracket_memo_consumed_without_its_ends(
-        self, ge2_cluster, tmp_path
-    ):
-        from repro.core.condition import required_problem_size
-
-        exe = SweepExecutor(jobs=2, cache=fresh_cache(tmp_path))
-        prefetch = BisectionPrefetcher(exe, "ge", ge2_cluster)
-        lower, upper = 60, 400
-        prefetch.warm(0.2, lower, upper, rtol=0.01)
-        warmed = set(prefetch.memo)
-        assert lower not in warmed and upper not in warmed
-
-        def memoized(n):
-            assert n in warmed
-            return prefetch.efficiency(n)
-
-        n_star = required_problem_size(memoized, 0.2, lower=lower,
-                                       upper=upper, rtol=0.01)
-        serial = required_problem_size(
-            BisectionPrefetcher(SweepExecutor(), "ge", ge2_cluster).efficiency,
-            0.2, lower=lower, upper=upper, rtol=0.01,
-        )
-        assert n_star == serial
-
     def test_unreachable_target_defers_to_serial_error(self, ge2_cluster,
                                                        tmp_path):
         from repro.core.types import MetricError

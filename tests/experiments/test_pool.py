@@ -1,11 +1,10 @@
-"""Persistent warm worker pool: reuse, spec interning, fork/spawn safety.
+"""Persistent warm worker pool: reuse and fork/spawn safety.
 
 The load-bearing contracts of the persistent pool: one pool survives
-across batches, sweeps and bisection probes (spawned once, reused
-everywhere); the pool is transport only, so serial == cold-pool ==
-warm-pool == cached results bit for bit; spec interning hits on
-repeated cluster/schedule hashes; and spawn attribution survives the
-``spawn`` start method.
+across batches and sweeps (spawned once, reused everywhere); the pool
+is transport only, so serial == cold-pool == warm-pool == cached
+results bit for bit; and spawn attribution survives the ``spawn``
+start method.
 """
 
 from __future__ import annotations
@@ -13,21 +12,8 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments import pool as pool_module
-from repro.experiments.executor import (
-    BisectionPrefetcher,
-    RunCache,
-    SweepExecutor,
-    SweepPoint,
-)
-from repro.experiments.pool import (
-    WorkerPool,
-    _reset_spec_cache,
-    publish_spec,
-    resolve_spec,
-    shared_pool,
-    spec_cache_stats,
-    spec_key,
-)
+from repro.experiments.executor import RunCache, SweepExecutor, SweepPoint
+from repro.experiments.pool import WorkerPool, shared_pool
 from repro.experiments.runner import collect_traces
 from repro.faults.schedule import uniform_slowdown
 
@@ -87,18 +73,6 @@ class TestPoolReuse:
 
         assert serial == first == second == cached
 
-    def test_prefetcher_probe_batches_reuse_the_pool(
-        self, ge2_cluster, tmp_path
-    ):
-        """Bracket doubling + bisection issues many probe batches; the
-        whole search must pay at most one pool spawn."""
-        exe = SweepExecutor(jobs=2, cache=fresh_cache(tmp_path))
-        prefetcher = BisectionPrefetcher(exe, "ge", ge2_cluster)
-        prefetcher.warm(0.45, lower=2)
-        assert len(prefetcher.memo) > 2  # several batches actually ran
-        assert exe.pool is not None
-        assert exe.pool.spawns <= 1
-
     def test_faulted_sweep_through_warm_pool_is_identical(
         self, ge2_cluster, tmp_path
     ):
@@ -114,71 +88,12 @@ class TestPoolReuse:
             assert len(inj_s.events) == len(inj_p.events)
 
 
-class TestSpecInterning:
-    def test_repeated_hashes_hit_the_cache(self, ge2_cluster):
-        _reset_spec_cache()
-        try:
-            key = spec_key(ge2_cluster)
-            assert key is not None and key.startswith("cluster:")
-            publish_spec(key, ge2_cluster)
-            before = spec_cache_stats()
-            assert resolve_spec((key, None)) is ge2_cluster
-            assert resolve_spec((key, None)) is ge2_cluster
-            after = spec_cache_stats()
-            assert after["hits"] - before["hits"] == 2
-            assert after["misses"] == before["misses"]
-        finally:
-            _reset_spec_cache()
-
-    def test_inline_payload_interned_on_first_miss(self, ge2_cluster):
-        _reset_spec_cache()
-        try:
-            key = spec_key(ge2_cluster)
-            assert resolve_spec((key, ge2_cluster)) is ge2_cluster
-            assert spec_cache_stats()["misses"] == 1
-            # Second reference by hash alone now hits.
-            assert resolve_spec((key, None)) is ge2_cluster
-            assert spec_cache_stats()["hits"] == 1
-        finally:
-            _reset_spec_cache()
-
-    def test_unknown_hash_without_payload_raises(self):
-        _reset_spec_cache()
-        try:
-            with pytest.raises(KeyError):
-                resolve_spec(("cluster:deadbeef", None))
-        finally:
-            _reset_spec_cache()
-
-    def test_schedule_keys_on_profile_hash(self, ge2_cluster):
-        schedule = uniform_slowdown(ge2_cluster.nranks, 0.5)
-        key = spec_key(schedule)
-        assert key == f"schedule:{schedule.profile_hash()}"
-        assert spec_key(None) is None
-        assert spec_key(object()) is None
-
-    def test_pool_encodes_published_specs_as_hash_only(self, ge2_cluster):
-        _reset_spec_cache()
-        try:
-            key = spec_key(ge2_cluster)
-            publish_spec(key, ge2_cluster)
-            pool = WorkerPool(1)
-            pool.ensure()
-            try:
-                # Published before spawn: ships as (key, None).
-                assert pool.encode_spec(ge2_cluster) == (key, None)
-            finally:
-                pool.shutdown()
-        finally:
-            _reset_spec_cache()
-
-
 class TestSpawnStartMethod:
     def test_spawn_method_stamps_spawn_spans(
         self, ge2_cluster, tmp_path, monkeypatch
     ):
         """The non-fork path must still attribute worker spawn latency:
-        created_at and the spec snapshot travel via initargs."""
+        created_at travels via initargs."""
         spawn_pool = WorkerPool(2, start_method="spawn")
         monkeypatch.setitem(pool_module._POOLS, 2, spawn_pool)
         exe = SweepExecutor(

@@ -128,31 +128,70 @@ class TestComparison:
             )
 
 
+PAPER_NODES = (2, 4, 8)
+
+
+def probed_walk(executor, ge_params, mm_params):
+    """Tables 3 and 5 at 2/4/8 nodes under ``executor``; returns the
+    distinct ``(cluster, size)`` probes, the engine events of every point
+    the executor ran, and the two tables' rows.
+
+    Probes are counted at :meth:`SweepExecutor.run_faulted`, the one
+    door every point of a sweep or bisection goes through."""
+    from repro.experiments.executor import SweepExecutor, sweep_execution
+
+    probed = set()
+    events = 0
+    run_faulted = SweepExecutor.run_faulted
+
+    def counted(self, points):
+        nonlocal events
+        points = list(points)
+        out = run_faulted(self, points)
+        for point, (record, _) in zip(points, out):
+            probed.add((point.cluster.name, point.n))
+            events += record.run.events
+        return out
+
+    SweepExecutor.run_faulted = counted
+    try:
+        with sweep_execution(executor):
+            ge = table3_required_rank(PAPER_NODES, params=ge_params)
+            mm = table5_mm_required_rank(PAPER_NODES, params=mm_params)
+    finally:
+        SweepExecutor.run_faulted = run_faulted
+    return probed, events, ge, mm
+
+
+@pytest.fixture(scope="module")
+def mm_params():
+    from repro.apps.matmul import MM_COMPUTE_EFFICIENCY
+    from repro.machine.sunwulf import mm_configuration
+
+    return base_machine_parameters(mm_configuration(2),
+                                   MM_COMPUTE_EFFICIENCY)
+
+
+@pytest.fixture(scope="module")
+def serial_walk(params, mm_params):
+    from repro.experiments.executor import SweepExecutor
+
+    return probed_walk(SweepExecutor(), params, mm_params)
+
+
 class TestBisectionProbes:
-    def test_paper_rows_never_run_the_bracket_top(self, params,
-                                                   monkeypatch):
+    def test_paper_rows_never_run_the_bracket_top(self, params, mm_params,
+                                                   serial_walk):
         """Tables 3 and 5 at 2/4/8 nodes probe 47 distinct sizes, and no
         row simulates its bracket's upper end ``int(2.5 * n_pred)``."""
         from repro.apps.gaussian import GE_COMPUTE_EFFICIENCY
         from repro.apps.matmul import MM_COMPUTE_EFFICIENCY
         from repro.core.prediction import predict_required_size
-        from repro.experiments.executor import BisectionPrefetcher
         from repro.machine.sunwulf import ge_configuration, mm_configuration
 
-        probed = set()
-        point = BisectionPrefetcher.point
-
-        def counted(self, n):
-            probed.add((self.cluster.name, n))
-            return point(self, n)
-
-        monkeypatch.setattr(BisectionPrefetcher, "point", counted)
-        nodes = (2, 4, 8)
+        probed, _, ge, mm = serial_walk
+        nodes = PAPER_NODES
         ge_params = params
-        mm_params = base_machine_parameters(mm_configuration(2),
-                                            MM_COMPUTE_EFFICIENCY)
-        ge = table3_required_rank(nodes, params=ge_params)
-        mm = table5_mm_required_rank(nodes, params=mm_params)
         assert [row.rank_n for row in ge] == [344, 843, 2235]
         assert [row.rank_n for row in mm] == [48, 100, 210]
         assert len(probed) == 47
@@ -168,6 +207,27 @@ class TestBisectionProbes:
                     make_model(cluster, params, f), target
                 )
                 assert (cluster.name, int(2.5 * n_pred)) not in probed
+
+    def test_pool_runs_exactly_the_serial_probes(self, params, mm_params,
+                                                 serial_walk):
+        """Under a real two-worker pool the bisections run the serial
+        walk's probes and nothing more: 47 distinct sizes and 1,764,957
+        engine events, with the same rows and bit-identical psi."""
+        from repro.experiments.executor import SweepExecutor
+
+        probed, events, ge, mm = serial_walk
+        assert (len(probed), events) == (47, 1_764_957)
+        pool_probed, pool_events, pool_ge, pool_mm = probed_walk(
+            SweepExecutor(jobs=2), params, mm_params
+        )
+        assert pool_probed == probed
+        assert pool_events == events
+        assert (pool_ge, pool_mm) == (ge, mm)
+        for app, serial_rows, pool_rows in (("ge", ge, pool_ge),
+                                            ("mm", mm, pool_mm)):
+            serial_psi = scalability_from_rows(serial_rows, app).points
+            pool_psi = scalability_from_rows(pool_rows, app).points
+            assert [p.psi for p in pool_psi] == [p.psi for p in serial_psi]
 
     def test_parallel_rows_equal_serial(self, params, ge_rows):
         from repro.experiments.executor import SweepExecutor, sweep_execution

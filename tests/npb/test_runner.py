@@ -76,3 +76,15 @@ class TestMeasureCluster:
         blade_share, v210_share = marked.shares
         assert v210_share > blade_share
         assert blade_share + v210_share == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("use_cache", [True, False])
+    def test_per_type_measurement_equals_per_slot(self, use_cache):
+        """One measurement per processor type, shared by its slots, gives
+        the per-slot answer on a mixed cluster."""
+        cluster = ge_configuration(8)
+        per_slot = tuple(measure_node(slot.ptype, use_cache=use_cache)
+                         for slot in cluster.slots)
+        marked = measure_cluster(cluster, use_cache=use_cache)
+        assert len({slot.ptype.name for slot in cluster.slots}) == 2
+        assert marked.per_rank == per_slot
+        assert marked.speeds == [node.flops_per_second for node in per_slot]
