@@ -117,19 +117,34 @@ def _print_psi(points, header: str, title: str) -> None:
 
 def cmd_table4(args: argparse.Namespace) -> None:
     """Table 4: measured scalability of GE (prints Table 3 first)."""
-    curve = tables.table4_ge_scalability(cmd_table3(args))
-    _print_psi(curve.points, "psi",
-               "Table 4: measured scalability of GE on Sunwulf")
+    rows = cmd_table3(args)
+    if len(rows) > 1:  # one node count has no transition to score
+        curve = tables.table4_ge_scalability(rows)
+        _print_psi(curve.points, "psi",
+                   "Table 4: measured scalability of GE on Sunwulf")
 
 
 def cmd_table5(args: argparse.Namespace) -> None:
-    """Table 5: measured scalability of MM."""
+    """Table 5: measured scalability of MM (prints its rank rows first)."""
     rows = tables.table5_mm_required_rank(
         node_counts=_node_counts(args), network_kind=args.network
     )
-    curve = tables.table5_mm_scalability(rows)
-    _print_psi(curve.points, "psi",
-               "Table 5: measured scalability of MM on Sunwulf")
+    _print(
+        format_table(
+            ["nodes", "processes", "rank N", "marked speed (Mflops)",
+             "measured E_S"],
+            [
+                (r.nodes, r.nranks, r.rank_n, r.marked_mflops, r.efficiency)
+                for r in rows
+            ],
+            title="Table 5 (inputs): required rank for 0.2 speed-efficiency "
+                  "(MM)",
+        )
+    )
+    if len(rows) > 1:
+        curve = tables.table5_mm_scalability(rows)
+        _print_psi(curve.points, "psi",
+                   "Table 5: measured scalability of MM on Sunwulf")
 
 
 def cmd_table6(args: argparse.Namespace) -> list[tables.PredictedRankRow]:

@@ -2,15 +2,20 @@
 
 The paper's first method (section 3.5) finds, for each configuration, the
 problem size whose speed-efficiency equals a chosen constant (0.3 for GE,
-0.2 for MM).  Speed-efficiency is monotone non-decreasing in the problem
-size for the paper's applications (communication grows slower than
-computation), so the required size is well defined.
+0.2 for MM).  Speed-efficiency rises with the problem size for the
+paper's applications (communication grows slower than computation), but
+not monotonically at unit granularity: simulated GE's E(N) is a sawtooth
+(at 4 nodes E(834) = 0.30002, E(835) = 0.29932, E(836) = 0.29986), so
+"the" required size depends on how it is searched for.  ROADMAP.md's
+sawtooth item ("The required rank is read off a sawtooth") tracks making
+it a property of E(N) alone.
 
 Two solvers are provided:
 
 * :func:`required_problem_size` -- integer bisection against any evaluator
-  ``E(N)`` (e.g. a full simulated run), returning the smallest integer
-  ``N`` with ``E(N) >= target``.
+  ``E(N)`` (e.g. a full simulated run), returning an integer ``N`` with
+  ``E(N) >= target`` at the top of its final bracket (the smallest such
+  ``N`` only when ``E`` is non-decreasing).
 * :func:`required_size_continuous` -- Brent root finding against a smooth
   model ``E(N)``, for analytic prediction (section 4.5).
 
@@ -84,18 +89,24 @@ def required_problem_size(
     max_upper: int = 1 << 22,
     rtol: float = 0.0,
 ) -> int:
-    """Smallest integer ``N >= lower`` with ``efficiency_of(N) >= target``.
+    """An integer ``N >= lower`` with ``efficiency_of(N) >= target``.
 
-    ``efficiency_of`` must be non-decreasing.  Without ``upper`` the
-    bracket doubles from ``lower`` until the target is met or ``max_upper``
-    is exceeded; each failing doubling size becomes the bracket's lower
-    end, so the bisection never re-probes below it.  An explicit
-    ``[lower, upper]`` is bisected without evaluating its ends: a passing
-    midpoint implies ``E(upper) >= target`` and a failing one
-    ``E(lower) < target``.  An end the walk never moved off is evaluated
-    last (``lower`` is returned if it passes; an ``upper`` below target
-    raises :class:`MetricError`), so a bracket that misses the answer
-    costs the walk towards that end, plus the end.
+    It is the top of the bisection's final bracket ``(lo, hi]``, where
+    ``E(lo) < target <= E(hi)``: the *smallest* passing ``N`` only if
+    ``efficiency_of`` is non-decreasing.  On a sawtooth (simulated GE, see
+    the module docstring) a smaller passing ``N`` may lie outside the
+    final bracket, so the answer depends on the bracket and probe order.
+
+    Without ``upper`` the bracket doubles from ``lower`` until the target
+    is met or ``max_upper`` is exceeded; each failing doubling size
+    becomes the bracket's lower end, so the bisection never re-probes
+    below it.  An explicit ``[lower, upper]`` is bisected without
+    evaluating its ends: a passing midpoint stands in for ``E(upper) >=
+    target`` and a failing one for ``E(lower) < target``.  An end the
+    walk never moved off is evaluated last (``lower`` is returned if it
+    passes; an ``upper`` below target raises :class:`MetricError`), so a
+    bracket that misses the answer costs the walk towards that end, plus
+    the end.
 
     ``rtol > 0`` stops the bisection once the bracket is relatively tight
     (``hi - lo <= rtol * hi``), returning the satisfying endpoint -- used

@@ -18,7 +18,9 @@ Registration contract (the sanctioned extension point for ``repro.mpi``,
 * A factory has signature ``factory(ctx) -> handler``; it runs once per
   ``Engine.run`` and should bind whatever run state it needs
   (``ctx.stats``, ``ctx.deliver``, ``ctx.scheduler.push_resume``, ...)
-  into the closure so the per-event call stays cheap.
+  into the closure so the per-event call stays cheap.  ``ctx.stats``
+  columns are per-run lists (``ctx.stats.flops[rank] += f``), packed
+  into compact arrays when the run ends.
 * The handler has signature ``handler(proc, op) -> None``.  It advances
   ``proc.time`` (and may set ``proc.pending``, the generator's resume
   value).  The engine re-queues the yielding rank afterwards unless the

@@ -183,13 +183,15 @@ class RunContext:
     need from it into their handler closures (see
     :mod:`repro.sim.dispatch` for the registration contract).
 
-    ``emit(rec)`` hands one raw record tuple to every attached record
-    store, or is ``None`` when none is attached.  ``complete_recv(proc, msg,
-    posted_at)`` only accounts a matched receive; whoever completes
-    another rank's receive queues that rank.  ``deliver(msg)`` routes a
-    just-arrived message to an eligible waiting receive (and queues that
-    rank) or into the mailbox index, enforcing the timed-receive deadline
-    rule in both cases.
+    ``stats`` is the run's :class:`RankStatsArray`: plain list columns,
+    packed into arrays when the run ends.  ``emit(rec)`` hands one raw
+    record tuple to every attached record store, or is ``None`` when
+    none is attached.
+    ``complete_recv(proc, msg, posted_at)`` only accounts a matched
+    receive; whoever completes another rank's receive queues that rank.
+    ``deliver(msg)`` routes a just-arrived message to an eligible waiting
+    receive (and queues that rank) or into the mailbox index, enforcing
+    the timed-receive deadline rule in both cases.
     """
 
     __slots__ = ("engine", "nranks", "flops_per_second", "network",
@@ -224,7 +226,7 @@ class RunContext:
         push = scheduler.push_resume
         deposit = mailboxes.deposit
         # Stats columns, bound once per run: handler closures accumulate
-        # into flat arrays instead of per-rank objects.
+        # into flat per-run lists instead of per-rank objects.
         recv_wait_time = stats.recv_wait_time
         bytes_received = stats.bytes_received
         messages_received = stats.messages_received
@@ -475,6 +477,7 @@ class Engine:
                     stale_pops=stale,
                 )
             raise
+        stats.pack()
 
         result = RunResult(
             finish_times=[p.time for p in procs],
@@ -544,7 +547,8 @@ def _send_factory(ctx: RunContext):
     procs = ctx.procs
     deposit = ctx.mailboxes.deposit
     new_seq = ctx.mailboxes.new_seq
-    push = ctx.scheduler.push_resume
+    scheduler = ctx.scheduler
+    heap = scheduler.heap
 
     def handle_send(proc: _Proc, op: Send) -> None:
         rank = proc.rank
@@ -573,7 +577,7 @@ def _send_factory(ctx: RunContext):
             # Lost in transit: sender paid, nothing is delivered.
             messages_lost[rank] += 1
         else:
-            # ctx.deliver and complete_recv inlined (point-to-point sends
+            # ctx.deliver, complete_recv and push_resume inlined (sends
             # dominate traffic): hand the message to an eligible blocked
             # receive and queue that rank, else mailbox it.
             msg = Message(rank, dst, tag, nbytes, op.payload, arrival,
@@ -600,7 +604,10 @@ def _send_factory(ctx: RunContext):
                 dst_proc.waiting = None
                 dst_proc.deadline_seq = None  # cancel a receive timeout
                 dst_proc.pending = msg
-                push(dst_proc)
+                s = scheduler.seq
+                scheduler.seq = s + 1
+                dst_proc.resume_seq = s
+                heappush(heap, (t, s, dst))
             else:
                 deposit(msg)
 
@@ -609,25 +616,45 @@ def _send_factory(ctx: RunContext):
 
 @register_handler(Recv)
 def _recv_factory(ctx: RunContext):
+    buckets = ctx.mailboxes.buckets
     pop_match = ctx.mailboxes.pop_match
-    complete_recv = ctx.complete_recv
     scheduler = ctx.scheduler
+    stats = ctx.stats
+    recv_wait_time = stats.recv_wait_time
+    bytes_received = stats.bytes_received
+    messages_received = stats.messages_received
+    emit = ctx.emit
 
     def handle_recv(proc: _Proc, op: Recv) -> None:
+        rank = proc.rank
         timeout = op.timeout
-        msg = pop_match(
-            proc.rank, op.src, op.tag,
-            _INF if timeout is None else proc.time + timeout,
-        )
-        if msg is not None:
-            complete_recv(proc, msg, proc.time)
-        else:
-            proc.waiting = op
-            proc.block_start = proc.time
-            if timeout is not None:
-                proc.deadline_seq = scheduler.push_deadline(
-                    proc.time + timeout, proc.rank
-                )
+        posted_at = proc.time
+        # An empty index (the common case for blocking programs) skips
+        # the match; complete_recv is inlined for the running rank, whose
+        # waiting/deadline_seq are already clear.
+        if buckets[rank]:
+            msg = pop_match(
+                rank, op.src, op.tag,
+                _INF if timeout is None else posted_at + timeout,
+            )
+            if msg is not None:
+                arrival = msg.arrival
+                t = arrival if arrival > posted_at else posted_at
+                proc.time = t
+                recv_wait_time[rank] += t - posted_at
+                bytes_received[rank] += msg.nbytes
+                messages_received[rank] += 1
+                if emit is not None:
+                    emit((rank, "recv", posted_at, t, msg.src, msg.tag,
+                          msg.nbytes))
+                proc.pending = msg
+                return
+        proc.waiting = op
+        proc.block_start = posted_at
+        if timeout is not None:
+            proc.deadline_seq = scheduler.push_deadline(
+                posted_at + timeout, rank
+            )
 
     return handle_recv
 

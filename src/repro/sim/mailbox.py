@@ -37,11 +37,12 @@ _INF = math.inf
 class MailboxSet:
     """Per-rank mailboxes with ``(src, tag)``-indexed buckets."""
 
-    __slots__ = ("_buckets", "_count", "new_seq")
+    __slots__ = ("buckets", "_count", "new_seq")
 
     def __init__(self, nranks: int):
-        #: per rank: {(src, tag): heap of (arrival, seq, message)}
-        self._buckets: list[dict[tuple[int, int], list]] = [
+        #: per rank: {(src, tag): heap of (arrival, seq, message)}; a
+        #: rank's dict is empty exactly when nothing is queued for it
+        self.buckets: list[dict[tuple[int, int], list]] = [
             {} for _ in range(nranks)
         ]
         self._count = 0
@@ -56,11 +57,11 @@ class MailboxSet:
 
     def pending(self, rank: int) -> int:
         """Messages currently queued for one rank."""
-        return sum(len(b) for b in self._buckets[rank].values())
+        return sum(len(b) for b in self.buckets[rank].values())
 
     def deposit(self, msg: Message) -> None:
         """File a delivered message under its ``(src, tag)`` bucket."""
-        buckets = self._buckets[msg.dst]
+        buckets = self.buckets[msg.dst]
         key = (msg.src, msg.tag)
         bucket = buckets.get(key)
         if bucket is None:
@@ -79,11 +80,7 @@ class MailboxSet:
         receive must not be completed by a message that only turns up past
         its deadline.
         """
-        buckets = self._buckets[rank]
-        if not buckets:
-            # Common case for blocking programs: the receive is posted
-            # before the message exists, so the rank's index is empty.
-            return None
+        buckets = self.buckets[rank]
         if src != ANY_SOURCE and tag != ANY_TAG:
             key = (src, tag)
             bucket = buckets.get(key)

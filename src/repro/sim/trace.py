@@ -103,17 +103,18 @@ _INT_COLUMNS = ("messages_sent", "messages_received", "messages_lost")
 class RankStatsArray:
     """Flat, preallocated column store for per-rank aggregates.
 
-    One C ``double``/``int64`` array per :class:`RankStats` field instead
-    of one Python object (with an instance ``__dict__``) per rank --
-    ~80 bytes/rank total versus ~400, and zero allocation in the engine
-    hot path.  The engine's handlers write the columns directly
-    (``compute_time[rank] += dt``); every *read* access goes through the
-    sequence protocol, which lazily materializes ordinary
-    :class:`RankStats` dataclass views, so downstream consumers
-    (``asdict``, field access, equality) see exactly the objects they
-    always did.  Values are bit-identical to the per-object
-    representation: both store IEEE doubles and the accumulation
-    arithmetic is unchanged.
+    One column per :class:`RankStats` field instead of one Python object
+    (with an instance ``__dict__``) per rank.  A new store's columns are
+    plain lists, which the engine's handlers write during a run
+    (``compute_time[rank] += dt`` on a list is several times cheaper than
+    on an ``array``, which boxes a new float per read); :meth:`pack` then
+    turns them into C ``double``/``int64`` arrays, ~80 bytes/rank total
+    versus ~400 for objects.  Every *read* access goes through the sequence protocol, which lazily
+    materializes ordinary :class:`RankStats` dataclass views, so
+    downstream consumers (``asdict``, field access, equality) see exactly
+    the objects they always did.  Values are bit-identical to the
+    per-object representation: all three store IEEE doubles and the
+    accumulation arithmetic is unchanged.
     """
 
     __slots__ = ("nranks",) + _FLOAT_COLUMNS + _INT_COLUMNS
@@ -122,11 +123,17 @@ class RankStatsArray:
         if nranks < 0:
             raise ValueError(f"nranks must be >= 0, got {nranks}")
         self.nranks = nranks
-        zeros = bytes(8 * nranks)  # both column dtypes are 8 bytes wide
         for name in _FLOAT_COLUMNS:
-            setattr(self, name, array("d", zeros))
+            setattr(self, name, [0.0] * nranks)
         for name in _INT_COLUMNS:
-            setattr(self, name, array("q", zeros))
+            setattr(self, name, [0] * nranks)
+
+    def pack(self) -> None:
+        """Convert the columns, in place, to ``array('d')``/``array('q')``."""
+        for name in _FLOAT_COLUMNS:
+            setattr(self, name, array("d", getattr(self, name)))
+        for name in _INT_COLUMNS:
+            setattr(self, name, array("q", getattr(self, name)))
 
     def __len__(self) -> int:
         return self.nranks

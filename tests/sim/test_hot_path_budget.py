@@ -8,11 +8,14 @@ is an exact, reproducible measure of the per-event interpreter work.
 Two workloads are pinned:
 
 * the paper's hot path: GE on the Sunwulf bus configuration; its budget
-  is the value measured when the run loop began re-queueing the yielding
-  rank itself (6.5162 frames/event, rounded up at the second decimal);
+  is the value measured when the ``Send`` handler began queueing a woken
+  receiver inline and the ``Recv`` handler began skipping the mailbox
+  match for an empty index (5.7431 frames/event, down from 6.5151,
+  rounded up at the second decimal);
 * the large-rank path: a ring halo exchange over 10^4 ranks on the
-  tiered network (5.6681 frames/event, rounded up likewise), which puts
-  the hierarchical network's ``transfer`` on every send.
+  tiered network (5.3348 frames/event since the same change, down from
+  5.6680, rounded up likewise), which puts the hierarchical network's
+  ``transfer`` on every send.
 
 A change that adds a frame to every event — a helper call in a handler,
 a scheduler method on the resume path, a wrapper in a network model —
@@ -39,10 +42,10 @@ from repro.sim.events import Compute, Recv, Send
 from repro.sim.flight import FlightRecorder
 
 #: Upper bound on ``sys.settrace`` call events per engine event.
-FRAMES_PER_EVENT_BUDGET = 6.52
+FRAMES_PER_EVENT_BUDGET = 5.75
 
 #: The same bound for the 10^4-rank tiered ring.
-RING_FRAMES_PER_EVENT_BUDGET = 5.67
+RING_FRAMES_PER_EVENT_BUDGET = 5.34
 
 #: Frames a flight-recorded run may enter beyond the bare run: the
 #: once-per-run watchdog in ``run_complete``, far below one per event.

@@ -6,7 +6,9 @@ preallocated arrays (:class:`~repro.sim.trace.RankStatsArray`) and the
 hierarchical network models O(1) in rank count.  A regression that
 reintroduces a per-rank Python object (~400 bytes each, so hundreds of
 MB at this scale) blows the budget immediately; routine allocator noise
-does not (the measured peak is ~155 MB against a 256 MB budget).
+does not (the measured peak is ~138 MB against a 256 MB budget; the
+engine's per-run list columns, packed into arrays when the run ends,
+account for ~9 MB of it).
 The per-event cost of the same ring at 10^4 ranks is pinned by
 ``tests/sim/test_hot_path_budget.py``.
 """

@@ -137,6 +137,27 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "required rank" in out
 
+    @pytest.mark.parametrize("command, title, row", [
+        ("table4", "Table 3", ["2", "3", "344", "2.732e+07", "175", "0.3007"]),
+        ("table5", "Table 5 (inputs)", ["2", "2", "48", "180", "0.2008"]),
+    ])
+    def test_one_node_count_prints_rank_rows_without_psi(
+        self, command, title, row, capsys
+    ):
+        assert main([command, "--nodes", "2", "--no-cache"]) == 0
+        out = capsys.readouterr().out
+        assert title in out
+        assert row in [line.split() for line in out.splitlines()]
+        assert "->" not in out  # one configuration has no transition
+
+    def test_table5_prints_rank_rows_then_psi(self, capsys):
+        assert main(["table5", "--nodes", "2", "4", "--no-cache"]) == 0
+        out = capsys.readouterr().out
+        assert out.index("Table 5 (inputs)") < out.index("sunwulf-mm-2 ->")
+        assert ["4", "4", "100", "355", "0.2001"] in [
+            line.split() for line in out.splitlines()
+        ]
+
     def test_table6_and_7(self, capsys):
         main(["table7", "--nodes", "2", "4"])
         out = capsys.readouterr().out
