@@ -104,12 +104,19 @@ def cmd_table3(args: argparse.Namespace) -> list[tables.RequiredRankRow]:
     return rows
 
 
-def _print_psi(points, header: str, title: str) -> None:
-    """A ``transition | psi`` table of scalability points."""
+def _print_psi(rows, score, header: str, title: str) -> None:
+    """A ``transition | psi`` table of the points ``score(rows)`` gives.
+
+    One node count has no transition to score, so its rank rows stand
+    alone and no ψ table is printed.
+    """
+    if len(rows) < 2:
+        return
     _print(
         format_table(
             ["transition", header],
-            [(f"{p.label_from} -> {p.label_to}", p.psi) for p in points],
+            [(f"{p.label_from} -> {p.label_to}", p.psi)
+             for p in score(rows)],
             title=title,
         )
     )
@@ -117,11 +124,9 @@ def _print_psi(points, header: str, title: str) -> None:
 
 def cmd_table4(args: argparse.Namespace) -> None:
     """Table 4: measured scalability of GE (prints Table 3 first)."""
-    rows = cmd_table3(args)
-    if len(rows) > 1:  # one node count has no transition to score
-        curve = tables.table4_ge_scalability(rows)
-        _print_psi(curve.points, "psi",
-                   "Table 4: measured scalability of GE on Sunwulf")
+    _print_psi(cmd_table3(args),
+               lambda r: tables.table4_ge_scalability(r).points,
+               "psi", "Table 4: measured scalability of GE on Sunwulf")
 
 
 def cmd_table5(args: argparse.Namespace) -> None:
@@ -141,10 +146,8 @@ def cmd_table5(args: argparse.Namespace) -> None:
                   "(MM)",
         )
     )
-    if len(rows) > 1:
-        curve = tables.table5_mm_scalability(rows)
-        _print_psi(curve.points, "psi",
-                   "Table 5: measured scalability of MM on Sunwulf")
+    _print_psi(rows, lambda r: tables.table5_mm_scalability(r).points,
+               "psi", "Table 5: measured scalability of MM on Sunwulf")
 
 
 def cmd_table6(args: argparse.Namespace) -> list[tables.PredictedRankRow]:
@@ -164,8 +167,8 @@ def cmd_table6(args: argparse.Namespace) -> list[tables.PredictedRankRow]:
 
 def cmd_table7(args: argparse.Namespace) -> None:
     """Table 7: predicted scalability of GE (prints Table 6 first)."""
-    points = tables.table7_predicted_scalability(cmd_table6(args))
-    _print_psi(points, "psi (predicted)",
+    _print_psi(cmd_table6(args), tables.table7_predicted_scalability,
+               "psi (predicted)",
                "Table 7: predicted scalability of GE on Sunwulf")
 
 
@@ -692,7 +695,6 @@ def cmd_fuzz_run(args: argparse.Namespace) -> int:
         executor=executor,
         shrink=not args.no_shrink,
         bit_identity_every=args.bit_identity_every,
-        network_wrapper=args.network_wrapper,
         corpus_dir=args.corpus,
         artifacts_dir=args.artifacts,
     )
@@ -1229,11 +1231,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--bit-identity-every", type=int, default=0, metavar="K",
         help="run the serial==pool==cached bit-identity probe on every "
              "K-th scenario (0: off; the probe spawns a process pool)",
-    )
-    run.add_argument(
-        "--network-wrapper", default=None, metavar="NAME",
-        help="apply a registered network wrapper to every scenario "
-             "(fuzz an experimental network model)",
     )
     run.add_argument(
         "--artifacts", default=".repro/fuzz", metavar="DIR",

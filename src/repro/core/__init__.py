@@ -41,13 +41,6 @@ from .prediction import (
     predict_scalability,
     predict_scalability_corollary2,
 )
-from .range_analysis import (
-    crossing_step,
-    execution_time_series,
-    faster_at_scale,
-    ranking_is_scalability_ranking,
-    scaled_execution_time,
-)
 from .speedup_models import (
     amdahl_limit,
     amdahl_speedup,
@@ -104,11 +97,6 @@ __all__ = [
     "average_unit_speed",
     "bottleneck_dimension",
     "corollary2_scalability",
-    "crossing_step",
-    "execution_time_series",
-    "faster_at_scale",
-    "ranking_is_scalability_ranking",
-    "scaled_execution_time",
     "effective_marked_speed",
     "effective_system_marked_speed",
     "execution_time",

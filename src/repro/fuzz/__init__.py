@@ -72,10 +72,6 @@ from .scenario import (
     NODE_PALETTE,
     ClusterModel,
     Scenario,
-    register_network_wrapper,
-    registered_network_wrappers,
-    resolve_network_wrapper,
-    unregister_network_wrapper,
     valid_scenario_network,
 )
 from .search import (
@@ -129,17 +125,13 @@ __all__ = [
     "injected_cost",
     "load_case",
     "make_case",
-    "register_network_wrapper",
-    "registered_network_wrappers",
     "render_attack_curve",
     "replay_case",
     "replay_corpus",
     "resilience_curve",
-    "resolve_network_wrapper",
     "run_scenario",
     "save_case",
     "shrink_scenario",
-    "unregister_network_wrapper",
     "valid_scenario_network",
     "violation_kinds",
 ]

@@ -66,7 +66,6 @@ def fuzz_campaign(
     shrink: bool = True,
     max_shrink_evaluations: int = 80,
     bit_identity_every: int = 0,
-    network_wrapper: str | None = None,
     corpus_dir: str | Path | None = None,
     artifacts_dir: str | Path = ".repro/fuzz",
 ) -> CampaignResult:
@@ -74,14 +73,11 @@ def fuzz_campaign(
 
     ``bit_identity_every=K`` turns on the serial==pool==cached probe for
     every K-th scenario (0 disables; the probe costs a process-pool
-    spawn per sampled scenario).  ``network_wrapper`` applies one
-    registered wrapper to every generated scenario -- the lever for
-    fuzzing an experimental network model against the whole scenario
-    space.  On violation: the scenario is shrunk (if ``shrink``),
-    written to ``corpus_dir`` in corpus-case format (``expected=None``
-    -- a violating scenario has no trustworthy pinned metrics until the
-    bug is fixed), and dumped with flight artifacts to
-    ``artifacts_dir``.
+    spawn per sampled scenario).  On violation: the scenario is shrunk
+    (if ``shrink``), written to ``corpus_dir`` in corpus-case format
+    (``expected=None`` -- a violating scenario has no trustworthy pinned
+    metrics until the bug is fixed), and dumped with flight artifacts
+    to ``artifacts_dir``.
     """
     generator = ScenarioGenerator(space=space, seed=seed)
     base_config = config if config is not None else CheckConfig()
@@ -89,12 +85,6 @@ def fuzz_campaign(
 
     for index in range(count):
         scenario = generator.scenario(index)
-        if network_wrapper is not None:
-            scenario = Scenario(
-                app=scenario.app, n=scenario.n, cluster=scenario.cluster,
-                schedule=scenario.schedule, seed=scenario.seed,
-                network_wrapper=network_wrapper,
-            )
         cfg = base_config
         if bit_identity_every and index % bit_identity_every == 0:
             cfg = replace(base_config, bit_identity=True)

@@ -22,8 +22,9 @@ the scenario passes):
 metric properties, each written once as one predicate below: ψ ∈ (0, 1],
 baseline dominance and ψ-monotonicity.
 
-Wrapper scenarios (a registered hostile network model) always run the
-direct path: the wrapper is a live object the cache could never key.
+Every scenario runs through :func:`~repro.faults.run.run_app_under_faults`,
+the faulted-run path the sweeps use, so the ψ checked here is the ψ they
+report.
 """
 
 from __future__ import annotations
@@ -40,13 +41,11 @@ from ..experiments.executor import (
     SweepPoint,
     run_record_to_payload,
 )
-from ..experiments.runner import run_app
 from ..faults.analysis import FaultSweepRow
-from ..faults.injection import FaultInjector
-from ..faults.run import FaultyRun, make_fault_launcher, run_app_under_faults
+from ..faults.run import FaultyRun, run_app_under_faults
 from ..sim.errors import SimulationError
 from ..sim.trace import Tracer
-from .scenario import Scenario, resolve_network_wrapper
+from .scenario import Scenario
 
 #: Relative slack of every floating-point comparison the oracle makes.
 TOLERANCE = 1e-9
@@ -342,32 +341,13 @@ def run_scenario(
 ) -> FaultyRun:
     """Execute one scenario; returns the full :class:`FaultyRun` surface.
 
-    Without a wrapper this is :func:`run_app_under_faults`: with an
-    ``executor`` the untraced, unrecorded runs replay from its cache.
-    Wrapper scenarios always execute directly in-process.
+    This is :func:`run_app_under_faults`: with an ``executor`` the
+    untraced, unrecorded runs replay from its cache.
     """
-    cluster = scenario.build_cluster()
-    if scenario.network_wrapper is None:
-        return run_app_under_faults(
-            scenario.app, cluster, scenario.n, scenario.schedule,
-            baseline=baseline, tracer=tracer, seed=scenario.seed,
-            flight=flight, executor=executor,
-        )
-    wrap = resolve_network_wrapper(scenario.network_wrapper)
-    injector = FaultInjector(scenario.schedule)
-    launch = make_fault_launcher(scenario.schedule, injector)
-    base = None
-    if baseline:
-        base = run_app(scenario.app, cluster, scenario.n, seed=scenario.seed)
-    faulted = run_app(
-        scenario.app, cluster, scenario.n, tracer=tracer, seed=scenario.seed,
-        flight=flight,
-        launcher=lambda nranks, network, *args, **kwargs: launch(
-            nranks, wrap(network), *args, **kwargs
-        ),
-    )
-    return FaultyRun(
-        scenario.app, cluster, scenario.schedule, injector, faulted, base
+    return run_app_under_faults(
+        scenario.app, scenario.build_cluster(), scenario.n,
+        scenario.schedule, baseline=baseline, tracer=tracer,
+        seed=scenario.seed, flight=flight, executor=executor,
     )
 
 
@@ -461,7 +441,7 @@ def check_scenario(
                 milder_run.psi, report.psi, factor=factor
             )
 
-    if cfg.bit_identity and scenario.network_wrapper is None:
+    if cfg.bit_identity:
         checks.append("bit-identity")
         report.violations += check_bit_identity(scenario)
 

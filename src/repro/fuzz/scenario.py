@@ -1,19 +1,14 @@
-"""Fuzz scenarios: one (cluster × app × N × fault schedule × network) point.
+"""Fuzz scenarios: one (cluster × app × N × fault schedule) point.
 
 A :class:`Scenario` is the fuzzer's unit of work -- plain, frozen,
 JSON-serializable data that composes *existing* repro types: a
 :class:`ClusterModel` palette of real node types from
-:mod:`repro.machine`, an application name from the experiment registry,
-a problem size, and a :class:`~repro.faults.schedule.FaultSchedule`.
-Everything the oracle, shrinker, search and corpus exchange is a
-``Scenario``; ``scenario_hash()`` gives each one a stable content
-identity (corpus file names, dedup during shrinking).
-
-``network_wrapper`` names a factory from the wrapper registry
-(:func:`register_network_wrapper`) applied to the built network model
-before the run -- the seam tests use to plant deliberately *broken*
-network models (negative latency, time-travelling transfers) and prove
-the oracle catches them.
+:mod:`repro.machine` (whose network kind is part of the model), an
+application name from the experiment registry, a problem size, and a
+:class:`~repro.faults.schedule.FaultSchedule`.  Everything the oracle,
+shrinker, search and corpus exchange is a ``Scenario``;
+``scenario_hash()`` gives each one a stable content identity (corpus
+file names, dedup during shrinking).
 """
 
 from __future__ import annotations
@@ -22,7 +17,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 from ..experiments.runner import resolve_app
 from ..faults.errors import FaultScheduleError
@@ -157,14 +152,13 @@ class ClusterModel:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One fuzzable simulation: app × N × cluster × faults (× wrapper)."""
+    """One fuzzable simulation: app × N × cluster × faults."""
 
     app: str
     n: int
     cluster: ClusterModel
     schedule: FaultSchedule = field(default_factory=FaultSchedule)
     seed: int = 0
-    network_wrapper: str | None = None
 
     def __post_init__(self) -> None:
         try:
@@ -176,11 +170,6 @@ class Scenario:
             raise ScenarioError(f"n must be an int >= 2, got {self.n!r}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ScenarioError(f"seed must be an int, got {self.seed!r}")
-        if not isinstance(self.network_wrapper, (str, type(None))):
-            raise ScenarioError(
-                f"network_wrapper must be a name or null, got "
-                f"{self.network_wrapper!r}"
-            )
         if canonical == "fft" and self.n & (self.n - 1):
             raise ScenarioError(
                 f"fft problem sizes must be powers of two, got {self.n}"
@@ -197,13 +186,10 @@ class Scenario:
         return self.cluster.nranks
 
     def describe(self) -> str:
-        wrapper = (
-            f" wrapper={self.network_wrapper}" if self.network_wrapper else ""
-        )
         return (
             f"{self.app} N={self.n} on {self.cluster.name}"
             f"[{self.cluster.network}] ({self.nranks} ranks, "
-            f"{len(self.schedule)} fault event(s)){wrapper}"
+            f"{len(self.schedule)} fault event(s))"
         )
 
     def build_cluster(self) -> ClusterSpec:
@@ -213,7 +199,6 @@ class Scenario:
         return Scenario(
             app=self.app, n=self.n, cluster=self.cluster,
             schedule=schedule, seed=self.seed,
-            network_wrapper=self.network_wrapper,
         )
 
     # -- serialization -----------------------------------------------------
@@ -224,7 +209,9 @@ class Scenario:
             "cluster": self.cluster.to_payload(),
             "schedule": self.schedule.to_payload(),
             "seed": self.seed,
-            "network_wrapper": self.network_wrapper,
+            # A constant: scenario_hash() hashes this payload, and that
+            # hash names the committed corpus files.
+            "network_wrapper": None,
         }
 
     @classmethod
@@ -237,6 +224,11 @@ class Scenario:
                 f"scenario payload needs app, n, cluster and schedule, "
                 f"got {payload!r}"
             )
+        if payload.get("network_wrapper") is not None:
+            raise ScenarioError(
+                f"network_wrapper must be null, got "
+                f"{payload['network_wrapper']!r}"
+            )
         try:
             schedule = FaultSchedule.from_payload(payload["schedule"])
         except FaultScheduleError as exc:
@@ -247,7 +239,6 @@ class Scenario:
             cluster=ClusterModel.from_payload(payload["cluster"]),
             schedule=schedule,
             seed=payload.get("seed", 0),
-            network_wrapper=payload.get("network_wrapper"),
         )
 
     def scenario_hash(self) -> str:
@@ -272,46 +263,3 @@ class Scenario:
 
         return cls.from_payload(read_json_document(path, FUZZ_SCENARIO_KIND))
 
-
-# -- network-wrapper registry --------------------------------------------------
-# The seam through which tests plant hostile network models: a wrapper is
-# a factory ``wrap(network) -> network`` applied to the cluster's built
-# network before the engine runs.  Scenarios reference wrappers by name
-# so they stay JSON-serializable; replaying a wrapper scenario requires
-# the wrapper to be registered in the replaying process.
-
-_NETWORK_WRAPPERS: dict[str, Callable[[Any], Any]] = {}
-
-
-def register_network_wrapper(
-    name: str, factory: Callable[[Any], Any], replace: bool = False
-) -> None:
-    """Register ``factory`` under ``name`` for use by scenarios."""
-    if not replace and name in _NETWORK_WRAPPERS:
-        raise ScenarioError(
-            f"network wrapper {name!r} already registered "
-            f"(pass replace=True to overwrite)"
-        )
-    _NETWORK_WRAPPERS[name] = factory
-
-
-def unregister_network_wrapper(name: str) -> None:
-    """Remove a wrapper registration (idempotent; test teardown)."""
-    _NETWORK_WRAPPERS.pop(name, None)
-
-
-def resolve_network_wrapper(name: str) -> Callable[[Any], Any]:
-    """The factory registered under ``name``; :class:`ScenarioError` if
-    this process never registered it."""
-    try:
-        return _NETWORK_WRAPPERS[name]
-    except KeyError:
-        raise ScenarioError(
-            f"network wrapper {name!r} is not registered in this process; "
-            f"known: {sorted(_NETWORK_WRAPPERS) or '(none)'}"
-        ) from None
-
-
-def registered_network_wrappers() -> tuple[str, ...]:
-    """Names of every wrapper registered in this process, sorted."""
-    return tuple(sorted(_NETWORK_WRAPPERS))

@@ -165,7 +165,6 @@ def shrink_scenario(
                 candidate = Scenario(
                     app=current.app, n=size, cluster=current.cluster,
                     schedule=current.schedule, seed=current.seed,
-                    network_wrapper=current.network_wrapper,
                 )
             except ScenarioError:
                 continue
@@ -182,7 +181,6 @@ def shrink_scenario(
                 candidate = Scenario(
                     app=current.app, n=current.n, cluster=smaller,
                     schedule=schedule, seed=current.seed,
-                    network_wrapper=current.network_wrapper,
                 )
             except ScenarioError:
                 continue

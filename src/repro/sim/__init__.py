@@ -9,23 +9,16 @@ pluggable network model.
 
 The engine itself is layered: a :class:`~repro.sim.scheduler.Scheduler`
 (time-ordered run queue), a :class:`~repro.sim.mailbox.MailboxSet`
-(per-``(src, tag)`` indexed message matching), a
-:class:`~repro.sim.dispatch.DispatchTable` (op-type handler registry and
-the extension point for new primitives), and one observation stream:
-handlers pass each raw record tuple ``(rank, kind, start, end, *extras)``
-(layout in :mod:`repro.sim.trace`) to the engine's two record stores, a
+(per-``(src, tag)`` indexed message matching), a fixed op table in
+:mod:`repro.sim.engine` mapping each primitive's exact type to its
+handler, and one observation stream: handlers pass each raw record
+tuple ``(rank, kind, start, end, *extras)`` (layout in
+:mod:`repro.sim.trace`) to the engine's two record stores, a
 first-K :class:`~repro.sim.trace.Tracer` and a last-K
 :class:`~repro.sim.flight.FlightRecorder`.  Metrics, Chrome traces and
 the critical path are derived from the stored records after the run.
 """
 
-from .dispatch import (
-    DispatchTable,
-    Handler,
-    HandlerFactory,
-    default_dispatch,
-    register_handler,
-)
 from .engine import Engine, Program, ProgramFactory, RunContext, RunResult
 from .flight import FlightRecorder, WatchdogConfig
 from .errors import (
@@ -45,12 +38,9 @@ __all__ = [
     "ANY_TAG",
     "Compute",
     "DeadlockError",
-    "DispatchTable",
     "Engine",
     "EventLimitExceeded",
     "FlightRecorder",
-    "Handler",
-    "HandlerFactory",
     "InvalidOperationError",
     "Log",
     "MailboxSet",
@@ -72,6 +62,4 @@ __all__ = [
     "TraceRecord",
     "Tracer",
     "WatchdogConfig",
-    "default_dispatch",
-    "register_handler",
 ]

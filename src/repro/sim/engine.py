@@ -18,10 +18,10 @@ architecture"):
 * :class:`~repro.sim.mailbox.MailboxSet` — per-``(src, tag)`` indexed
   message matching with an exact wildcard path (smallest ``(arrival,
   seq)`` wins) and timed-receive deadline filtering.
-* :class:`~repro.sim.dispatch.DispatchTable` — the ``{op type: handler}``
-  table the hot loop resolves ``type(op)`` through.  The built-in
-  primitives below register into the default table exactly like an
-  extension would; a handler only queues *other* ranks.
+* The op table — a fixed module-level ``{op type: handler factory}``
+  map over the six primitives.  ``Engine.run`` builds it into
+  ``{op type: handler}`` once per run and the hot loop resolves
+  ``type(op)`` through it; a handler only queues *other* ranks.
 
 Observation is one stream: each handler passes the raw record tuple
 ``(rank, kind, start, end, *extras)`` (layout in :mod:`repro.sim.trace`)
@@ -61,7 +61,6 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Sequence
 
-from .dispatch import DispatchTable, default_dispatch, register_handler
 from .errors import (
     DeadlockError,
     EventLimitExceeded,
@@ -177,27 +176,24 @@ class _Proc:
 
 
 class RunContext:
-    """Per-run state handed to dispatch handler factories.
+    """Per-run state handed to the primitive handler factories.
 
-    One instance exists per ``Engine.run``; factories bind whatever they
-    need from it into their handler closures (see
-    :mod:`repro.sim.dispatch` for the registration contract).
+    One instance exists per ``Engine.run``; each factory binds whatever
+    it needs from it into its handler closure, so the per-event call
+    stays cheap.
 
     ``stats`` is the run's :class:`RankStatsArray`: plain list columns,
     packed into arrays when the run ends.  ``emit(rec)`` hands one raw
     record tuple to every attached record store, or is ``None`` when
     none is attached.
-    ``complete_recv(proc, msg, posted_at)`` only accounts a matched
-    receive; whoever completes another rank's receive queues that rank.
     ``deliver(msg)`` routes a just-arrived message to an eligible waiting
-    receive (and queues that rank) or into the mailbox index, enforcing
-    the timed-receive deadline rule in both cases.
+    receive (completing it and queueing that rank) or into the mailbox
+    index, enforcing the timed-receive deadline rule in both cases.
     """
 
-    __slots__ = ("engine", "nranks", "flops_per_second", "network",
-                 "transfer", "native_multicast", "procs", "stats",
-                 "scheduler", "mailboxes", "emit", "complete_recv",
-                 "deliver")
+    __slots__ = ("nranks", "flops_per_second", "transfer",
+                 "native_multicast", "procs", "stats", "scheduler",
+                 "mailboxes", "emit", "deliver")
 
     def __init__(
         self,
@@ -208,10 +204,8 @@ class RunContext:
         mailboxes: MailboxSet,
         emit: Callable[[tuple], None] | None,
     ):
-        self.engine = engine
         self.nranks = engine.nranks
         self.flops_per_second = engine.flops_per_second
-        self.network = engine.network
         self.transfer = engine.network.transfer
         # A network model's multicast support is fixed per instance (e.g.
         # FaultyNetworkModel only advertises it when its inner model does),
@@ -231,43 +225,39 @@ class RunContext:
         bytes_received = stats.bytes_received
         messages_received = stats.messages_received
 
-        def complete_recv(proc: _Proc, msg: Message, posted_at: float) -> None:
-            t = proc.time
-            arrival = msg.arrival
-            if arrival > t:
-                t = arrival
-            proc.time = t
-            rank = proc.rank
-            recv_wait_time[rank] += t - posted_at
-            bytes_received[rank] += msg.nbytes
-            messages_received[rank] += 1
-            if emit is not None:
-                emit((rank, "recv", posted_at, t, msg.src, msg.tag,
-                      msg.nbytes))
-            proc.waiting = None
-            proc.deadline_seq = None  # cancel any pending receive timeout
-            proc.pending = msg
-
         def deliver(msg: Message) -> None:
-            dst_proc = procs[msg.dst]
+            dst = msg.dst
+            dst_proc = procs[dst]
             waiting = dst_proc.waiting
+            arrival = msg.arrival
             if (
                 waiting is not None
                 and msg.matches(waiting.src, waiting.tag)
                 and (
                     waiting.timeout is None
-                    or msg.arrival
-                    <= dst_proc.block_start + waiting.timeout
+                    or arrival <= dst_proc.block_start + waiting.timeout
                 )
             ):
-                complete_recv(dst_proc, msg, dst_proc.block_start)
+                posted_at = dst_proc.block_start  # == its clock while blocked
+                t = dst_proc.time
+                if arrival > t:
+                    t = arrival
+                dst_proc.time = t
+                recv_wait_time[dst] += t - posted_at
+                bytes_received[dst] += msg.nbytes
+                messages_received[dst] += 1
+                if emit is not None:
+                    emit((dst, "recv", posted_at, t, msg.src, msg.tag,
+                          msg.nbytes))
+                dst_proc.waiting = None
+                dst_proc.deadline_seq = None  # cancel a receive timeout
+                dst_proc.pending = msg
                 push(dst_proc)
             else:
                 # No eligible waiter (none posted, no match, or the
                 # arrival is past a timed receive's deadline).
                 deposit(msg)
 
-        self.complete_recv = complete_recv
         self.deliver = deliver
 
 
@@ -300,10 +290,6 @@ class Engine:
     the hot loop pays a single ``None`` test per primitive.
     max_events:
         Safety limit on primitive operations processed.
-    dispatch:
-        Optional :class:`~repro.sim.dispatch.DispatchTable`; defaults to
-        the shared table carrying the built-in primitives plus anything
-        registered via :func:`~repro.sim.dispatch.register_handler`.
     """
 
     def __init__(
@@ -313,7 +299,6 @@ class Engine:
         flops_per_second: Sequence[float],
         tracer: Tracer | None = None,
         max_events: int = 50_000_000,
-        dispatch: DispatchTable | None = None,
         flight: Any = None,
     ):
         if nranks <= 0:
@@ -346,7 +331,6 @@ class Engine:
         self.flops_per_second = [float(s) for s in flops_per_second]
         self.tracer = tracer
         self.max_events = max_events
-        self.dispatch = dispatch if dispatch is not None else default_dispatch()
         self.flight = flight
 
     # ------------------------------------------------------------------
@@ -370,7 +354,7 @@ class Engine:
         flight = self.flight
         emit = _bind_emit([s for s in (flight, self.tracer) if s is not None])
         ctx = RunContext(self, procs, stats, scheduler, mailboxes, emit)
-        handlers = self.dispatch.build(ctx)
+        handlers = {op: factory(ctx) for op, factory in _HANDLERS.items()}
 
         live = self.nranks
         events = 0
@@ -435,7 +419,7 @@ class Engine:
                         try:
                             handler = handlers[op.__class__]
                         except KeyError:
-                            self._reject_op(rank, op)
+                            _reject_op(rank, op)
                         handler(proc, op)
                         if proc.waiting is not None:
                             break  # blocked on a receive
@@ -497,16 +481,17 @@ class Engine:
             flight.run_complete(result)
         return result
 
-    def _reject_op(self, rank: int, op: Any) -> None:
-        """Raise the ProtocolError for an op type with no handler."""
-        if isinstance(op, self.dispatch.registered()):
-            raise ProtocolError(
-                f"rank {rank} yielded a subclass of a primitive ({op!r}); "
-                "yield the primitive types directly"
-            ) from None
+
+def _reject_op(rank: int, op: Any) -> None:
+    """Raise the ProtocolError for an op type with no handler."""
+    if isinstance(op, tuple(_HANDLERS)):
         raise ProtocolError(
-            f"rank {rank} yielded unsupported object {op!r}"
+            f"rank {rank} yielded a subclass of a primitive ({op!r}); "
+            "yield the primitive types directly"
         ) from None
+    raise ProtocolError(
+        f"rank {rank} yielded unsupported object {op!r}"
+    ) from None
 
 
 def _bind_emit(stores: list[Any]) -> Callable[[tuple], None] | None:
@@ -527,11 +512,10 @@ def _bind_emit(stores: list[Any]) -> Callable[[tuple], None] | None:
 
 
 # ----------------------------------------------------------------------
-# Built-in primitive handlers.  Registered through the same public
-# interface extensions use; each factory runs once per Engine.run and
-# binds the hot state it needs into its handler closure.
+# Primitive handlers.  Each factory runs once per Engine.run and binds
+# the hot state it needs into its handler closure.  Dispatch is by exact
+# type: a subclass of a primitive has no handler.
 
-@register_handler(Send)
 def _send_factory(ctx: RunContext):
     nranks = ctx.nranks
     transfer = ctx.transfer
@@ -614,7 +598,6 @@ def _send_factory(ctx: RunContext):
     return handle_send
 
 
-@register_handler(Recv)
 def _recv_factory(ctx: RunContext):
     buckets = ctx.mailboxes.buckets
     pop_match = ctx.mailboxes.pop_match
@@ -659,7 +642,6 @@ def _recv_factory(ctx: RunContext):
     return handle_recv
 
 
-@register_handler(Compute)
 def _compute_factory(ctx: RunContext):
     fps = ctx.flops_per_second
     stats = ctx.stats
@@ -687,7 +669,6 @@ def _compute_factory(ctx: RunContext):
     return handle_compute
 
 
-@register_handler(Multicast)
 def _multicast_factory(ctx: RunContext):
     nranks = ctx.nranks
     transfer = ctx.transfer
@@ -764,7 +745,6 @@ def _multicast_factory(ctx: RunContext):
     return handle_multicast
 
 
-@register_handler(Now)
 def _now_factory(ctx: RunContext):
     def handle_now(proc: _Proc, op: Now) -> None:
         proc.pending = proc.time
@@ -772,7 +752,6 @@ def _now_factory(ctx: RunContext):
     return handle_now
 
 
-@register_handler(Log)
 def _log_factory(ctx: RunContext):
     emit = ctx.emit
 
@@ -781,3 +760,14 @@ def _log_factory(ctx: RunContext):
             emit((proc.rank, "log", proc.time, proc.time, op.message))
 
     return handle_log
+
+
+#: The op table: each primitive's handler factory, by exact type.
+_HANDLERS = {
+    Send: _send_factory,
+    Recv: _recv_factory,
+    Compute: _compute_factory,
+    Multicast: _multicast_factory,
+    Now: _now_factory,
+    Log: _log_factory,
+}

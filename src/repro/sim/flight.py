@@ -192,8 +192,8 @@ class FlightRecorder(Tracer):
         # Per-rank virtual-time monotonicity over the retained window.
         # The engine emits each rank's records in program order with
         # start >= previous end (exact float equality at the seams), so
-        # any regression is a causality bug in a network model or
-        # handler extension.
+        # any regression is a causality bug in a network model or a
+        # handler.
         last_end: dict[int, float] = {}
         for rec in self._raw:
             rank, kind, start, end = rec[0], rec[1], rec[2], rec[3]

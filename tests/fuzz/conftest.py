@@ -4,12 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.fuzz import (
-    ClusterModel,
-    Scenario,
-    register_network_wrapper,
-    unregister_network_wrapper,
-)
+from repro.fuzz import ClusterModel, Scenario
 
 
 @pytest.fixture
@@ -40,9 +35,20 @@ class _TimeWarpNetwork:
 
 
 @pytest.fixture
-def time_warp_wrapper():
-    """Register the time-warp wrapper for the test's duration."""
-    name = "test-time-warp"
-    register_network_wrapper(name, _TimeWarpNetwork, replace=True)
-    yield name
-    unregister_network_wrapper(name)
+def time_warp(monkeypatch):
+    """Plant the time-warp bug for the test's duration: every faulted run
+    (they all go through ``faulty_mpi_run``) sees its network wrapped in
+    :class:`_TimeWarpNetwork`; fault-free baselines stay honest.
+
+    The patch reaches only this process, so tests using it run serial,
+    with no cache or a per-test one, and leave ``bit_identity`` off (a
+    pool worker forked earlier would run the honest network).
+    """
+    import repro.faults.run as fault_run
+
+    honest = fault_run.faulty_mpi_run
+
+    def warped(nranks, network, *args, **kwargs):
+        return honest(nranks, _TimeWarpNetwork(network), *args, **kwargs)
+
+    monkeypatch.setattr(fault_run, "faulty_mpi_run", warped)

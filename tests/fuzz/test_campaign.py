@@ -47,11 +47,10 @@ class TestCleanCampaign:
 
 class TestViolationPipeline:
     def test_planted_bug_flows_to_corpus_and_artifacts(
-        self, time_warp_wrapper, tmp_path
+        self, time_warp, tmp_path
     ):
         result = fuzz_campaign(
             count=3, seed=0, space=SMALL_SPACE, config=FAST,
-            network_wrapper=time_warp_wrapper,
             corpus_dir=tmp_path / "corpus",
             artifacts_dir=tmp_path / "artifacts",
             max_shrink_evaluations=20,
@@ -67,7 +66,6 @@ class TestViolationPipeline:
             assert violation_kinds(report) & {"psi-bounds", "monotonicity"}
         for path in result.corpus_paths:
             case = load_case(path)
-            assert case.scenario.network_wrapper == time_warp_wrapper
             # A violating scenario has no trustworthy pinned metrics.
             assert case.expected is None
             assert case.provenance["origin"] == "fuzz-campaign"
@@ -77,11 +75,9 @@ class TestViolationPipeline:
             assert raw["kind"] == "fuzz-violation"
             assert raw["violations"]
 
-    def test_shrunk_reproducers_are_smaller(self, time_warp_wrapper,
-                                            tmp_path):
+    def test_shrunk_reproducers_are_smaller(self, time_warp, tmp_path):
         result = fuzz_campaign(
             count=2, seed=1, space=SMALL_SPACE, config=FAST,
-            network_wrapper=time_warp_wrapper,
             corpus_dir=tmp_path / "corpus",
             artifacts_dir=tmp_path / "artifacts",
             max_shrink_evaluations=30,

@@ -9,7 +9,6 @@ from repro.fuzz import (
     CORPUS_DIR_ENV,
     CorpusCase,
     CorpusError,
-    Scenario,
     corpus_paths,
     default_corpus_dir,
     load_case,
@@ -36,19 +35,9 @@ class TestMakeCase:
         assert case.provenance == {"origin": "test"}
         assert case.name == faulted_scenario.scenario_hash()
 
-    def test_refuses_violating_scenario(self, clean_scenario,
-                                        time_warp_wrapper):
-        warped = Scenario(
-            app=clean_scenario.app, n=clean_scenario.n,
-            cluster=clean_scenario.cluster,
-            schedule=FaultSchedule((
-                NodeSlowdown(rank=0, onset=0.0, duration=None,
-                             severity=0.4),
-            )),
-            network_wrapper=time_warp_wrapper,
-        )
+    def test_refuses_violating_scenario(self, faulted_scenario, time_warp):
         with pytest.raises(CorpusError):
-            make_case(warped)
+            make_case(faulted_scenario)
 
 
 class TestSaveLoadReplay:

@@ -8,7 +8,6 @@ from repro.faults.analysis import FaultSweepRow
 from repro.faults.schedule import FaultSchedule, NodeSlowdown
 from repro.fuzz import (
     CheckConfig,
-    Scenario,
     check_bit_identity,
     check_invariants,
     check_scenario,
@@ -45,21 +44,18 @@ class TestRunScenario:
         assert via_exec.makespan == direct.makespan
         assert via_exec.psi == direct.psi
 
-    def test_wrapper_scenarios_use_registered_factory(
-        self, clean_scenario, time_warp_wrapper
-    ):
-        warped = Scenario(
-            app=clean_scenario.app, n=clean_scenario.n,
-            cluster=clean_scenario.cluster,
-            schedule=mild_schedule(clean_scenario.nranks),
-            network_wrapper=time_warp_wrapper,
+    def test_time_warp_reaches_faulted_runs_only(self, clean_scenario,
+                                                 request):
+        scenario = clean_scenario.with_schedule(
+            mild_schedule(clean_scenario.nranks)
         )
-        honest = run_scenario(Scenario(
-            app=warped.app, n=warped.n, cluster=warped.cluster,
-            schedule=warped.schedule,
-        ))
-        # Free communication: the warped run must be faster than honest.
-        assert run_scenario(warped).makespan < honest.makespan
+        honest = run_scenario(scenario)
+        request.getfixturevalue("time_warp")
+        warped = run_scenario(scenario)
+        # Free communication: the warped faulted run beats the honest
+        # one, while the fault-free baseline is untouched.
+        assert warped.makespan < honest.makespan
+        assert warped.baseline.run.makespan == honest.baseline.run.makespan
 
 
 class TestCheckScenario:
@@ -79,29 +75,21 @@ class TestCheckScenario:
         assert report.psi < 1.0
         assert any(c.startswith("monotonicity") for c in report.checks)
 
-    def test_time_warp_bug_is_detected(self, clean_scenario,
-                                       time_warp_wrapper):
+    def test_time_warp_bug_is_detected(self, clean_scenario, time_warp):
         # The acceptance scenario: a network model that teleports
         # messages passes the engine's cheap guards but must trip the
         # oracle -- the faulted run beats its baseline (psi > 1).
-        warped = Scenario(
-            app=clean_scenario.app, n=clean_scenario.n,
-            cluster=clean_scenario.cluster,
-            schedule=mild_schedule(clean_scenario.nranks),
-            network_wrapper=time_warp_wrapper,
+        warped = clean_scenario.with_schedule(
+            mild_schedule(clean_scenario.nranks)
         )
         report = check_scenario(warped, FAST)
         assert not report.ok
         kinds = {v.kind for v in report.violations}
         assert kinds & {"psi-bounds", "monotonicity"}
 
-    def test_detection_is_deterministic(self, clean_scenario,
-                                        time_warp_wrapper):
-        warped = Scenario(
-            app=clean_scenario.app, n=clean_scenario.n,
-            cluster=clean_scenario.cluster,
-            schedule=mild_schedule(clean_scenario.nranks),
-            network_wrapper=time_warp_wrapper,
+    def test_detection_is_deterministic(self, clean_scenario, time_warp):
+        warped = clean_scenario.with_schedule(
+            mild_schedule(clean_scenario.nranks)
         )
         first = check_scenario(warped, FAST)
         second = check_scenario(warped, FAST)
@@ -137,16 +125,13 @@ class TestOnePredicatePerProperty:
         )] == ["psi-bounds"]
 
     def test_faster_than_baseline_is_monotonicity_everywhere(
-        self, clean_scenario, time_warp_wrapper
+        self, clean_scenario, time_warp
     ):
         assert [v.kind for v in check_sweep_invariants(
             [forged_row(makespan=0.5)]
         )] == ["monotonicity"]
-        warped = Scenario(
-            app=clean_scenario.app, n=clean_scenario.n,
-            cluster=clean_scenario.cluster,
-            schedule=mild_schedule(clean_scenario.nranks),
-            network_wrapper=time_warp_wrapper,
+        warped = clean_scenario.with_schedule(
+            mild_schedule(clean_scenario.nranks)
         )
         report = check_scenario(warped, CheckConfig(monotonicity_factors=()))
         assert report.makespan < report.baseline_makespan
@@ -164,13 +149,9 @@ class TestBitIdentity:
 
 
 class TestDumpViolation:
-    def test_artifacts_written(self, clean_scenario, time_warp_wrapper,
-                               tmp_path):
-        warped = Scenario(
-            app=clean_scenario.app, n=clean_scenario.n,
-            cluster=clean_scenario.cluster,
-            schedule=mild_schedule(clean_scenario.nranks),
-            network_wrapper=time_warp_wrapper,
+    def test_artifacts_written(self, clean_scenario, time_warp, tmp_path):
+        warped = clean_scenario.with_schedule(
+            mild_schedule(clean_scenario.nranks)
         )
         report = check_scenario(warped, FAST)
         assert not report.ok

@@ -10,10 +10,6 @@ from repro.fuzz import (
     ClusterModel,
     Scenario,
     ScenarioError,
-    register_network_wrapper,
-    registered_network_wrappers,
-    resolve_network_wrapper,
-    unregister_network_wrapper,
     valid_scenario_network,
 )
 
@@ -104,11 +100,9 @@ class TestScenario:
         ))
         text = Scenario(
             app="ge", n=64, cluster=tiny_cluster, schedule=schedule,
-            network_wrapper="warp",
         ).describe()
         assert "ge N=64" in text
         assert "1 fault event(s)" in text
-        assert "wrapper=warp" in text
 
     def test_payload_round_trip_and_hash_stability(self, tiny_cluster):
         schedule = FaultSchedule((
@@ -121,6 +115,13 @@ class TestScenario:
         assert back == scenario
         assert back.scenario_hash() == scenario.scenario_hash()
         assert len(scenario.scenario_hash()) == 16
+
+    def test_payload_without_wrapper_key_loads(self, tiny_cluster):
+        scenario = Scenario(app="ge", n=16, cluster=tiny_cluster)
+        payload = scenario.to_payload()
+        assert payload["network_wrapper"] is None
+        del payload["network_wrapper"]
+        assert Scenario.from_payload(payload) == scenario
 
     @pytest.mark.parametrize("change", [
         {"app": None},
@@ -136,9 +137,11 @@ class TestScenario:
         {"schedule": {"events": [{"type": "meteor"}]}},
         {"network_wrapper": 3},
         {"network_wrapper": False},
+        {"network_wrapper": "warp"},
     ], ids=["no-app", "n-str", "n-fraction", "n-float", "seed-str", "cluster-list",
             "group-no-count", "count-fraction", "no-schedule",
-            "schedule-list", "unknown-event", "wrapper-int", "wrapper-bool"])
+            "schedule-list", "unknown-event", "wrapper-int", "wrapper-bool",
+            "wrapper-name"])
     def test_malformed_payload_raises_scenario_error(self, tiny_cluster,
                                                      change):
         payload = Scenario(app="ge", n=16, cluster=tiny_cluster).to_payload()
@@ -174,29 +177,6 @@ class TestScenario:
         assert (replaced.app, replaced.n, replaced.cluster) == (
             clean_scenario.app, clean_scenario.n, clean_scenario.cluster
         )
-
-
-class TestWrapperRegistry:
-    def test_register_resolve_unregister(self):
-        marker = object()
-        register_network_wrapper("test-reg", lambda net: marker)
-        try:
-            assert "test-reg" in registered_network_wrappers()
-            assert resolve_network_wrapper("test-reg")(None) is marker
-        finally:
-            unregister_network_wrapper("test-reg")
-        with pytest.raises(ScenarioError):
-            resolve_network_wrapper("test-reg")
-
-    def test_duplicate_registration_needs_replace(self):
-        register_network_wrapper("test-dup", lambda net: net)
-        try:
-            with pytest.raises(ScenarioError):
-                register_network_wrapper("test-dup", lambda net: net)
-            register_network_wrapper("test-dup", lambda net: net,
-                                     replace=True)
-        finally:
-            unregister_network_wrapper("test-dup")
 
 
 class TestHierarchicalNetworks:

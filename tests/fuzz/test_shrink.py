@@ -20,15 +20,14 @@ from repro.fuzz import (
 FAST = CheckConfig(monotonicity_factors=(0.5,), bit_identity=False)
 
 
-def big_scenario(wrapper=None):
+def big_scenario():
     """A deliberately oversized starting point for shrinking."""
     cluster = ClusterModel(groups=(("blade", 2), ("v210", 2)), network="bus")
     schedule = FaultSchedule((
         NodeSlowdown(rank=0, onset=0.0, duration=None, severity=0.3),
         NodeSlowdown(rank=1, onset=0.0, duration=None, severity=0.2),
     ))
-    return Scenario(app="ge", n=128, cluster=cluster, schedule=schedule,
-                    network_wrapper=wrapper)
+    return Scenario(app="ge", n=128, cluster=cluster, schedule=schedule)
 
 
 class TestShrinkMechanics:
@@ -69,8 +68,8 @@ class TestPlantedBugAcceptance:
     """ISSUE acceptance: detect + deterministically shrink a planted bug."""
 
     @pytest.fixture
-    def shrunk(self, time_warp_wrapper):
-        original = big_scenario(wrapper=time_warp_wrapper)
+    def shrunk(self, time_warp):
+        original = big_scenario()
         report = check_scenario(original, FAST)
         assert not report.ok, "planted bug must be detected"
         kinds = {v.kind for v in report.violations}
@@ -100,9 +99,9 @@ class TestPlantedBugAcceptance:
         # have been stripped entirely.
         assert result.scenario.schedule.is_empty
 
-    def test_shrinking_is_deterministic(self, shrunk, time_warp_wrapper):
+    def test_shrinking_is_deterministic(self, shrunk, time_warp):
         result, kinds = shrunk
-        original = big_scenario(wrapper=time_warp_wrapper)
+        original = big_scenario()
 
         def still_fails(candidate):
             probe = check_scenario(candidate, FAST)

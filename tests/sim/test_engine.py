@@ -300,6 +300,27 @@ class TestMiscOps:
             engine.run([worker()])
 
 
+class TestRejection:
+    """Dispatch is by exact type over the six primitives."""
+
+    def test_subclass_of_primitive_is_rejected(self):
+        class FancyCompute(Compute):
+            pass
+
+        def program(rank):
+            yield FancyCompute(flops=1.0)
+
+        with pytest.raises(ProtocolError, match="subclass of a primitive"):
+            make_engine(1).run(program)
+
+    def test_unknown_object_is_rejected(self):
+        def program(rank):
+            yield object()
+
+        with pytest.raises(ProtocolError, match="unsupported object"):
+            make_engine(1).run(program)
+
+
 class TestDeterminism:
     def test_identical_runs_identical_results(self):
         def program(rank):

@@ -7,9 +7,8 @@ from dataclasses import asdict, fields
 import pytest
 
 from repro.network.model import ZeroCostNetwork
-from repro.sim.dispatch import default_dispatch
 from repro.sim.engine import Engine
-from repro.sim.events import Compute, Recv, Send, SimOp
+from repro.sim.events import Compute, Recv, Send
 from repro.sim.trace import RankStats, RankStatsArray, Tracer
 
 
@@ -97,25 +96,6 @@ class TestEngineIntegration:
         assert run.makespan == pytest.approx(0.3)
 
 
-class Credit(SimOp):
-    """A custom primitive crediting flops to the rank without advancing
-    its clock."""
-
-    __slots__ = ("flops",)
-
-    def __init__(self, flops: float):
-        self.flops = flops
-
-
-def _credit_factory(ctx):
-    flops = ctx.stats.flops  # a per-run column, bound once
-
-    def handle_credit(proc, op):
-        flops[proc.rank] += op.flops
-
-    return handle_credit
-
-
 class TestRunColumns:
     """Handlers write per-run columns; the result holds packed arrays."""
 
@@ -135,20 +115,6 @@ class TestRunColumns:
             assert len(column) == 3, f.name
         assert list(run.stats.messages_received) == [1, 1, 1]
         assert run.stats[2].flops == 3e3
-
-    def test_extension_handler_writes_reach_the_result(self):
-        table = default_dispatch().copy()
-        table.register(Credit, _credit_factory)
-
-        def program(rank):
-            yield Credit(2.5 * rank)
-            yield Compute(flops=1.0)
-            yield Credit(0.5)
-
-        run = Engine(2, ZeroCostNetwork(), [1e6] * 2,
-                     dispatch=table).run(program)
-        assert [s.flops for s in run.stats] == [1.5, 4.0]
-        assert isinstance(run.stats.flops, array)
 
 
 class TestTracerLimit:

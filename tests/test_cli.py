@@ -150,6 +150,13 @@ class TestCommands:
         assert row in [line.split() for line in out.splitlines()]
         assert "->" not in out  # one configuration has no transition
 
+    def test_table7_one_node_count_prints_table6_rows_only(self, capsys):
+        assert main(["table7", "--nodes", "2", "--no-cache"]) == 0
+        out = capsys.readouterr().out
+        assert "Table 6" in out
+        assert ["2", "3", "410"] in [line.split() for line in out.splitlines()]
+        assert "Table 7" not in out  # no transition, so no psi table
+
     def test_table5_prints_rank_rows_then_psi(self, capsys):
         assert main(["table5", "--nodes", "2", "4", "--no-cache"]) == 0
         out = capsys.readouterr().out

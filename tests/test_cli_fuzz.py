@@ -97,22 +97,21 @@ class TestFuzzRun:
 
     def test_violations_exit_nonzero_with_artifacts(self, capsys, tmp_path,
                                                     monkeypatch):
-        from repro.fuzz import (
-            register_network_wrapper,
-            unregister_network_wrapper,
-        )
+        import repro.faults.run as fault_run
+
+        honest = fault_run.faulty_mpi_run
+
+        def warped(nranks, network, *args, **kwargs):
+            return honest(nranks, _TimeWarp(network), *args, **kwargs)
 
         monkeypatch.chdir(tmp_path)
-        register_network_wrapper("cli-warp", _TimeWarp, replace=True)
-        try:
-            code = main([
-                "fuzz", "run", "--count", "2", "--seed", "0",
-                "--network-wrapper", "cli-warp",
-                "--corpus", str(tmp_path / "corpus"),
-                "--artifacts", str(tmp_path / "artifacts"),
-            ])
-        finally:
-            unregister_network_wrapper("cli-warp")
+        # Plant the bug in every faulted run of this (serial) campaign.
+        monkeypatch.setattr(fault_run, "faulty_mpi_run", warped)
+        code = main([
+            "fuzz", "run", "--count", "2", "--seed", "0",
+            "--corpus", str(tmp_path / "corpus"),
+            "--artifacts", str(tmp_path / "artifacts"),
+        ])
         assert code == 1
         out = capsys.readouterr().out
         assert "VIOLATIONS" in out
